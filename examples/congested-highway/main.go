@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	suspect := world.Attacker.NodeID()
-	serial := world.Attacker.Credential().Cert.Serial
+	serial := world.Attacker.Credential().Serial()
 
 	// Pick five legitimate vehicles registered near the attacker to act as
 	// concurrent reporters.

@@ -216,7 +216,7 @@ func TestSingleBlackHoleDetectedAndIsolated(t *testing.T) {
 	if w.ta.Stats().Revocations != 1 {
 		t.Errorf("TA revocations = %d, want 1", w.ta.Stats().Revocations)
 	}
-	if !w.ta.Authority().IsRevoked(attacker.Credential().Cert.Serial) {
+	if !w.ta.Authority().IsRevoked(attacker.Credential().Serial()) {
 		t.Error("attacker's certificate not revoked")
 	}
 
@@ -350,7 +350,7 @@ func TestLegitimateSuspectCleared(t *testing.T) {
 	w.sched.RunFor(time.Second)
 
 	var got *EstablishResult
-	err := reporter.ReportSuspect(honest.NodeID(), 1, honest.Credential().Cert.Serial,
+	err := reporter.ReportSuspect(honest.NodeID(), 1, honest.Credential().Serial(),
 		func(r EstablishResult) { got = &r })
 	if err != nil {
 		t.Fatal(err)

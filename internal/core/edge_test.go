@@ -97,7 +97,7 @@ func TestRogueRevocationRequestIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &wire.RevocationReq{Head: 999998, Suspect: honest.NodeID(), CertSerial: honest.Credential().Cert.Serial}
+	req := &wire.RevocationReq{Head: 999998, Suspect: honest.NodeID(), CertSerial: honest.Credential().Serial()}
 	b, err := req.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestRogueRevocationRequestIgnored(t *testing.T) {
 	if w.ta.Stats().Revocations != 0 {
 		t.Error("TA honoured a revocation request from a non-head")
 	}
-	if w.ta.Authority().IsRevoked(honest.Credential().Cert.Serial) {
+	if w.ta.Authority().IsRevoked(honest.Credential().Serial()) {
 		t.Error("honest certificate revoked by a rogue request")
 	}
 }
@@ -119,7 +119,7 @@ func TestHonestVehicleRenewalRotatesPseudonym(t *testing.T) {
 	v := w.addVehicle(800, 15, mobility.Eastbound, VehicleConfig{})
 	w.sched.RunFor(time.Second)
 	old := v.NodeID()
-	oldSerial := v.Credential().Cert.Serial
+	oldSerial := v.Credential().Serial()
 
 	if err := v.RenewCertificate(); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestHonestVehicleRenewalRotatesPseudonym(t *testing.T) {
 	if v.NodeID() == old {
 		t.Fatal("pseudonym did not rotate")
 	}
-	if v.Credential().Cert.Serial == oldSerial {
+	if v.Credential().Serial() == oldSerial {
 		t.Error("serial did not advance")
 	}
 	if v.Stats().RenewalsApplied != 1 {
@@ -254,7 +254,7 @@ func TestHandoffCarriesAllReporters(t *testing.T) {
 	w.sched.RunFor(time.Second)
 
 	var v1, v2 *EstablishResult
-	serial := attacker.Credential().Cert.Serial
+	serial := attacker.Credential().Serial()
 	if err := r1.ReportSuspect(attacker.NodeID(), 1, serial, func(r EstablishResult) { v1 = &r }); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/ecdsa"
 	"fmt"
 	"sort"
 	"time"
@@ -180,7 +181,7 @@ type VehicleAgent struct {
 
 	verifications map[wire.NodeID]*verification // by destination
 	reports       map[wire.NodeID]*verification // by suspect
-	pendingRenew  *pki.Credential               // key waiting for its certificate
+	pendingRenew  *ecdsa.PrivateKey             // key waiting for its certificate
 	onRenewed     func(old, new wire.NodeID)
 	stats         VehicleStats
 }
@@ -756,8 +757,8 @@ func (v *VehicleAgent) RenewCertificate() error {
 	if err != nil {
 		return err
 	}
-	req := &wire.RenewalReq{Current: v.NodeID(), CertSerial: v.cred.Cert.Serial, NewPubKey: der}
-	v.pendingRenew = &pki.Credential{Key: key}
+	req := &wire.RenewalReq{Current: v.NodeID(), CertSerial: v.cred.Serial(), NewPubKey: der}
+	v.pendingRenew = key
 	v.ifc.Send(head, v.seal(req))
 	return nil
 }
@@ -787,8 +788,7 @@ func (v *VehicleAgent) handleRenewalResp(p *wire.RenewalResp, env *wire.Secure) 
 		return
 	}
 	old := v.NodeID()
-	pending.Cert = p.Cert
-	v.cred = pending
+	v.cred = pki.NewCredential(p.Cert, pending)
 	v.ifc.SetNodeID(p.Cert.Node)
 	v.stats.RenewalsApplied++
 	v.env.Tracer.Logf(v.NodeID(), trace.CatCluster, "pseudonym rotated %v -> %v", old, p.Cert.Node)

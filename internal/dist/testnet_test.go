@@ -224,8 +224,14 @@ func TestDistCancelLeavesNoOrphans(t *testing.T) {
 	}
 
 	// Goroutine count returns to the neighbourhood it started in — nothing
-	// orphaned on the coordinator, the serve layer or the workers.
+	// orphaned on the coordinator, the serve layer or the workers. Idle
+	// keep-alive connections are not orphans: each holds a client read
+	// loop, a write loop and a server conn goroutine until closed, so close
+	// them — the default transport behind http.DefaultClient and the
+	// coordinator's dispatch client — before counting.
 	waitUntil(t, 20*time.Second, "goroutines to drain", func() bool {
+		http.DefaultClient.CloseIdleConnections()
+		f.coord.client.CloseIdleConnections()
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+8
 	})

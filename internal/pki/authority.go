@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"blackdp/internal/wire"
@@ -27,13 +29,68 @@ var (
 
 // Credential is a node's operating identity: its current certificate plus
 // the matching private key.
+//
+// A credential from Authority.Issue is provisioned lazily. Issue fixes
+// everything the run can observe before the first signature — pseudonym,
+// serial, authority and expiry — and the key pair plus the TA's signature
+// over the certificate are minted on first use: the first Seal, or the
+// first call to Certificate or PrivateKey. Minting draws the key, and under
+// ECDSA the certificate signature's nonce, from the stream handed to Issue
+// rather than the scheme's shared stream (a SessionToken draws its epoch
+// anchors under its own lock), so it may happen on any shard. A credential
+// is minted at most once, however many goroutines use it.
 type Credential struct {
-	Cert wire.Certificate
-	Key  *ecdsa.PrivateKey
+	cert wire.Certificate // PubKey and Signature stay empty until minted
+	key  *ecdsa.PrivateKey
+
+	mint sync.Once
+	auth *Authority // issuer that mints the credential; nil when complete
+	rand io.Reader  // key and nonce stream for minting
+	err  error      // sticky minting failure
+}
+
+// NewCredential wraps a complete certificate and its private key, as a
+// vehicle holds them after a CSR-style renewal (Authority.RenewFor).
+func NewCredential(cert wire.Certificate, key *ecdsa.PrivateKey) *Credential {
+	return &Credential{cert: cert, key: key}
 }
 
 // NodeID returns the pseudonym bound by the credential.
-func (c *Credential) NodeID() wire.NodeID { return c.Cert.Node }
+func (c *Credential) NodeID() wire.NodeID { return c.cert.Node }
+
+// Serial returns the serial of the credential's certificate.
+func (c *Credential) Serial() uint64 { return c.cert.Serial }
+
+// Certificate returns the credential's signed certificate, minting the
+// credential if it has not been used yet.
+func (c *Credential) Certificate() (wire.Certificate, error) {
+	if err := c.ensureMinted(); err != nil {
+		return wire.Certificate{}, err
+	}
+	return c.cert, nil
+}
+
+// PrivateKey returns the credential's signing key, minting the credential
+// if it has not been used yet.
+func (c *Credential) PrivateKey() (*ecdsa.PrivateKey, error) {
+	if err := c.ensureMinted(); err != nil {
+		return nil, err
+	}
+	return c.key, nil
+}
+
+// ensureMinted mints a lazily issued credential exactly once; a failure is
+// returned on this and every later use.
+func (c *Credential) ensureMinted() error {
+	c.mint.Do(func() {
+		if c.auth == nil {
+			return
+		}
+		c.err = c.auth.mint(c)
+		c.auth, c.rand = nil, nil
+	})
+	return c.err
+}
 
 // TrustStore holds the public keys of all Trusted Authorities. It is
 // pre-provisioned in every node, mirroring the paper's assumption that nodes
@@ -86,6 +143,21 @@ type Authority struct {
 	revoked       map[uint64]wire.RevokedCert
 	pausedSerials map[uint64]bool
 	pausedNodes   map[wire.NodeID]bool
+
+	// Provisioning counters. Minting runs on whichever shard first uses a
+	// credential, so both are atomic.
+	issued, minted atomic.Uint64
+}
+
+// ProvisionStats counts an authority's lazy provisioning work.
+type ProvisionStats struct {
+	Issued uint64 // credentials issued by Issue or Renew
+	Minted uint64 // of those, credentials whose key and certificate were minted
+}
+
+// Stats returns a snapshot of the provisioning counters.
+func (a *Authority) Stats() ProvisionStats {
+	return ProvisionStats{Issued: a.issued.Load(), Minted: a.minted.Load()}
 }
 
 // NewAuthority creates an authority with a fresh key pair (from rand; nil
@@ -127,7 +199,9 @@ func (a *Authority) PublicKey() *ecdsa.PublicKey { return &a.key.PublicKey }
 
 // Issue creates a fresh credential for the (TA-internal) identity lineage,
 // valid for validity from now. Pseudonyms are allocated from the authority's
-// private range so two authorities never collide.
+// private range so two authorities never collide. The key pair and the
+// certificate signature are minted from rand (nil for crypto/rand) on the
+// credential's first use; rand must stay private to the credential.
 func (a *Authority) Issue(lineage string, validity time.Duration, rand io.Reader) (*Credential, error) {
 	if lineage == "" {
 		return nil, errors.New("pki: empty lineage")
@@ -138,19 +212,38 @@ func (a *Authority) Issue(lineage string, validity time.Duration, rand io.Reader
 	if a.pausedLineage(lineage) {
 		return nil, ErrRenewalPaused
 	}
-	key, err := GenerateKey(rand)
+	a.issued.Add(1)
+	return &Credential{cert: a.allocateCert(lineage, validity), auth: a, rand: rand}, nil
+}
+
+// mint generates c's key pair and signs its certificate. The certificate
+// signature draws its nonce from c's own stream rather than the scheme's
+// shared one, so concurrent mints on different shards share no state.
+func (a *Authority) mint(c *Credential) error {
+	key, err := GenerateKey(c.rand)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	der, err := MarshalPublicKey(&key.PublicKey)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cert, err := a.issueCert(lineage, der, validity)
+	cert := c.cert
+	cert.PubKey = der
+	scheme := a.scheme
+	if e, ok := scheme.(ECDSA); ok {
+		e.Rand = c.rand
+		scheme = e
+	}
+	sig, err := scheme.Sign(a.key, cert.Preimage())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Credential{Cert: cert, Key: key}, nil
+	// Only the minted fields are written: NodeID and Serial stay readable
+	// from other shards while a credential mints.
+	c.cert.PubKey, c.cert.Signature, c.key = der, sig, key
+	a.minted.Add(1)
+	return nil
 }
 
 // IssueFor issues a certificate binding a fresh pseudonym to a
@@ -189,24 +282,30 @@ func (a *Authority) RenewFor(current wire.Certificate, pubDER []byte, validity t
 }
 
 func (a *Authority) issueCert(lineage string, pubDER []byte, validity time.Duration) (wire.Certificate, error) {
-	node := wire.NodeID(uint64(a.id)<<48 | a.nextNode)
-	a.nextNode++
-	cert := wire.Certificate{
-		Serial:    uint64(a.id)<<48 | a.nextSerial,
-		Node:      node,
-		Authority: a.id,
-		PubKey:    pubDER,
-		Expiry:    a.clock() + validity,
-	}
-	a.nextSerial++
+	cert := a.allocateCert(lineage, validity)
+	cert.PubKey = pubDER
 	sig, err := a.scheme.Sign(a.key, cert.Preimage())
 	if err != nil {
 		return wire.Certificate{}, err
 	}
 	cert.Signature = sig
+	return cert, nil
+}
+
+// allocateCert assigns the next pseudonym and serial in lineage, valid for
+// validity from now: every certificate field except the key and signature.
+func (a *Authority) allocateCert(lineage string, validity time.Duration) wire.Certificate {
+	cert := wire.Certificate{
+		Serial:    uint64(a.id)<<48 | a.nextSerial,
+		Node:      wire.NodeID(uint64(a.id)<<48 | a.nextNode),
+		Authority: a.id,
+		Expiry:    a.clock() + validity,
+	}
+	a.nextNode++
+	a.nextSerial++
 	a.lineageOf[cert.Serial] = lineage
 	a.latestSerial[lineage] = cert.Serial
-	return cert, nil
+	return cert
 }
 
 func (a *Authority) pausedLineage(lineage string) bool {
@@ -335,15 +434,18 @@ func Seal(inner wire.Packet, cred *Credential, scheme Scheme) (*wire.Secure, err
 	if cred == nil {
 		return nil, errors.New("pki: Seal with nil credential")
 	}
+	if err := cred.ensureMinted(); err != nil {
+		return nil, err
+	}
 	body, err := inner.MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("pki: sealing %v: %w", inner.Kind(), err)
 	}
-	sig, err := scheme.Sign(cred.Key, body)
+	sig, err := scheme.Sign(cred.key, body)
 	if err != nil {
 		return nil, err
 	}
-	return &wire.Secure{Inner: body, Cert: cred.Cert, Signature: sig}, nil
+	return &wire.Secure{Inner: body, Cert: cred.cert, Signature: sig}, nil
 }
 
 // Open verifies a secure packet end to end — certificate against the trust

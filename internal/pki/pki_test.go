@@ -1,6 +1,7 @@
 package pki
 
 import (
+	"crypto/ecdsa"
 	"errors"
 	"math/rand"
 	"testing"
@@ -22,6 +23,26 @@ func (d detReader) Read(p []byte) (int, error) {
 
 func newDetReader(seed int64) detReader {
 	return detReader{r: rand.New(rand.NewSource(seed))}
+}
+
+// certOf returns cred's certificate through the minting accessor.
+func certOf(t testing.TB, cred *Credential) wire.Certificate {
+	t.Helper()
+	cert, err := cred.Certificate()
+	if err != nil {
+		t.Fatalf("minting %v: %v", cred.NodeID(), err)
+	}
+	return cert
+}
+
+// keyOf returns cred's private key through the minting accessor.
+func keyOf(t testing.TB, cred *Credential) *ecdsa.PrivateKey {
+	t.Helper()
+	key, err := cred.PrivateKey()
+	if err != nil {
+		t.Fatalf("minting %v: %v", cred.NodeID(), err)
+	}
+	return key
 }
 
 type fakeClock struct{ now time.Duration }
@@ -50,10 +71,11 @@ func TestIssueAndVerifyCertificate(t *testing.T) {
 	if cred.NodeID() == wire.Broadcast {
 		t.Error("issued broadcast pseudonym")
 	}
-	if cred.Cert.Authority != 1 {
-		t.Errorf("cert authority = %d, want 1", cred.Cert.Authority)
+	cert := certOf(t, cred)
+	if cert.Authority != 1 {
+		t.Errorf("cert authority = %d, want 1", cert.Authority)
 	}
-	if err := VerifyCertificate(&cred.Cert, trust, clk.now, scheme); err != nil {
+	if err := VerifyCertificate(&cert, trust, clk.now, scheme); err != nil {
 		t.Errorf("VerifyCertificate: %v", err)
 	}
 }
@@ -67,15 +89,16 @@ func TestVerifyCertificateFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cert := certOf(t, cred)
 
 	t.Run("expired", func(t *testing.T) {
-		err := VerifyCertificate(&cred.Cert, trust, 2*time.Hour, scheme)
+		err := VerifyCertificate(&cert, trust, 2*time.Hour, scheme)
 		if !errors.Is(err, ErrCertExpired) {
 			t.Errorf("error = %v, want ErrCertExpired", err)
 		}
 	})
 	t.Run("unknown authority", func(t *testing.T) {
-		bad := cred.Cert
+		bad := cert
 		bad.Authority = 42
 		err := VerifyCertificate(&bad, trust, 0, scheme)
 		if !errors.Is(err, ErrUnknownAuthority) {
@@ -83,7 +106,7 @@ func TestVerifyCertificateFailures(t *testing.T) {
 		}
 	})
 	t.Run("tampered node id", func(t *testing.T) {
-		bad := cred.Cert
+		bad := cert
 		bad.Node = 999 // forging a different pseudonym breaks the signature
 		err := VerifyCertificate(&bad, trust, 0, scheme)
 		if !errors.Is(err, ErrBadCertificate) {
@@ -91,7 +114,7 @@ func TestVerifyCertificateFailures(t *testing.T) {
 		}
 	})
 	t.Run("tampered signature", func(t *testing.T) {
-		bad := cred.Cert
+		bad := cert
 		bad.Signature = append([]byte(nil), bad.Signature...)
 		bad.Signature[10] ^= 0xff
 		err := VerifyCertificate(&bad, trust, 0, scheme)
@@ -138,14 +161,14 @@ func TestRenewRotatesPseudonym(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	renewed, err := a.Renew(cred.Cert, time.Hour, newDetReader(2))
+	renewed, err := a.Renew(certOf(t, cred), time.Hour, newDetReader(2))
 	if err != nil {
 		t.Fatalf("Renew: %v", err)
 	}
 	if renewed.NodeID() == cred.NodeID() {
 		t.Error("renewal did not rotate the pseudonym")
 	}
-	if renewed.Cert.Serial == cred.Cert.Serial {
+	if renewed.Serial() == cred.Serial() {
 		t.Error("renewal did not advance the serial")
 	}
 }
@@ -158,14 +181,14 @@ func TestRenewDeniedAfterRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := a.RevokeCert(cred.Cert)
-	if rc.Node != cred.NodeID() || rc.CertSerial != cred.Cert.Serial {
+	rc := a.RevokeCert(certOf(t, cred))
+	if rc.Node != cred.NodeID() || rc.CertSerial != cred.Serial() {
 		t.Errorf("revocation record = %+v", rc)
 	}
-	if !a.IsRevoked(cred.Cert.Serial) {
+	if !a.IsRevoked(cred.Serial()) {
 		t.Error("IsRevoked = false after revocation")
 	}
-	if _, err := a.Renew(cred.Cert, time.Hour, newDetReader(2)); !errors.Is(err, ErrRenewalPaused) {
+	if _, err := a.Renew(certOf(t, cred), time.Hour, newDetReader(2)); !errors.Is(err, ErrRenewalPaused) {
 		t.Errorf("Renew after revocation error = %v, want ErrRenewalPaused", err)
 	}
 	// Fresh issuance for the same lineage is paused too.
@@ -184,12 +207,12 @@ func TestRevocationPausesLatestSerialInLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := a.Renew(old.Cert, time.Hour, newDetReader(2))
+	fresh, err := a.Renew(certOf(t, old), time.Hour, newDetReader(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.RevokeCert(old.Cert)
-	if _, err := a.Renew(fresh.Cert, time.Hour, newDetReader(3)); !errors.Is(err, ErrRenewalPaused) {
+	a.RevokeCert(certOf(t, old))
+	if _, err := a.Renew(certOf(t, fresh), time.Hour, newDetReader(3)); !errors.Is(err, ErrRenewalPaused) {
 		t.Errorf("renewal of successor cert error = %v, want ErrRenewalPaused", err)
 	}
 }
@@ -204,12 +227,12 @@ func TestPeerRevocationPausesRenewal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before the notice, the peer authority would happily renew.
-	if _, err := a2.Renew(cred.Cert, time.Hour, newDetReader(2)); err != nil {
+	if _, err := a2.Renew(certOf(t, cred), time.Hour, newDetReader(2)); err != nil {
 		t.Fatalf("pre-notice peer renewal failed: %v", err)
 	}
-	rc := a1.RevokeCert(cred.Cert)
+	rc := a1.RevokeCert(certOf(t, cred))
 	a2.RecordPeerRevocation(rc)
-	if _, err := a2.Renew(cred.Cert, time.Hour, newDetReader(3)); !errors.Is(err, ErrRenewalPaused) {
+	if _, err := a2.Renew(certOf(t, cred), time.Hour, newDetReader(3)); !errors.Is(err, ErrRenewalPaused) {
 		t.Errorf("post-notice peer renewal error = %v, want ErrRenewalPaused", err)
 	}
 	if !a2.IsRevoked(rc.CertSerial) {
@@ -226,12 +249,12 @@ func TestCrossAuthorityRenewalThenRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := a2.Renew(cred.Cert, time.Hour, newDetReader(2))
+	moved, err := a2.Renew(certOf(t, cred), time.Hour, newDetReader(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2.RevokeCert(moved.Cert)
-	if _, err := a2.Renew(moved.Cert, time.Hour, newDetReader(3)); !errors.Is(err, ErrRenewalPaused) {
+	a2.RevokeCert(certOf(t, moved))
+	if _, err := a2.Renew(certOf(t, moved), time.Hour, newDetReader(3)); !errors.Is(err, ErrRenewalPaused) {
 		t.Errorf("renewal of revoked foreign-lineage cert error = %v, want ErrRenewalPaused", err)
 	}
 }
@@ -244,7 +267,7 @@ func TestPruneExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.RevokeCert(cred.Cert)
+	a.RevokeCert(certOf(t, cred))
 	if a.RevokedCount() != 1 {
 		t.Fatalf("RevokedCount = %d, want 1", a.RevokedCount())
 	}
@@ -365,7 +388,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 			t.Fatal(err)
 		}
 		sec := mk()
-		sec.Cert = other.Cert
+		sec.Cert = certOf(t, other)
 		if _, _, err := Open(sec, trust, clk.now, scheme); !errors.Is(err, ErrBadSignature) {
 			t.Errorf("error = %v, want ErrBadSignature", err)
 		}

@@ -92,10 +92,10 @@ func TestSerialsStrictlyIncreaseProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cred.Cert.Serial <= lastSerial {
-			t.Fatalf("serial %d not above %d", cred.Cert.Serial, lastSerial)
+		if cred.Serial() <= lastSerial {
+			t.Fatalf("serial %d not above %d", cred.Serial(), lastSerial)
 		}
-		lastSerial = cred.Cert.Serial
+		lastSerial = cred.Serial()
 		if seen[cred.NodeID()] {
 			t.Fatalf("pseudonym %v reused", cred.NodeID())
 		}

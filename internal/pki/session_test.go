@@ -100,18 +100,18 @@ func TestSessionTokenRejections(t *testing.T) {
 		if _, _, err := Open(other, f.trust, 0, scheme); err != nil {
 			t.Fatal(err)
 		}
-		if scheme.Verify(&f.creds[1].Key.PublicKey, sec.Inner, sec.Signature) {
+		if scheme.Verify(&keyOf(t, f.creds[1]).PublicKey, sec.Inner, sec.Signature) {
 			t.Fatal("accepted a token across epochs")
 		}
 	})
 	t.Run("renewal rotates the epoch", func(t *testing.T) {
 		// Renewal mints a fresh key pair, hence a fresh epoch: the old
 		// epoch's tokens are useless under the new pseudonym.
-		renewed, err := f.auth.Renew(f.creds[0].Cert, time.Hour, newDetReader(123))
+		renewed, err := f.auth.Renew(certOf(t, f.creds[0]), time.Hour, newDetReader(123))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if scheme.Verify(&renewed.Key.PublicKey, sec.Inner, sec.Signature) {
+		if scheme.Verify(&keyOf(t, renewed).PublicKey, sec.Inner, sec.Signature) {
 			t.Fatal("old epoch's token accepted under renewed pseudonym")
 		}
 		fresh, err := Seal(&wire.RREP{Origin: 1, Dest: 2, Issuer: renewed.NodeID()}, renewed, scheme)
@@ -129,14 +129,14 @@ func TestSessionTokenRejections(t *testing.T) {
 		corrupt := NewSessionToken(newDetReader(11))
 		g := newVerifierFixture(t, corrupt, 1)
 		csec := g.seal(t, g.creds[0], 1)
-		fp, ok := sessionFingerprint(&g.creds[0].Key.PublicKey)
+		fp, ok := sessionFingerprint(&keyOf(t, g.creds[0]).PublicKey)
 		if !ok {
 			t.Fatal("fingerprint failed")
 		}
 		corrupt.mu.Lock()
 		corrupt.sessions[fp].anchorSig[3] ^= 0x20
 		corrupt.mu.Unlock()
-		if corrupt.Verify(&g.creds[0].Key.PublicKey, csec.Inner, csec.Signature) {
+		if corrupt.Verify(&keyOf(t, g.creds[0]).PublicKey, csec.Inner, csec.Signature) {
 			t.Fatal("accepted a token whose epoch anchor does not verify")
 		}
 	})
@@ -144,12 +144,12 @@ func TestSessionTokenRejections(t *testing.T) {
 		// A receiver whose session table never saw the epoch (a separate
 		// scheme instance) rejects the packet outright.
 		elsewhere := NewSessionToken(newDetReader(13))
-		if elsewhere.Verify(&f.creds[0].Key.PublicKey, sec.Inner, sec.Signature) {
+		if elsewhere.Verify(&keyOf(t, f.creds[0]).PublicKey, sec.Inner, sec.Signature) {
 			t.Fatal("accepted a token for an epoch never announced here")
 		}
 	})
 	t.Run("malformed frame", func(t *testing.T) {
-		if scheme.Verify(&f.creds[0].Key.PublicKey, sec.Inner, sec.Signature[:10]) {
+		if scheme.Verify(&keyOf(t, f.creds[0]).PublicKey, sec.Inner, sec.Signature[:10]) {
 			t.Fatal("accepted a short signature frame")
 		}
 		if scheme.Verify(nil, sec.Inner, sec.Signature) {

@@ -283,7 +283,7 @@ func (w *fig5World) run() (Fig5Result, error) {
 	var done bool
 	w.sched.After(time.Second, func() {
 		cluster := w.suspect.Client().Cluster()
-		serial := w.suspect.Credential().Cert.Serial
+		serial := w.suspect.Credential().Serial()
 		err := w.reporter.ReportSuspect(suspectID, cluster, serial, func(core.EstablishResult) { done = true })
 		if err != nil {
 			done = true

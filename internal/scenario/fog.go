@@ -97,7 +97,7 @@ func RunFogAblation(seed int64, reporters int, authCost time.Duration, fogNodes 
 		for i := range reps {
 			i := i
 			filedAt := sched.Now()
-			err := reps[i].ReportSuspect(suspects[i].NodeID(), 1, suspects[i].Credential().Cert.Serial,
+			err := reps[i].ReportSuspect(suspects[i].NodeID(), 1, suspects[i].Credential().Serial(),
 				func(core.EstablishResult) {
 					latencies = append(latencies, sched.Now()-filedAt)
 				})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -323,6 +324,41 @@ func TestRNGSplitDecorrelates(t *testing.T) {
 	if same > 2 {
 		t.Errorf("differently-labelled splits matched %d/64 draws", same)
 	}
+}
+
+// TestRNGSplitMatchesEagerDerivation pins the stream a split yields to the
+// historical eager derivation — seed = FNV-1a(label) XOR the parent's next
+// Int63 — however late the child's first draw comes, and pins the parent
+// to advance by exactly one draw per split, used or not.
+func TestRNGSplitMatchesEagerDerivation(t *testing.T) {
+	ref := rand.New(rand.NewSource(7))
+	g := NewRNG(7)
+	labels := []string{"crypto", "core", "radio", "issue-veh-1", ""}
+	var children []*RNG
+	var want []*rand.Rand
+	for _, label := range labels {
+		h := fnv.New64a()
+		h.Write([]byte(label))
+		want = append(want, rand.New(rand.NewSource(int64(h.Sum64())^ref.Int63())))
+		children = append(children, g.Split(label))
+	}
+	if g.Int63() != ref.Int63() {
+		t.Fatal("parent stream drifted from one draw per split")
+	}
+	for i := len(children) - 1; i >= 0; i-- { // first draws in reverse split order
+		for d := 0; d < 4; d++ {
+			if got, w := children[i].Int63(), want[i].Int63(); got != w {
+				t.Fatalf("split %q draw %d = %d, want %d", labels[i], d, got, w)
+			}
+		}
+	}
+}
+
+// TestAllocsSplit pins an unused split at one allocation: the stream header,
+// with its source left unseeded until the first draw.
+func TestAllocsSplit(t *testing.T) {
+	g := NewRNG(1)
+	allocBudget(t, "split", 1, func() { _ = g.Split("issue-veh-1") })
 }
 
 func TestRNGRangeBounds(t *testing.T) {
