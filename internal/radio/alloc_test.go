@@ -11,8 +11,8 @@ import (
 // TestAllocsBroadcastDelivery pins the steady-state broadcast path: once the
 // scheduler's event pool and the medium's delivery free list are warm, a
 // broadcast to several in-range receivers plus the drain of its deliveries
-// must not allocate per frame. The budget tolerates only the per-kind stats
-// map updates (amortised growth) — not per-copy closures or records.
+// must not allocate per frame: no per-copy closures or records, and the live
+// channel counters tally kinds in fixed arrays, so counting allocates nothing.
 func TestAllocsBroadcastDelivery(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -33,7 +33,7 @@ func TestAllocsBroadcastDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the pools: first rounds populate the free lists and stats maps.
+	// Warm the pools: first rounds populate the free lists.
 	for i := 0; i < 8; i++ {
 		tx.Send(wire.Broadcast, buf)
 		s.Run()

@@ -18,7 +18,7 @@ type Backbone struct {
 	hopLatency time.Duration
 	endpoints  map[wire.NodeID]*BackboneEndpoint
 	downLinks  map[int]bool // severed chain links, by lower chain position
-	stats      Stats
+	stats      liveStats
 }
 
 // BackboneReceiver handles backbone messages.
@@ -69,7 +69,11 @@ func (b *Backbone) Attach(id wire.NodeID, hop int, recv BackboneReceiver) (*Back
 }
 
 // Stats returns a snapshot of backbone counters.
-func (b *Backbone) Stats() Stats { return b.stats.clone() }
+func (b *Backbone) Stats() Stats {
+	var out Stats
+	b.stats.foldInto(&out)
+	return out
+}
 
 // CutLink severs the chain link between positions hop and hop+1. Sends whose
 // path crosses a severed link fail immediately, as over a broken fibre.
@@ -137,17 +141,17 @@ func (ep *BackboneEndpoint) Send(to wire.NodeID, payload []byte) error {
 	if hops == 0 {
 		hops = 1 // co-located nodes still cross one link
 	}
-	b.stats.count(&b.stats.SentFrames, payload, len(payload))
-	b.stats.count(&b.stats.OfferedFrames, payload, len(payload))
-	b.stats.InFlightFrames++
+	b.stats.sent.count(payload, len(payload))
+	b.stats.offered.count(payload, len(payload))
+	b.stats.inFlight++
 	from := ep.id
 	b.sched.After(time.Duration(hops)*b.hopLatency, func() {
-		b.stats.InFlightFrames--
+		b.stats.inFlight--
 		if dst.down {
-			b.stats.count(&b.stats.LostFrames, payload, len(payload))
+			b.stats.lost.count(payload, len(payload))
 			return
 		}
-		b.stats.count(&b.stats.DeliveredFrames, payload, len(payload))
+		b.stats.delivered.count(payload, len(payload))
 		dst.recv(from, payload)
 	})
 	return nil

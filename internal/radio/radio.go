@@ -175,7 +175,7 @@ type Shard struct {
 	cross   sim.CrossPoster
 	rng     *sim.RNG
 	burst   *burstState
-	stats   Stats
+	stats   liveStats
 	freeDel []*delivery
 	scratch collectScratch
 }
@@ -284,7 +284,7 @@ func (m *Medium) Range() float64 { return m.txRange }
 func (m *Medium) Stats() Stats {
 	var out Stats
 	for _, c := range m.shards {
-		out.add(&c.stats)
+		c.stats.foldInto(&out)
 	}
 	return out
 }
@@ -402,10 +402,10 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 	c := i.shard
 	now := c.rt.Now()
 	if !i.active(now) {
-		c.stats.count(&c.stats.SuppressedFrames, payload, 0)
+		c.stats.suppressed.count(payload, 0)
 		return false
 	}
-	c.stats.count(&c.stats.SentFrames, payload, len(payload))
+	c.stats.sent.count(payload, len(payload))
 	from := i.id
 	src := i.loc.PositionAt(now)
 	txDelay := time.Duration(float64(len(payload)*8) / m.bitrate * float64(time.Second))
@@ -437,7 +437,7 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 		}
 	}
 	if !acked {
-		c.stats.count(&c.stats.UnackedFrames, payload, len(payload))
+		c.stats.unacked.count(payload, len(payload))
 	}
 	return acked
 }
@@ -461,7 +461,7 @@ func (m *Medium) consider(c *Shard, sender, dev *Interface, to wire.NodeID, fram
 	// loss draw and jitter. The probability check short-circuits so an
 	// unconfigured medium draws exactly the same RNG sequence as before.
 	if m.dupProb > 0 && c.rng.Bool(m.dupProb) {
-		c.stats.count(&c.stats.DuplicatedFrames, frame.Payload, len(frame.Payload))
+		c.stats.duplicated.count(frame.Payload, len(frame.Payload))
 		if m.offerCopy(c, dev, frame, txDelay, dist, now) {
 			acked = true
 		}
@@ -476,9 +476,9 @@ func (m *Medium) consider(c *Shard, sender, dev *Interface, to wire.NodeID, fram
 // CheckConservation audits.
 func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.Duration, dist float64, now time.Duration) bool {
 	payload := frame.Payload
-	c.stats.count(&c.stats.OfferedFrames, payload, len(payload))
+	c.stats.offered.count(payload, len(payload))
 	if c.dropCopy() {
-		c.stats.count(&c.stats.LostFrames, payload, len(payload))
+		c.stats.lost.count(payload, len(payload))
 		return false
 	}
 	prop := time.Duration(dist / propagationSpeed * float64(time.Second))
@@ -486,7 +486,7 @@ func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.D
 	if m.reorderProb > 0 && c.rng.Bool(m.reorderProb) {
 		delay += c.rng.Jitter(m.reorderMax)
 	}
-	c.stats.InFlightFrames++
+	c.stats.inFlight++
 	// Route the copy to the receiver's home shard; for a serial medium (and
 	// same-shard pairs) this is a plain AfterFunc on the shared runtime.
 	// Cross-shard delay is bounded below by txDelay, which is why a frame's
@@ -508,13 +508,13 @@ func (m *Medium) deliverCopy(a any) {
 	dev, frame := d.dev, d.frame
 	c := dev.shard
 	payload := frame.Payload
-	c.stats.InFlightFrames--
+	c.stats.inFlight--
 	if !dev.active(c.rt.Now()) {
-		c.stats.count(&c.stats.LostFrames, payload, len(payload))
+		c.stats.lost.count(payload, len(payload))
 		c.putDelivery(d)
 		return
 	}
-	c.stats.count(&c.stats.DeliveredFrames, payload, len(payload))
+	c.stats.delivered.count(payload, len(payload))
 	dev.recv(frame)
 	c.putDelivery(d)
 }
@@ -621,70 +621,63 @@ type Counter struct {
 	ByKind map[wire.Kind]uint64
 }
 
-func (s *Stats) count(c *Counter, payload []byte, bytes int) {
-	c.Frames++
-	c.Bytes += uint64(bytes)
-	if len(payload) > 0 {
-		if c.ByKind == nil {
-			c.ByKind = make(map[wire.Kind]uint64)
-		}
-		c.ByKind[wire.Kind(payload[0])]++
-	}
-}
-
 func (c Counter) String() string {
 	return fmt.Sprintf("%d frames / %d bytes", c.Frames, c.Bytes)
 }
 
-// add accumulates o into c, copying (never aliasing) o's per-kind map.
-func (c *Counter) add(o *Counter) {
-	c.Frames += o.Frames
-	c.Bytes += o.Bytes
-	if o.ByKind != nil {
+// tally is the live form of a Counter: per-kind counts sit in a fixed array
+// indexed by the payload's kind byte, so counting a frame never hashes. The
+// ByKind map exists only in snapshots.
+type tally struct {
+	frames, bytes uint64
+	byKind        [256]uint64
+}
+
+// count records one frame of the given size. Empty payloads have no kind and
+// count only toward frames and bytes.
+func (t *tally) count(payload []byte, bytes int) {
+	t.frames++
+	t.bytes += uint64(bytes)
+	if len(payload) > 0 {
+		t.byKind[payload[0]]++
+	}
+}
+
+// foldInto adds t to the snapshot counter c. ByKind gains an entry for each
+// kind seen and stays nil when no kind was.
+func (t *tally) foldInto(c *Counter) {
+	c.Frames += t.frames
+	c.Bytes += t.bytes
+	for k, n := range t.byKind {
+		if n == 0 {
+			continue
+		}
 		if c.ByKind == nil {
-			c.ByKind = make(map[wire.Kind]uint64, len(o.ByKind))
+			c.ByKind = make(map[wire.Kind]uint64)
 		}
-		for k, v := range o.ByKind {
-			c.ByKind[k] += v
-		}
+		c.ByKind[wire.Kind(k)] += n
 	}
 }
 
-// add accumulates o into s. In-flight counts sum with uint64 wraparound,
-// which keeps cross-shard deliveries exact: the receiver shard's decrement
-// may underflow its own counter, but the sum over shards is the true
-// in-flight count.
-func (s *Stats) add(o *Stats) {
-	s.SentFrames.add(&o.SentFrames)
-	s.OfferedFrames.add(&o.OfferedFrames)
-	s.DeliveredFrames.add(&o.DeliveredFrames)
-	s.LostFrames.add(&o.LostFrames)
-	s.DuplicatedFrames.add(&o.DuplicatedFrames)
-	s.SuppressedFrames.add(&o.SuppressedFrames)
-	s.UnackedFrames.add(&o.UnackedFrames)
-	s.InFlightFrames += o.InFlightFrames
+// liveStats is the live form of Stats, one per medium execution context and
+// one per backbone.
+type liveStats struct {
+	sent, offered, delivered, lost, duplicated, suppressed, unacked tally
+
+	inFlight uint64
 }
 
-func (c Counter) clone() Counter {
-	out := c
-	if c.ByKind != nil {
-		out.ByKind = make(map[wire.Kind]uint64, len(c.ByKind))
-		for k, v := range c.ByKind {
-			out.ByKind[k] = v
-		}
-	}
-	return out
-}
-
-func (s Stats) clone() Stats {
-	return Stats{
-		SentFrames:       s.SentFrames.clone(),
-		OfferedFrames:    s.OfferedFrames.clone(),
-		DeliveredFrames:  s.DeliveredFrames.clone(),
-		LostFrames:       s.LostFrames.clone(),
-		DuplicatedFrames: s.DuplicatedFrames.clone(),
-		SuppressedFrames: s.SuppressedFrames.clone(),
-		UnackedFrames:    s.UnackedFrames.clone(),
-		InFlightFrames:   s.InFlightFrames,
-	}
+// foldInto adds l to the snapshot s. In-flight counts sum with uint64
+// wraparound, which keeps cross-shard deliveries exact: the receiver shard's
+// decrement may underflow its own counter, but the sum over shards is the
+// true in-flight count.
+func (l *liveStats) foldInto(s *Stats) {
+	l.sent.foldInto(&s.SentFrames)
+	l.offered.foldInto(&s.OfferedFrames)
+	l.delivered.foldInto(&s.DeliveredFrames)
+	l.lost.foldInto(&s.LostFrames)
+	l.duplicated.foldInto(&s.DuplicatedFrames)
+	l.suppressed.foldInto(&s.SuppressedFrames)
+	l.unacked.foldInto(&s.UnackedFrames)
+	s.InFlightFrames += l.inFlight
 }

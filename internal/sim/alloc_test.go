@@ -50,6 +50,16 @@ func TestAllocsScheduleCancel(t *testing.T) {
 	})
 }
 
+// TestAllocsScheduleHold pins the hold model (pop one, push one at depth
+// holdDepth) at zero allocations: heap slots are reused in place.
+func TestAllocsScheduleHold(t *testing.T) {
+	s := newHoldModel()
+	allocBudget(t, "hold", 0, func() { s.Step() })
+	if s.Pending() != holdDepth {
+		t.Fatalf("hold model drifted to depth %d, want %d", s.Pending(), holdDepth)
+	}
+}
+
 // TestAllocsAfterFunc pins the arg-style path at zero allocations when the
 // argument is a pointer (boxing a pointer into an interface does not
 // allocate).

@@ -8,6 +8,12 @@
 // instant fire in FIFO order of scheduling, which keeps broadcast fan-out
 // deterministic.
 //
+// Pending events live in a 4-ary min-heap keyed by (time, seq), where seq is
+// the scheduling order. The key is stored inline in each heap slot, so
+// ordering never dereferences an event record. Because seq is unique,
+// (time, seq) is a total order: any correct min-heap pops the same sequence,
+// so the heap's shape and arity cannot change a run.
+//
 // Event records are pooled: once an event fires or is stopped, its record
 // returns to a free list and backs a later schedule. Pooling is invisible to
 // simulation outcomes — ordering is decided by the (time, seq) pair assigned
@@ -19,16 +25,14 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
 
 // event is a unit of scheduled work. Records are pooled and reused; the gen
-// counter invalidates Timer handles left over from a previous life.
+// counter invalidates Timer handles left over from a previous life. The
+// record's (time, seq) key lives in its heap slot, not here.
 type event struct {
-	time  time.Duration
-	seq   uint64 // tie-breaker: FIFO among equal times
 	index int    // heap index, -1 once popped or cancelled
 	gen   uint64 // incremented on recycle; fences stale Timers
 	fn    func()
@@ -96,7 +100,7 @@ func (t *Timer) Stop() bool {
 	}
 	ev := t.ev
 	t.ev = nil
-	heap.Remove(&t.s.events, ev.index)
+	t.s.events.remove(ev.index)
 	t.s.pool.put(ev)
 	return true
 }
@@ -159,13 +163,13 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // Pending returns the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return s.events.Len() }
+func (s *Scheduler) Pending() int { return len(s.events) }
 
 // NextTime returns the time of the earliest pending event. ok is false when
 // the queue is empty. The sharded executor uses it to pick conservative
 // window bounds without disturbing the queue.
 func (s *Scheduler) NextTime() (t time.Duration, ok bool) {
-	if s.events.Len() == 0 {
+	if len(s.events) == 0 {
 		return 0, false
 	}
 	return s.events[0].time, true
@@ -177,10 +181,8 @@ func (s *Scheduler) schedule(t time.Duration) *event {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now %v)", t, s.now))
 	}
 	ev := s.ensurePool().get()
-	ev.time = t
-	ev.seq = s.seq
+	s.events.push(heapEntry{time: t, seq: s.seq, ev: ev})
 	s.seq++
-	heap.Push(&s.events, ev)
 	return ev
 }
 
@@ -247,17 +249,17 @@ func (s *Scheduler) OnIdle(fn func()) {
 // Step fires the single earliest pending event. It reports whether an event
 // fired.
 func (s *Scheduler) Step() bool {
-	if s.events.Len() == 0 {
+	if len(s.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.events).(*event)
-	if ev.time < s.now {
+	at, ev := s.events.pop()
+	if at < s.now {
 		panic("sim: event heap yielded an event in the past")
 	}
-	s.now = ev.time
+	s.now = at
 	s.executed++
 	if s.obs.EventFired != nil {
-		s.obs.EventFired(ev.time)
+		s.obs.EventFired(at)
 	}
 	// Recycle before running the callback: the record's next life (possibly
 	// scheduled by this very callback) is fenced from stale Timers by the
@@ -295,12 +297,11 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 	defer func() { s.running = false }()
 
 	for !s.stopped {
-		if s.events.Len() == 0 {
-			n := s.events.Len()
+		if len(s.events) == 0 {
 			for _, hook := range s.idleHooks {
 				hook()
 			}
-			if s.events.Len() == n { // hooks added nothing; truly drained
+			if len(s.events) == 0 { // hooks added nothing; truly drained
 				break
 			}
 			continue
@@ -320,38 +321,95 @@ func (s *Scheduler) RunFor(d time.Duration) {
 	s.RunUntil(s.now + d)
 }
 
-// eventHeap is a min-heap ordered by (time, seq).
-type eventHeap []*event
-
-var _ heap.Interface = (*eventHeap)(nil)
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
+// heapEntry is one heap slot: the event's (time, seq) key stored inline next
+// to its record, so sifting compares slots without touching the records.
+type heapEntry struct {
+	time time.Duration
+	seq  uint64 // tie-breaker: FIFO among equal times
+	ev   *event
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// before reports whether a orders ahead of b.
+func (a *heapEntry) before(b *heapEntry) bool {
+	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+// eventHeap is a 4-ary min-heap ordered by (time, seq): the children of slot
+// i are slots 4i+1..4i+4. A wider node halves the depth of a binary heap, so
+// a pop's sift-down touches half as many levels, and its four children sit in
+// adjacent slots. Sifts move a hole rather than swapping, and each moved
+// record's index is kept current so Timer.Stop removes eagerly by index and
+// Pending stays exact.
+type eventHeap []heapEntry
+
+// push adds e to the heap.
+func (h *eventHeap) push(e heapEntry) {
+	*h = append(*h, e)
+	h.up(len(*h)-1, e)
 }
 
-func (h *eventHeap) Pop() any {
+// pop removes the minimum slot and returns its time and record.
+func (h *eventHeap) pop() (time.Duration, *event) {
+	top := (*h)[0]
+	h.remove(0)
+	return top.time, top.ev
+}
+
+// remove deletes slot i, refilling it with the last slot.
+func (h *eventHeap) remove(i int) {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	n := len(old) - 1
+	old[i].ev.index = -1
+	last := old[n]
+	old[n] = heapEntry{}
+	*h = old[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&old[(i-1)/4]) {
+		h.up(i, last)
+	} else {
+		h.down(i, last)
+	}
+}
+
+// up places e by moving the hole at slot i toward the root.
+func (h eventHeap) up(i int, e heapEntry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
+	}
+	h[i] = e
+	e.ev.index = i
+}
+
+// down places e by moving the hole at slot i toward the leaves.
+func (h eventHeap) down(i int, e heapEntry) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := min(c+4, n)
+		m := c
+		for j := c + 1; j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&e) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.index = i
+		i = m
+	}
+	h[i] = e
+	e.ev.index = i
 }
