@@ -16,8 +16,8 @@ race:
 bench:
 	sh scripts/bench.sh
 
-# Localhost sweep fabric: 3 worker processes + coordinator, kill one
-# mid-sweep, assert byte-equality with a fleetless baseline.
+# Localhost sweep fabric: 3 blackdp-serve workers + a -fleet coordinator,
+# kill one worker mid-sweep, assert byte-equality with a fleetless baseline.
 testnet:
 	sh scripts/testnet.sh
 

@@ -37,10 +37,6 @@
 // arbitrarily large replication sweeps in bounded memory. Neighbor
 // resolution uses a grid-hash spatial index that is bit-for-bit equivalent
 // to the O(N) scan (Config.LinearScan retains the reference path).
-//
-// The pre-context entry points (RunContext, RunMany, RunSweep, Fig4Sweep,
-// Fig5Sweep, CompareDetectorsSweep) remain as thin deprecated wrappers over
-// the canonical functions.
 package blackdp
 
 import (
@@ -161,8 +157,8 @@ func (o options) applyRunWorkers(cfg Config) Config {
 	return cfg
 }
 
-func (o options) sweepOptions() SweepOptions {
-	return SweepOptions{Workers: o.workers, Progress: o.progress, OnRep: o.onRep}
+func (o options) sweepOptions() scenario.SweepOptions {
+	return scenario.SweepOptions{Workers: o.workers, Progress: o.progress, OnRep: o.onRep}
 }
 
 func buildOptions(opts []Option) options {
@@ -245,13 +241,6 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (Outcome, error) {
 	return scenario.RunContext(ctx, o.applyRunWorkers(cfg))
 }
 
-// RunContext executes one simulation with cancellation.
-//
-// Deprecated: Use [Run], which is context-first with the same semantics.
-func RunContext(ctx context.Context, cfg Config) (Outcome, error) {
-	return Run(ctx, cfg)
-}
-
 // Canonical returns the deterministic serialized form of a config:
 // defaults applied, evasive clusters normalized to a sorted set, trace
 // retention (which cannot affect outcomes) excluded. Two configs with the
@@ -284,13 +273,6 @@ func Sweep(ctx context.Context, cfg Config, reps int, opts ...Option) ([]Outcome
 	return scenario.RunSweep(ctx, o.applyRunWorkers(cfg), reps, o.sweepOptions(), o.mutate)
 }
 
-// RunMany executes reps runs with derived seeds across one worker per CPU.
-//
-// Deprecated: Use [Sweep] with [WithMutate]; RunMany cannot be cancelled.
-func RunMany(cfg Config, reps int, mutate func(rep int, c *Config)) ([]Outcome, error) {
-	return Sweep(context.Background(), cfg, reps, WithMutate(mutate))
-}
-
 // SweepStream executes reps runs like [Sweep] but folds every outcome into a
 // bounded-memory [Stream] as it completes instead of retaining the whole
 // outcome slice — memory stays flat no matter how many replications run.
@@ -305,20 +287,6 @@ func SweepStream(ctx context.Context, cfg Config, reps int, opts ...Option) (*St
 // NewStream returns an empty streaming aggregate, for callers folding
 // outcomes from their own sources.
 func NewStream() *Stream { return metrics.NewStream() }
-
-// SweepOptions tune a replication sweep: worker-pool size (0 = one per
-// CPU, 1 = the serial path) and optional progress callbacks. It survives
-// for the deprecated *Sweep wrappers; the canonical entry points take
-// functional options instead.
-type SweepOptions = scenario.SweepOptions
-
-// RunSweep is Sweep with an options struct.
-//
-// Deprecated: Use [Sweep] with [WithWorkers], [WithProgress], [WithOnRep]
-// and [WithMutate].
-func RunSweep(ctx context.Context, cfg Config, reps int, opt SweepOptions, mutate func(rep int, c *Config)) ([]Outcome, error) {
-	return scenario.RunSweep(ctx, cfg, reps, opt, mutate)
-}
 
 // Build constructs a world without running it, for agent-level inspection.
 func Build(cfg Config) (*World, error) { return scenario.Build(cfg) }
@@ -345,24 +313,10 @@ func Fig4(ctx context.Context, base Config, kind AttackKind, reps int, opts ...O
 	return scenario.RunFig4Sweep(ctx, o.applyRunWorkers(base), kind, reps, o.sweepOptions())
 }
 
-// Fig4Sweep is Fig4 with an options struct.
-//
-// Deprecated: Use [Fig4], which is context-first with functional options.
-func Fig4Sweep(ctx context.Context, base Config, kind AttackKind, reps int, opt SweepOptions) ([]Fig4Point, error) {
-	return scenario.RunFig4Sweep(ctx, base, kind, reps, opt)
-}
-
 // Fig5 measures the detection-packet count of every Figure 5 scenario
 // class (one category per worker).
 func Fig5(ctx context.Context, seed int64, opts ...Option) ([]Fig5Result, error) {
 	return scenario.Fig5SeriesSweep(ctx, seed, buildOptions(opts).sweepOptions())
-}
-
-// Fig5Sweep is Fig5 with an options struct.
-//
-// Deprecated: Use [Fig5], which is context-first with functional options.
-func Fig5Sweep(ctx context.Context, seed int64, opt SweepOptions) ([]Fig5Result, error) {
-	return scenario.Fig5SeriesSweep(ctx, seed, opt)
 }
 
 // Fig5Categories lists the Figure 5 classes in presentation order.
@@ -379,14 +333,6 @@ func RunFig5(cat Fig5Category, seed int64) (Fig5Result, error) {
 func CompareDetectors(ctx context.Context, cfg Config, reps int, opts ...Option) ([]DetectorScore, error) {
 	o := buildOptions(opts)
 	return scenario.CompareDetectorsSweep(ctx, o.applyRunWorkers(cfg), reps, o.sweepOptions())
-}
-
-// CompareDetectorsSweep is CompareDetectors with an options struct.
-//
-// Deprecated: Use [CompareDetectors], which is context-first with
-// functional options.
-func CompareDetectorsSweep(ctx context.Context, cfg Config, reps int, opt SweepOptions) ([]DetectorScore, error) {
-	return scenario.CompareDetectorsSweep(ctx, cfg, reps, opt)
 }
 
 // RunConnector reproduces the paper's connector argument: the attacker

@@ -11,14 +11,22 @@
 // With -api-key or -keys the server is multi-tenant: every job request
 // must carry "Authorization: Bearer <key>", and each tenant gets its own
 // token-bucket rate limit, bounded queue and fair share of the execution
-// slots. With -store DIR sweep jobs are durable: their streams journal to
-// disk, survive a kill -9, resume on restart and can be re-tailed from
-// any line offset via GET /v1/jobs/{id}/stream?offset=N.
+// slots. Every job's stream can be re-tailed from any line offset via
+// GET /v1/jobs/{id}/stream?offset=N; with -store DIR jobs are durable
+// too: their streams journal to disk, survive a kill -9 and resume on
+// restart.
 //
-// On SIGTERM or SIGINT the server drains: new jobs are refused with 503
-// while in-flight jobs run to completion (durable jobs checkpoint and
-// resume on the next start), then the cache statistics are logged and the
-// process exits.
+// A fleet worker is a plain blackdp-serve. With -fleet the server becomes a
+// coordinator and shards each sweep into range jobs on its workers:
+//
+//	blackdp-serve -addr 127.0.0.1:9101
+//	blackdp-serve -addr 127.0.0.1:9102
+//	blackdp-serve -addr 127.0.0.1:8080 -fleet http://127.0.0.1:9101,http://127.0.0.1:9102
+//
+// On SIGTERM or SIGINT the server drains: new jobs are refused with 503;
+// with -store in-flight jobs are interrupted at once and resume on the
+// next start, otherwise they run to completion within -grace. Then the
+// cache statistics are logged and the process exits.
 package main
 
 import (
@@ -56,7 +64,7 @@ func run() error {
 		maxReps = flag.Int("max-reps", 0, "largest accepted sweep (0 = default)")
 		grace   = flag.Duration("grace", 30*time.Second, "drain deadline after SIGTERM")
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling only; do not enable on untrusted networks)")
-		fleet   = flag.String("fleet", "", "comma-separated blackdp-worker base URLs; sweeps shard across them (empty = local execution)")
+		fleet   = flag.String("fleet", "", "comma-separated base URLs of blackdp-serve workers; sweeps shard across them (empty = local execution)")
 		chunk   = flag.Int("chunk-reps", 0, "replications per dispatched fleet chunk (0 = default)")
 		store   = flag.String("store", "", "directory for the durable job store (empty = jobs are in-memory only)")
 		keys    = flag.String("keys", "", "tenant keyfile: one name:key[:rate[:burst]] per line")
@@ -145,7 +153,7 @@ func run() error {
 	case <-ctx.Done():
 	}
 	stop()
-	fmt.Println("blackdp-serve draining: refusing new jobs, finishing in-flight")
+	fmt.Println("blackdp-serve draining: refusing new jobs")
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()

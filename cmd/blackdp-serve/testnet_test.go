@@ -14,8 +14,8 @@ import (
 	"time"
 )
 
-// testnetProc is one real process of the localhost testnet (a worker or a
-// serve coordinator) with its parsed listen address.
+// testnetProc is one real blackdp-serve process of the localhost testnet (a
+// worker or the coordinator) with its parsed listen address.
 type testnetProc struct {
 	cmd      *exec.Cmd
 	addr     string
@@ -121,7 +121,7 @@ func sweepPayload(t *testing.T, base, body string, onProgress func(n int)) strin
 }
 
 // TestTestnetKillWorkerMidSweep is the process-level acceptance harness:
-// build both binaries, stand up a coordinator over three real worker
+// build the binary, stand up a coordinator over three blackdp-serve worker
 // processes plus a fleetless baseline server, SIGKILL one worker while the
 // distributed sweep is streaming, and require the surviving fleet to
 // deliver the baseline's exact bytes.
@@ -129,19 +129,12 @@ func TestTestnetKillWorkerMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testnet builds and runs the binaries")
 	}
-	dir := t.TempDir()
-	serveBin := filepath.Join(dir, "blackdp-serve")
-	workerBin := filepath.Join(dir, "blackdp-worker")
-	for bin, pkg := range map[string]string{serveBin: ".", workerBin: "blackdp/cmd/blackdp-worker"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	serveBin := buildServeBin(t, t.TempDir())
 
 	var workers []*testnetProc
 	var urls []string
 	for i := 0; i < 3; i++ {
-		w := startProc(t, workerBin, "-addr", "127.0.0.1:0")
+		w := startProc(t, serveBin, "-addr", "127.0.0.1:0")
 		workers = append(workers, w)
 		urls = append(urls, "http://"+w.addr)
 	}
@@ -203,7 +196,7 @@ func TestTestnetKillWorkerMidSweep(t *testing.T) {
 		resp.Body.Close()
 		var n int
 		for _, line := range strings.Split(string(b), "\n") {
-			if _, err := fmt.Sscanf(line, "blackdp_dist_worker_reps_completed_total %d", &n); err == nil {
+			if _, err := fmt.Sscanf(line, "blackdp_serve_reps_completed_total %d", &n); err == nil {
 				reps += n
 			}
 		}

@@ -58,7 +58,9 @@ func BenchmarkDistMerge(b *testing.B) {
 	for i := range outs {
 		outs[i] = metrics.Outcome{Seed: int64(i), AttackerPresent: true, Detected: true, DetectionPackets: 12, IsolationPackets: 4}
 	}
-	payload, err := json.Marshal(chunkPayload{Outcomes: outs})
+	payload, err := json.Marshal(struct {
+		Outcomes []metrics.Outcome `json:"outcomes"`
+	}{outs})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -12,12 +13,14 @@ import (
 	"blackdp/internal/metrics"
 	"blackdp/internal/scenario"
 	"blackdp/internal/serve"
+	"blackdp/serve/client"
 )
 
 // Config tunes a Coordinator.
 type Config struct {
-	// Workers is the fleet: worker base URLs ("http://host:port"). The set
-	// is fixed at construction; liveness within it is dynamic.
+	// Workers is the fleet: base URLs ("http://host:port") of plain
+	// blackdp-serve nodes. The set is fixed at construction; liveness
+	// within it is dynamic.
 	Workers []string
 	// ChunkReps is how many replications one dispatched chunk carries
 	// (default 8). Smaller chunks rebalance a ragged fleet better; larger
@@ -149,7 +152,7 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 		wg.Add(1)
 		go func(w *workerNode) {
 			defer wg.Done()
-			w.alive.Store(probeWorker(ctx, c.client, w.url))
+			w.alive.Store(client.Probe(ctx, c.client, w.url))
 		}(w)
 	}
 	wg.Wait()
@@ -165,6 +168,11 @@ func (c *Coordinator) LiveWorkers() int {
 	}
 	return n
 }
+
+// Width is how many replications the fleet executes at once: one chunk per
+// live worker. It implements serve.Distributor, whose runner sizes its
+// journal segments from it so a segment never leaves workers idle.
+func (c *Coordinator) Width() int { return c.LiveWorkers() * c.cfg.ChunkReps }
 
 // RegisterMetrics exposes the fabric instruments on a serve registry (the
 // server wires this up automatically when the coordinator is its
@@ -204,7 +212,6 @@ type chunk struct {
 type sweepState struct {
 	mu        sync.Mutex
 	base      int // global index of results[0]
-	tenant    string
 	results   []metrics.Outcome
 	reported  []bool // per-rep onRep dedup across chunk retries and cache hits
 	onRep     func(rep int, err error)
@@ -274,11 +281,10 @@ func (c *Coordinator) Sweep(ctx context.Context, cfg scenario.Config, reps int, 
 // global indexes too, so a resumed durable job's tail range shares cached
 // chunks with the full sweep that preceded it. onRep fires once per
 // replication — serialised, not in replication order — as progress
-// streams back, carrying the global index. The submitting tenant (from
-// serve.WithTenant on ctx) is stamped on every dispatched chunk for
-// worker-side accounting. If no fleet member is live (after an on-demand
-// probe and FleetGrace of waiting) the error wraps serve.ErrNoWorkers,
-// which tells the serve layer to fall back to local execution.
+// streams back, carrying the global index. If no fleet member is live
+// (after an on-demand probe and FleetGrace of waiting) the error wraps
+// serve.ErrNoWorkers, which tells the serve layer to fall back to local
+// execution.
 func (c *Coordinator) SweepRange(ctx context.Context, cfg scenario.Config, start, count int, onRep func(rep int, err error)) ([]metrics.Outcome, error) {
 	if count <= 0 {
 		return nil, nil
@@ -322,7 +328,6 @@ func (c *Coordinator) SweepRange(ctx context.Context, cfg scenario.Config, start
 	}
 	st := &sweepState{
 		base:      start,
-		tenant:    serve.TenantName(ctx),
 		results:   make([]metrics.Outcome, count),
 		reported:  make([]bool, count),
 		onRep:     onRep,
@@ -394,10 +399,10 @@ func (c *Coordinator) SweepRange(ctx context.Context, cfg scenario.Config, start
 	return st.results, nil
 }
 
-// processChunk drives one chunk attempt on one worker: cache first, then a
-// dispatched sub-job, then the retry/reassign policy on failure. A failed
-// attempt re-enqueues the chunk (another dispatcher — or this one, after
-// backoff — picks it up); exhausted budgets fail the sweep.
+// processChunk drives one chunk attempt on one worker: cache first, then an
+// ordinary range-sweep job on the worker, then the retry/reassign policy on
+// failure. A failed attempt re-enqueues the chunk (another dispatcher — or
+// this one, after backoff — picks it up); exhausted budgets fail the sweep.
 func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []byte, fp string, ck *chunk, st *sweepState, pending chan *chunk, cancel context.CancelFunc) {
 	key := fmt.Sprintf("chunk/%d+%d/%s", ck.start, ck.count, fp)
 
@@ -408,39 +413,44 @@ func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []
 	var entry *serve.Entry
 	for {
 		var leader bool
-		entry, leader = c.cache.Begin(key)
-		if leader {
+		if entry, leader = c.cache.Begin(key); leader {
 			break
 		}
-		payload, err := entry.Wait(sctx)
-		if err == nil {
-			if outs, derr := decodeChunk(payload, ck.count); derr == nil {
-				c.cacheShared.Add(1)
-				st.finish(ck, outs)
-				return
-			}
-			// A corrupt cached payload is a hard failure of this attempt.
-			err = fmt.Errorf("dist: cached chunk payload corrupt")
+		// Payloads enter the cache only after decoding cleanly.
+		if payload, err := entry.Wait(sctx); err == nil {
+			outs, _ := decodeChunk(payload, ck.count)
+			c.cacheShared.Add(1)
+			st.finish(ck, outs)
+			return
 		}
 		if sctx.Err() != nil {
 			return
 		}
-		_ = err // leader failed or payload corrupt: try to lead the retry
+		// The leader failed: loop to lead the retry.
 	}
 
-	body, err := json.Marshal(chunkRequest{Config: canon, Start: ck.start, Count: ck.count, Tenant: st.tenant})
-	if err != nil {
-		c.cache.Complete(entry, nil, err)
-		st.fail(ck.start, err)
-		cancel()
-		return
-	}
+	// The coordinator's own backpressure and reassign policy stays in
+	// charge, so the client surfaces every 429/503 instead of retrying.
+	wc := &client.Client{BaseURL: w.url, HTTP: c.client, MaxRetries: -1}
+	job := ""
 	c.chunksDispatched.Add(1)
-	payload, err := runChunk(sctx, c.client, w.url, body, st.report)
+	res, err := wc.Submit(sctx, client.Request{Kind: "sweep", Config: canon, Start: ck.start, Reps: ck.count},
+		func(raw []byte) {
+			var line client.Line
+			if json.Unmarshal(raw, &line) != nil {
+				return
+			}
+			switch line.Type {
+			case "accepted":
+				job = line.Job
+			case "progress":
+				st.report(line.Rep, line.Error)
+			}
+		})
 	if err == nil {
 		var outs []metrics.Outcome
-		if outs, err = decodeChunk(payload, ck.count); err == nil {
-			c.cache.Complete(entry, payload, nil)
+		if outs, err = decodeChunk(res.Payload, ck.count); err == nil {
+			c.cache.Complete(entry, res.Payload, nil)
 			c.remoteReps.Add(uint64(ck.count))
 			st.finish(ck, outs)
 			return
@@ -449,10 +459,18 @@ func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []
 	// Withdraw the in-flight entry so the retry can lead it again.
 	c.cache.Complete(entry, nil, err)
 	if sctx.Err() != nil {
-		return // sweep cancelled; no retry bookkeeping
+		// Sweep cancelled. The worker job runs detached from this
+		// connection, so cancel it explicitly; no retry bookkeeping.
+		if job != "" {
+			dctx, dcancel := context.WithTimeout(context.Background(), c.cfg.HealthInterval)
+			_ = wc.Cancel(dctx, job) // best effort: an unreachable worker cannot be told, and 409 means it already finished
+			dcancel()
+		}
+		return
 	}
 
-	if we, ok := err.(*WorkerError); ok && we.Backpressure() {
+	var we *client.APIError
+	if errors.As(err, &we) && we.Backpressure() {
 		// The envelope's retry hint is honored, not swallowed: wait it out
 		// before the chunk re-enters the queue. 503 means the worker is
 		// going away, so it also drops out of the live set until the
@@ -496,9 +514,11 @@ func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []
 	pending <- ck
 }
 
-// decodeChunk parses a chunk payload and checks its shape.
+// decodeChunk parses a chunk job's result payload and checks its shape.
 func decodeChunk(payload []byte, count int) ([]metrics.Outcome, error) {
-	var cp chunkPayload
+	var cp struct {
+		Outcomes []metrics.Outcome `json:"outcomes"`
+	}
 	if err := json.Unmarshal(payload, &cp); err != nil {
 		return nil, fmt.Errorf("dist: decoding chunk payload: %w", err)
 	}

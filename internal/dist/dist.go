@@ -1,95 +1,19 @@
 // Package dist is the distributed sweep fabric: a coordinator that shards a
 // sweep's replication range into contiguous chunks and fans them out over a
-// fleet of worker nodes, and the worker-side HTTP sub-job API the chunks
-// run on. It layers on the internal/serve primitives — canonical
-// fingerprints key a chunk-level result cache with single-flight
-// coalescing, admission control speaks the same 429/503 envelope, and
-// /metrics renders through the same hand-rolled registry — and on
-// scenario.RunSweepRange, whose global-index seed derivation is what makes
-// a chunk's outcomes byte-identical to the same replications of a
-// single-node sweep.
+// fleet of plain blackdp-serve workers. Each chunk is an ordinary range
+// sweep job ({"kind":"sweep","start":S,"reps":N} over the canonical
+// config) submitted through serve/client, so the workers' result cache,
+// admission, 429/503 envelopes, drain, health and metrics are the serve
+// layer's own. Replication seeds are a pure function of the global index
+// (scenario.RunSweepRange), which makes a chunk's outcomes byte-identical
+// to the same replications of a single-node sweep.
 //
-// The wire discipline matches the rest of the repository: stdlib HTTP,
-// JSON requests, NDJSON progress streams. A worker exposes
-//
-//	POST /v1/chunks   run replications [start, start+count) of a sweep;
-//	                  the response streams accepted/progress lines and ends
-//	                  with a result line followed by the outcomes payload
-//	GET  /v1/healthz  liveness and drain state
-//	GET  /v1/metrics  Prometheus text exposition
-//
-// and rejects with the typed serve error envelope (429 when all chunk
-// slots are busy, 503 while draining — both carrying retry_after_seconds).
-//
-// The coordinator guarantees the fleet is invisible in the results: chunks
-// merge in replication order, a chunk that fails is retried with backoff
-// and reassigned when its worker died, identical chunks are never computed
-// twice (the chunk cache is shared across jobs, so overlapping sweeps reuse
-// each other's prefixes), and cancelling the job's context aborts every
-// in-flight chunk request — the workers observe the disconnect through
-// their own request contexts. The differential suite in this package holds
-// distributed output byte-identical to single-node output across seeds,
-// fleet sizes and a worker killed mid-sweep.
+// The coordinator keeps the fleet invisible in the results: chunks merge in
+// replication order, a failed chunk is retried with backoff and reassigned
+// when its worker died, a cross-job chunk cache lets overlapping sweeps
+// share prefixes, and cancelling a sweep aborts its chunk submissions and
+// DELETEs the worker jobs behind them (worker jobs, like every serve job,
+// run detached from the connection). The differential suite in this
+// package holds distributed output byte-identical to single-node output
+// across seeds, fleet sizes and a worker killed mid-sweep.
 package dist
-
-import (
-	"encoding/json"
-	"fmt"
-
-	"blackdp/internal/metrics"
-	"blackdp/internal/scenario"
-)
-
-// chunkRequest is the POST /v1/chunks payload: the sweep's canonical
-// config plus the chunk's slice of the global replication range. Config is
-// the coordinator-side scenario.Canonical bytes, so a chunk means exactly
-// what its fingerprint says no matter which node decodes it.
-type chunkRequest struct {
-	Config json.RawMessage `json:"config"`
-	Start  int             `json:"start"`
-	Count  int             `json:"count"`
-	// Workers overrides the worker's per-chunk replication pool (0 = the
-	// worker's default).
-	Workers int `json:"workers,omitempty"`
-	// Tenant is the submitting tenant's name, forwarded by the coordinator
-	// for worker-side accounting (per-tenant replication counters). It is
-	// deliberately NOT part of the chunk cache key: tenancy is
-	// admission-time identity, and byte-identity makes cross-tenant chunk
-	// sharing sound.
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// chunkLine is one NDJSON line of a chunk stream. Rep carries GLOBAL
-// replication indexes (start-relative offsets never cross the wire), so
-// the coordinator can forward progress to the job stream unchanged.
-type chunkLine struct {
-	Type      string `json:"type"`
-	Key       string `json:"key,omitempty"`
-	Cache     string `json:"cache,omitempty"`
-	Rep       int    `json:"rep,omitempty"`
-	Done      int    `json:"done,omitempty"`
-	Total     int    `json:"total,omitempty"`
-	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
-	Error     string `json:"error,omitempty"`
-}
-
-// chunkPayload is the final line of a successful chunk stream — the bytes
-// both cache layers store and replay verbatim. Outcome is plain data
-// (integers, booleans, strings), so the JSON round trip through a worker
-// is exact and the merged sweep stays byte-identical to a local one.
-type chunkPayload struct {
-	Outcomes []metrics.Outcome `json:"outcomes"`
-}
-
-// ChunkKey is the canonical identity of a sub-job: the chunk's slice of
-// the replication range plus the sweep config's fingerprint. Coordinator
-// and worker derive it independently and must agree — it keys both chunk
-// caches, which is what lets identical sub-jobs be shared across jobs and
-// across the fleet instead of recomputed.
-func ChunkKey(cfg scenario.Config, start, count int) (string, error) {
-	fp, err := scenario.Fingerprint(cfg)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("chunk/%d+%d/%s", start, count, fp), nil
-}

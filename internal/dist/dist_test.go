@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -17,6 +16,7 @@ import (
 
 	"blackdp/internal/scenario"
 	"blackdp/internal/serve"
+	"blackdp/serve/client"
 )
 
 // fastCfg is the calibrated small world every fabric test sweeps: a few
@@ -33,11 +33,11 @@ func fastCfg(seed int64) scenario.Config {
 	}
 }
 
-// fleet is an in-process testnet: n real Workers behind httptest servers
-// plus a coordinator pointed at them.
+// fleet is an in-process testnet: n plain serve.Servers behind httptest
+// servers as workers, plus a coordinator pointed at them.
 type fleet struct {
 	coord   *Coordinator
-	workers []*Worker
+	workers []*serve.Server
 	servers []*httptest.Server
 }
 
@@ -45,7 +45,7 @@ func newFleet(t testing.TB, n int, cfg Config) *fleet {
 	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
-		w := NewWorker(WorkerConfig{Slots: 4})
+		w := mustServe(t, serve.Config{Workers: 4})
 		srv := httptest.NewServer(w.Handler())
 		t.Cleanup(srv.Close)
 		f.workers = append(f.workers, w)
@@ -67,66 +67,40 @@ func newFleet(t testing.TB, n int, cfg Config) *fleet {
 	return f
 }
 
-func chunkBody(t testing.TB, cfg scenario.Config, start, count int) []byte {
+// submitChunk submits chunk [start, start+count) of cfg to a worker the
+// way the coordinator does — a range sweep over the canonical config — and
+// returns the result with the parsed stream lines.
+func submitChunk(t *testing.T, url string, cfg scenario.Config, start, count int) (*client.Result, []client.Line) {
 	t.Helper()
 	canon, err := scenario.Canonical(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(chunkRequest{Config: canon, Start: start, Count: count})
+	var lines []client.Line
+	res, err := (&client.Client{BaseURL: url}).Submit(context.Background(),
+		client.Request{Kind: "sweep", Config: canon, Start: start, Reps: count}, func(raw []byte) {
+			var l client.Line
+			if json.Unmarshal(raw, &l) == nil && l.Type != "" {
+				lines = append(lines, l)
+			}
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
-}
-
-// postChunk posts one chunk to a worker handler and returns the HTTP
-// status, the parsed stream lines and the final payload line (if any).
-func postChunk(t *testing.T, h http.Handler, body []byte) (int, []chunkLine, []byte, http.Header) {
-	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/v1/chunks", bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	var lines []chunkLine
-	var payload []byte
-	sc := bufio.NewScanner(rec.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	payloadNext := false
-	for sc.Scan() {
-		if payloadNext {
-			payload = append([]byte(nil), sc.Bytes()...)
-			payloadNext = false
-			continue
-		}
-		var line chunkLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, line)
-		if line.Type == "result" {
-			payloadNext = true
-		}
-	}
-	return rec.Code, lines, payload, rec.Result().Header
+	return res, lines
 }
 
 func TestWorkerExecutesChunkAndCachesIt(t *testing.T) {
-	w := NewWorker(WorkerConfig{})
-	body := chunkBody(t, fastCfg(1), 2, 3)
+	ts := httptest.NewServer(mustServe(t, serve.Config{}).Handler())
+	t.Cleanup(ts.Close)
 
-	code, lines, payload, hdr := postChunk(t, w.Handler(), body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if hdr.Get("X-Blackdp-Cache") != "miss" {
-		t.Errorf("first chunk cache header = %q, want miss", hdr.Get("X-Blackdp-Cache"))
-	}
-	outs, err := decodeChunk(payload, 3)
+	// The worker runs global replications [2,5): byte-for-byte what a local
+	// range run produces, and the progress lines carry global indexes.
+	res, lines := submitChunk(t, ts.URL, fastCfg(1), 2, 3)
+	outs, err := decodeChunk(res.Payload, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The worker ran global replications [2,5): byte-for-byte what a local
-	// range run produces, and the progress lines carry global indexes.
 	want, err := scenario.RunSweepRange(context.Background(), fastCfg(1), 2, 3, scenario.SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -134,130 +108,35 @@ func TestWorkerExecutesChunkAndCachesIt(t *testing.T) {
 	if !reflect.DeepEqual(outs, want) {
 		t.Error("worker chunk outcomes diverge from local RunSweepRange")
 	}
-	seen := map[int]bool{}
-	for _, line := range lines {
-		if line.Type == "progress" {
-			seen[line.Rep] = true
+	for i, rep := range []int{2, 3, 4} {
+		if l := lines[1+i]; l.Type != "progress" || l.Rep != rep {
+			t.Errorf("stream line %d = %+v, want progress for global rep %d", 1+i, l, rep)
 		}
 	}
-	for rep := 2; rep < 5; rep++ {
-		if !seen[rep] {
-			t.Errorf("no progress line for global rep %d (saw %v)", rep, seen)
-		}
-	}
-
-	// Same sub-job again: answered from the chunk cache, payload verbatim.
-	code, _, payload2, hdr := postChunk(t, w.Handler(), body)
-	if code != http.StatusOK || hdr.Get("X-Blackdp-Cache") != "hit" {
-		t.Fatalf("second chunk: status %d cache %q, want 200 hit", code, hdr.Get("X-Blackdp-Cache"))
-	}
-	if !bytes.Equal(payload, payload2) {
-		t.Error("cached chunk payload is not byte-identical")
-	}
-	if st := w.cache.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("cache stats = %+v, want 1 hit 1 miss", st)
-	}
-}
-
-func TestWorkerRejectsBadChunks(t *testing.T) {
-	w := NewWorker(WorkerConfig{MaxChunkReps: 4})
-	for name, body := range map[string][]byte{
-		"negative start": chunkBody(t, fastCfg(1), -1, 2),
-		"zero count":     chunkBody(t, fastCfg(1), 0, 0),
-		"oversize chunk": chunkBody(t, fastCfg(1), 0, 5),
-		"not json":       []byte("nope"),
-	} {
-		code, _, _, _ := postChunk(t, w.Handler(), body)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, code)
-		}
-	}
-}
-
-// TestWorkerSlotsFullEnvelope pins the satellite contract: a saturated
-// worker answers 429 with the typed JSON envelope and a usable
-// retry_after_seconds, and the refusal is counted.
-func TestWorkerSlotsFullEnvelope(t *testing.T) {
-	w := NewWorker(WorkerConfig{Slots: 1, RetryAfter: 2 * time.Second})
-	w.slots <- struct{}{} // occupy the only slot
-
-	req := httptest.NewRequest(http.MethodPost, "/v1/chunks", bytes.NewReader(chunkBody(t, fastCfg(1), 0, 1)))
-	rec := httptest.NewRecorder()
-	w.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", rec.Code)
-	}
-	var env serve.APIError
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatalf("not an envelope: %v\n%s", err, rec.Body.Bytes())
-	}
-	if env.Code != "chunk_slots_full" || env.RetryAfterSeconds != 2 {
-		t.Errorf("envelope = %+v, want chunk_slots_full with retry_after_seconds=2", env)
-	}
-	<-w.slots
-	// The aborted single-flight entry must not wedge the key: the next
-	// identical chunk gets a slot and executes.
-	if code, _, _, _ := postChunk(t, w.Handler(), chunkBody(t, fastCfg(1), 0, 1)); code != http.StatusOK {
-		t.Fatalf("chunk after slot release: status %d, want 200", code)
-	}
-}
-
-func TestWorkerDrainRefusesWithEnvelope(t *testing.T) {
-	w := NewWorker(WorkerConfig{})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if _, err := w.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/chunks", bytes.NewReader(chunkBody(t, fastCfg(1), 0, 1)))
-	rec := httptest.NewRecorder()
-	w.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", rec.Code)
-	}
-	var env serve.APIError
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Code != "draining" || env.RetryAfterSeconds < 1 {
-		t.Errorf("draining envelope = %+v (err %v), want code=draining with a retry hint", env, err)
-	}
-	// And healthz flips so the coordinator stops routing here.
-	hreq := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
-	hrec := httptest.NewRecorder()
-	w.Handler().ServeHTTP(hrec, hreq)
-	if !strings.Contains(hrec.Body.String(), `"draining"`) {
-		t.Errorf("healthz while draining: %s", hrec.Body.String())
+	// Same sub-job again: answered from the result cache, payload verbatim.
+	again, _ := submitChunk(t, ts.URL, fastCfg(1), 2, 3)
+	if res.Cache != "miss" || again.Cache != "hit" || !bytes.Equal(res.Payload, again.Payload) {
+		t.Errorf("chunk caches %q then %q, payloads equal %v; want miss, hit, true",
+			res.Cache, again.Cache, bytes.Equal(res.Payload, again.Payload))
 	}
 }
 
 func TestChunkKeyIsCanonical(t *testing.T) {
-	// The wire round trip must be key-stable: the coordinator keys a chunk
-	// by cfg, ships Canonical(cfg), and the worker keys what it decodes —
-	// both sides must land on the same key or caches never share.
+	// The coordinator ships Canonical(cfg) and the worker keys what it
+	// decodes: that must be the range sweep key of cfg itself, or caches
+	// never share.
+	ts := httptest.NewServer(mustServe(t, serve.Config{}).Handler())
+	t.Cleanup(ts.Close)
 	cfg := fastCfg(9)
-	canon, err := scenario.Canonical(cfg)
+	fp, err := scenario.Fingerprint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := scenario.DecodeConfig(canon)
-	if err != nil {
-		t.Fatal(err)
+	if _, lines := submitChunk(t, ts.URL, cfg, 8, 4); lines[0].Key != "sweep/8+4/"+fp {
+		t.Errorf("worker keys chunk [8,12) as %q, want sweep/8+4/%s", lines[0].Key, fp)
 	}
-	k1, err := ChunkKey(cfg, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := ChunkKey(decoded, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Errorf("coordinator and worker disagree on the chunk key:\n%s\n%s", k1, k2)
-	}
-	if !strings.HasPrefix(k1, "chunk/8+4/") {
-		t.Errorf("key %q does not encode its range", k1)
-	}
-	k3, _ := ChunkKey(cfg, 12, 4)
-	if k1 == k3 {
-		t.Error("different ranges share a chunk key")
+	if _, lines := submitChunk(t, ts.URL, cfg, 0, 4); lines[0].Key != "sweep/4/"+fp {
+		t.Errorf("a chunk from 0 is an ordinary sweep: key %q, want sweep/4/%s", lines[0].Key, fp)
 	}
 }
 
@@ -323,18 +202,15 @@ func TestCoordinatorSharesChunksAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestCoordinatorHonorsBackpressure routes chunks through a proxy that
-// answers 429 (typed envelope, retry hint) twice before forwarding, and
+// TestCoordinatorHonorsBackpressure fronts a worker with a handler that
+// answers 429 (typed envelope, retry hint) twice before serving, and
 // requires the retry loop to absorb the refusals without failing the sweep
 // or burning the hard-failure budget.
 func TestCoordinatorHonorsBackpressure(t *testing.T) {
-	w := NewWorker(WorkerConfig{Slots: 4})
-	backend := httptest.NewServer(w.Handler())
-	t.Cleanup(backend.Close)
-
+	w := mustServe(t, serve.Config{Workers: 4})
 	var refusals atomic.Int64
 	proxy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/chunks") && refusals.Add(1) <= 2 {
+		if r.Method == http.MethodPost && refusals.Add(1) <= 2 {
 			// retry_after_seconds deliberately 0: the coordinator must fall
 			// back to its own pacing rather than treating 0 as "never".
 			rw.Header().Set("Content-Type", "application/json")
@@ -342,39 +218,7 @@ func TestCoordinatorHonorsBackpressure(t *testing.T) {
 			fmt.Fprint(rw, `{"code":"chunk_slots_full","message":"busy","retry_after_seconds":0}`)
 			return
 		}
-		r2 := r.Clone(r.Context())
-		r2.RequestURI = ""
-		u := *r.URL
-		u.Scheme = "http"
-		u.Host = strings.TrimPrefix(backend.URL, "http://")
-		r2.URL = &u
-		resp, err := http.DefaultTransport.RoundTrip(r2)
-		if err != nil {
-			rw.WriteHeader(http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				rw.Header().Add(k, v)
-			}
-		}
-		rw.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			if n > 0 {
-				if _, werr := rw.Write(buf[:n]); werr != nil {
-					return
-				}
-				if f, ok := rw.(http.Flusher); ok {
-					f.Flush()
-				}
-			}
-			if rerr != nil {
-				return
-			}
-		}
+		w.Handler().ServeHTTP(rw, r)
 	}))
 	t.Cleanup(proxy.Close)
 
@@ -416,7 +260,7 @@ func TestCoordinatorSurfacesWorkerEnvelope(t *testing.T) {
 	if err == nil {
 		t.Fatal("sweep succeeded against an always-429 worker")
 	}
-	var we *WorkerError
+	var we *client.APIError
 	if !errors.As(err, &we) {
 		t.Fatalf("error does not carry the worker envelope: %v", err)
 	}
@@ -441,27 +285,6 @@ func TestCoordinatorNoWorkersIsTyped(t *testing.T) {
 	t.Cleanup(dead.Stop)
 	if _, err := dead.Sweep(context.Background(), fastCfg(1), 4, nil); !errors.Is(err, serve.ErrNoWorkers) {
 		t.Errorf("dead fleet error = %v, want ErrNoWorkers", err)
-	}
-}
-
-func TestWorkerMetricsRender(t *testing.T) {
-	w := NewWorker(WorkerConfig{})
-	if code, _, _, _ := postChunk(t, w.Handler(), chunkBody(t, fastCfg(2), 0, 2)); code != http.StatusOK {
-		t.Fatalf("chunk status %d", code)
-	}
-	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
-	rec := httptest.NewRecorder()
-	w.Handler().ServeHTTP(rec, req)
-	out := rec.Body.String()
-	for _, want := range []string{
-		`blackdp_dist_worker_chunks_total{status="done"} 1`,
-		"blackdp_dist_worker_reps_completed_total 2",
-		"blackdp_dist_worker_cache_misses_total 1",
-		"blackdp_dist_worker_chunks_running 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("worker metrics missing %q:\n%s", want, out)
-		}
 	}
 }
 

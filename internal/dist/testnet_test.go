@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"blackdp/internal/scenario"
 	"blackdp/internal/serve"
+	"blackdp/serve/client"
 )
 
 // TestDistTestnetDifferential is the acceptance differential: 20 base
@@ -67,11 +69,11 @@ func TestDistTestnetWorkerKilledMidSweep(t *testing.T) {
 	cfg := fastCfg(17)
 	const reps = 24
 
-	victim := NewWorker(WorkerConfig{Slots: 4})
+	victim := mustServe(t, serve.Config{Workers: 4})
 	firstChunk := make(chan struct{})
 	var once sync.Once
 	victimSrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/chunks") {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
 			once.Do(func() { close(firstChunk) })
 			// Hold the request long enough for the kill to land mid-stream.
 			time.Sleep(100 * time.Millisecond)
@@ -81,7 +83,7 @@ func TestDistTestnetWorkerKilledMidSweep(t *testing.T) {
 
 	urls := []string{victimSrv.URL}
 	for i := 0; i < 2; i++ {
-		w := NewWorker(WorkerConfig{Slots: 4})
+		w := mustServe(t, serve.Config{Workers: 4})
 		srv := httptest.NewServer(w.Handler())
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
@@ -237,6 +239,29 @@ func TestDistCancelLeavesNoOrphans(t *testing.T) {
 	})
 }
 
+// TestCanceledSweepDeletesWorkerJobs cancels a fleet sweep mid-chunk. A
+// worker job runs detached from the coordinator's connection, so the
+// coordinator must DELETE it: the worker job ends canceled, not done.
+func TestCanceledSweepDeletesWorkerJobs(t *testing.T) {
+	f := newFleet(t, 1, Config{ChunkReps: 64})
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := f.coord.Sweep(ctx, scenario.DefaultConfig(), 64, nil)
+		errc <- err
+	}()
+	waitUntil(t, 10*time.Second, "the worker to start the chunk", func() bool { return f.workers[0].Running() > 0 })
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep returned %v", err)
+	}
+	cl := &client.Client{BaseURL: f.servers[0].URL}
+	waitUntil(t, 20*time.Second, "the worker job to end canceled", func() bool {
+		jobs, err := cl.List(context.Background())
+		return err == nil && len(jobs) == 1 && jobs[0].Status == serve.StatusCanceled
+	})
+}
+
 // TestServeFallsBackToLocalWhenFleetDead: a configured-but-unreachable
 // fleet must not take sweeps down with it — the serve layer catches
 // ErrNoWorkers and executes locally, bytes unchanged.
@@ -251,23 +276,13 @@ func TestServeFallsBackToLocalWhenFleetDead(t *testing.T) {
 	t.Cleanup(tsPlain.Close)
 
 	cfgJSON, _ := json.Marshal(fastCfg(6))
-	body := fmt.Sprintf(`{"kind":"sweep","reps":4,"workers":1,"config":%s}`, cfgJSON)
 	get := func(url string) string {
-		resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+		res, err := (&client.Client{BaseURL: url}).Submit(context.Background(),
+			client.Request{Kind: "sweep", Reps: 4, Workers: 1, Config: cfgJSON}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-		var last string
-		for sc.Scan() {
-			last = sc.Text()
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, last)
-		}
-		return last
+		return string(res.Payload)
 	}
 	if viaFleet, viaLocal := get(tsFleet.URL), get(tsPlain.URL); viaFleet != viaLocal {
 		t.Error("dead-fleet fallback payload differs from a plain local server")
@@ -309,6 +324,45 @@ func TestServeDistributedPayloadMatchesLocal(t *testing.T) {
 		if viaDist, viaLocal := payload(tsDist.URL), payload(tsLocal.URL); viaDist != viaLocal {
 			t.Errorf("seed %d: distributed result payload is not byte-identical to local", seed)
 		}
+	}
+}
+
+// TestFleetSegmentsKeepWorkersBusy serves a sweep through a 3-worker fleet
+// at the default chunk size and requires chunks to execute on at least two
+// workers at once. The runner's journal segments are barriers, so a segment
+// narrower than the fleet would dispatch one chunk at a time.
+func TestFleetSegmentsKeepWorkersBusy(t *testing.T) {
+	f := newFleet(t, 3, Config{ChunkReps: 8})
+	waitUntil(t, 10*time.Second, "all three workers to go live", func() bool { return f.coord.LiveWorkers() == 3 })
+	ts := httptest.NewServer(mustServe(t, serve.Config{Distributor: f.coord}).Handler())
+	t.Cleanup(ts.Close)
+
+	done := make(chan struct{})
+	busiest := make(chan int)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-done:
+				busiest <- most
+				return
+			case <-time.After(time.Millisecond):
+			}
+			busy := 0
+			for _, w := range f.workers {
+				if w.Running() > 0 {
+					busy++
+				}
+			}
+			most = max(most, busy)
+		}
+	}()
+	cfgJSON, _ := json.Marshal(fastCfg(4))
+	_, err := (&client.Client{BaseURL: ts.URL}).Submit(context.Background(),
+		client.Request{Kind: "sweep", Reps: 24, Config: cfgJSON}, nil)
+	close(done)
+	if most := <-busiest; err != nil || most < 2 {
+		t.Errorf("sweep err %v; chunks executed on at most %d workers at once, want >= 2", err, most)
 	}
 }
 

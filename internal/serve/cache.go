@@ -54,7 +54,7 @@ func (e *Entry) completed() bool {
 }
 
 // Begin looks key up. The first requester gets (entry, true) and must call
-// Complete or Abort exactly once; everyone else gets (entry, false) and
+// Complete exactly once; everyone else gets (entry, false) and
 // waits on it. A completed entry counts as a hit, an in-flight one as a
 // join, a fresh insertion as a miss.
 func (c *Cache) Begin(key string) (*Entry, bool) {
@@ -88,12 +88,6 @@ func (c *Cache) Complete(e *Entry, result []byte, err error) {
 	c.mu.Unlock()
 	e.Result, e.Err = result, err
 	close(e.Done)
-}
-
-// Abort withdraws an in-flight entry whose leader never ran (admission
-// rejected the job). Waiters that already joined observe the error.
-func (c *Cache) Abort(e *Entry, err error) {
-	c.Complete(e, nil, err)
 }
 
 // Put unconditionally stores a completed result, bypassing single-flight.

@@ -78,39 +78,11 @@ func TestCancelRunningSweepStopsWork(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 
-	type result struct {
-		status int
-		lines  []string
-	}
-	done := make(chan result, 1)
-	jobID := make(chan string, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-			strings.NewReader(sweepBody(1, 500)))
-		if err != nil {
-			done <- result{}
-			return
-		}
-		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-		var lines []string
-		for sc.Scan() {
-			lines = append(lines, sc.Text())
-			var l struct {
-				Type string `json:"type"`
-				Job  string `json:"job"`
-			}
-			if json.Unmarshal([]byte(lines[len(lines)-1]), &l) == nil && l.Type == "accepted" {
-				jobID <- l.Job
-			}
-		}
-		done <- result{resp.StatusCode, lines}
-	}()
-
+	accepted, done := postAsync(ts.URL, sweepBody(1, 500))
 	var id string
 	select {
-	case id = <-jobID:
+	case line := <-accepted:
+		id = acceptedJob(t, line)
 	case <-time.After(10 * time.Second):
 		t.Fatal("no accepted line within 10s")
 	}
@@ -125,13 +97,13 @@ func TestCancelRunningSweepStopsWork(t *testing.T) {
 		t.Errorf("DELETE body %q lacks canceling status", body)
 	}
 
-	var res result
+	var lines []string
 	select {
-	case res = <-done:
+	case lines = <-done:
 	case <-time.After(20 * time.Second):
 		t.Fatal("job stream did not terminate after cancel")
 	}
-	tail := strings.Join(res.lines, "\n")
+	tail := strings.Join(lines, "\n")
 	if !strings.Contains(tail, "canceled") && !strings.Contains(tail, "context canceled") {
 		t.Errorf("canceled job stream has no cancel marker:\n%s", tail)
 	}

@@ -11,7 +11,7 @@ import (
 	"blackdp/internal/trace"
 )
 
-// Request is the POST /jobs payload. Config is layered over DefaultConfig
+// Request is the POST /v1/jobs payload. Config is layered over DefaultConfig
 // exactly like a config file, so a payload only names the fields it changes.
 type Request struct {
 	// Kind selects the workload: "run" (one simulation) or "sweep" (Reps
@@ -21,9 +21,14 @@ type Request struct {
 	Config json.RawMessage `json:"config"`
 	// Reps is the replication count for sweeps (ignored for runs).
 	Reps int `json:"reps,omitempty"`
+	// Start is the global index of a sweep's first replication (default
+	// 0). Replication seeds are a pure function of the global index, so a
+	// sweep split into ranges [0,k) and [k,n) concatenates to exactly the
+	// outcomes of one n-replication sweep. Sweeps only.
+	Start int `json:"start,omitempty"`
 	// Workers overrides the per-job sweep pool size (0 = server default).
 	Workers int `json:"workers,omitempty"`
-	// Trace retains the structured event log for GET /jobs/{id}/trace.
+	// Trace retains the structured event log for GET /v1/jobs/{id}/trace.
 	// Trace jobs always execute — an event log cannot come from the result
 	// cache — but still publish their result bytes into it. Runs only.
 	Trace bool `json:"trace,omitempty"`
@@ -33,6 +38,7 @@ type Request struct {
 type jobSpec struct {
 	kind   string
 	cfg    scenario.Config
+	start  int
 	reps   int
 	pool   int
 	trace  bool
@@ -46,11 +52,17 @@ func parseRequest(body []byte, maxReps int) (jobSpec, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return jobSpec{}, fmt.Errorf("parsing request: %w", err)
 	}
-	spec := jobSpec{kind: req.Kind, reps: req.Reps, pool: req.Workers, trace: req.Trace}
+	spec := jobSpec{kind: req.Kind, start: req.Start, reps: req.Reps, pool: req.Workers, trace: req.Trace}
 	switch req.Kind {
 	case "run":
+		if req.Start != 0 {
+			return jobSpec{}, fmt.Errorf("start is only available for kind \"sweep\"")
+		}
 		spec.reps = 1
 	case "sweep":
+		if req.Start < 0 {
+			return jobSpec{}, fmt.Errorf("sweep start must be >= 0, got %d", req.Start)
+		}
 		if req.Reps < 1 {
 			return jobSpec{}, fmt.Errorf("sweep needs reps >= 1, got %d", req.Reps)
 		}
@@ -77,11 +89,20 @@ func parseRequest(body []byte, maxReps int) (jobSpec, error) {
 	if err != nil {
 		return jobSpec{}, err
 	}
-	// The canonical config hash keys the cache together with the workload
-	// shape. The per-job pool size is deliberately excluded: by the
-	// replay-determinism guarantee it cannot change the bytes.
-	spec.key = fmt.Sprintf("%s/%d/%s", spec.kind, spec.reps, fp)
+	spec.key = jobKey(spec.kind, spec.start, spec.reps, fp)
 	return spec, nil
+}
+
+// jobKey is the cache key: the canonical config hash together with the
+// workload shape. A range sweep's key carries its start ("sweep/8+4/<fp>");
+// a sweep from 0 keeps the plain "sweep/<reps>/<fp>" form. The per-job pool
+// size is deliberately excluded: by the replay-determinism guarantee it
+// cannot change the bytes.
+func jobKey(kind string, start, reps int, fp string) string {
+	if start == 0 {
+		return fmt.Sprintf("%s/%d/%s", kind, reps, fp)
+	}
+	return fmt.Sprintf("%s/%d+%d/%s", kind, start, reps, fp)
 }
 
 // Job statuses.
@@ -109,10 +130,14 @@ type Job struct {
 	traceLog *trace.Log
 	created  time.Time
 	finished time.Time
-	cancel   context.CancelFunc // cancels the submit handler's job context
+	cancel   context.CancelFunc // cancels the job's execution context
+
+	// stream is the job's NDJSON response, line by line: the POST response
+	// and every GET /v1/jobs/{id}/stream?offset=N are tails of it.
+	stream *liveStream
 }
 
-// view is the GET /jobs/{id} projection.
+// view is the GET /v1/jobs/{id} projection.
 type jobView struct {
 	ID        string          `json:"job"`
 	Kind      string          `json:"kind"`
@@ -165,8 +190,8 @@ func (j *Job) finish(status, errMsg string, result []byte, log *trace.Log) {
 	j.finished = time.Now()
 }
 
-// bindCancel attaches the submit handler's cancel func so
-// DELETE /v1/jobs/{id} can abort the job from another connection.
+// bindCancel attaches the job's cancel func so DELETE /v1/jobs/{id} can
+// abort the job from any connection.
 func (j *Job) bindCancel(fn context.CancelFunc) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -174,10 +199,10 @@ func (j *Job) bindCancel(fn context.CancelFunc) {
 }
 
 // Cancel aborts a queued or running job and reports whether there was
-// anything left to cancel. The job reaches StatusCanceled through the
-// submit handler observing its context, not here — Cancel only pulls the
-// trigger, so a cancelled job's stream still terminates with its error
-// line and the worker fan-out (if any) unwinds through the context chain.
+// anything left to cancel. The job reaches StatusCanceled through its
+// runner observing the context, not here — Cancel only pulls the trigger,
+// so a cancelled job's stream still terminates with its error line and the
+// fleet fan-out (if any) unwinds through the context chain.
 func (j *Job) Cancel() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

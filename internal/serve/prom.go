@@ -10,7 +10,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -122,70 +121,6 @@ func (v *CounterVec) expose(w io.Writer) error {
 	}
 	for _, val := range v.values {
 		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, val, v.series[val].Load()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DynCounterVec is a counter family whose label values are discovered at
-// runtime (tenant names arriving in chunk requests, say, which a worker
-// cannot enumerate up front). Series render in sorted label order so the
-// exposition document stays deterministic.
-type DynCounterVec struct {
-	name, help, label string
-
-	mu     sync.Mutex
-	series map[string]*atomic.Uint64
-}
-
-// DynCounterVec registers a counter family with an open label-value set.
-func (r *Registry) DynCounterVec(name, help, label string) *DynCounterVec {
-	v := &DynCounterVec{name: name, help: help, label: label,
-		series: make(map[string]*atomic.Uint64)}
-	r.register(v)
-	return v
-}
-
-// Add adds n to the series for value, creating the series on first use.
-func (v *DynCounterVec) Add(value string, n uint64) {
-	v.mu.Lock()
-	c, ok := v.series[value]
-	if !ok {
-		c = new(atomic.Uint64)
-		v.series[value] = c
-	}
-	v.mu.Unlock()
-	c.Add(n)
-}
-
-// Value reads the series for value (0 if it never incremented).
-func (v *DynCounterVec) Value(value string) uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.series[value]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
-func (v *DynCounterVec) expose(w io.Writer) error {
-	if err := header(w, v.name, v.help, "counter"); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.series))
-	for k := range v.series {
-		keys = append(keys, k)
-	}
-	counts := make(map[string]uint64, len(v.series))
-	for k, c := range v.series {
-		counts[k] = c.Load()
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, k, counts[k]); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,8 @@
 package serve
 
-// The durable-job runner. Stored sweeps execute in background goroutines
-// under the server's base context — not the submitting request's — so a
+// The job runner: the one way a job executes. Every cache miss — runs,
+// trace runs and sweeps alike — executes in a background goroutine under
+// the server's base context, not the submitting request's, so a
 // disconnected client leaves the job running and every response (the POST
 // stream and GET /v1/jobs/{id}/stream?offset=N alike) is just a tail of
 // the job's journal. The journal is deterministic: line 0 is the accepted
@@ -9,12 +10,13 @@ package serve
 // then the result line and the result payload. A resumed stream stitched
 // at any offset is therefore byte-identical to an uninterrupted one.
 //
-// Execution is segmented: each storedSegmentReps-replication slice runs
-// through scenario.RunSweepRange (or the fleet's SweepRange), its outcomes
-// are journaled, and only then do its progress lines enter the stream
-// journal. The outcomes journal is always at or ahead of the progress
-// lines, so recovery re-executes at most one segment and reconciles the
-// stream journal to the frontier before continuing.
+// Execution is segmented: each segment of replications runs through
+// scenario.RunSweepRange (or the fleet's SweepRange), its outcomes are
+// journaled, and only then do its progress lines enter the stream journal.
+// The outcomes journal is always at or ahead of the progress lines, so
+// recovery re-executes at most one segment and reconciles the stream
+// journal to the frontier before continuing. Without a durable store the
+// journal lives only in memory (nopStore), with the same lines.
 
 import (
 	"context"
@@ -28,35 +30,21 @@ import (
 
 	"blackdp/internal/metrics"
 	"blackdp/internal/scenario"
+	"blackdp/internal/trace"
 )
 
 // Cancellation causes distinguish a DELETE (terminal: the journal gets an
-// error line) from a drain (resumable: the journal is left untouched for
-// the next process).
+// error line) from a drain (resumable under a durable store: the journal
+// is left untouched for the next process).
 var (
 	errCanceledByClient = errors.New("serve: canceled by client")
 	errShutdown         = errors.New("serve: server shutting down")
 )
 
-// storedSegmentReps is the durability granularity: how many replications
-// run between journal appends. Small enough that a crash loses little,
-// large enough that journaling stays off the hot path.
+// storedSegmentReps is the smallest durability granularity: how many
+// replications run between journal appends. Small enough that a crash
+// loses little, large enough that journaling stays off the hot path.
 const storedSegmentReps = 8
-
-// tenantCtxKey carries the submitting tenant's name through execution so
-// the distributor can stamp it onto worker chunk requests.
-type tenantCtxKey struct{}
-
-// WithTenant returns ctx carrying the tenant name.
-func WithTenant(ctx context.Context, name string) context.Context {
-	return context.WithValue(ctx, tenantCtxKey{}, name)
-}
-
-// TenantName reports the tenant name carried by ctx ("" if none).
-func TenantName(ctx context.Context) string {
-	name, _ := ctx.Value(tenantCtxKey{}).(string)
-	return name
-}
 
 // liveStream is the in-memory mirror of one job's stream journal: the
 // replay source for every tail, with a broadcast channel so tails block
@@ -134,28 +122,24 @@ func (st *liveStream) tail(ctx context.Context, w http.ResponseWriter, offset in
 	}
 }
 
-// storedRun is one durable job's execution state.
+// storedRun is one executing job's state.
 type storedRun struct {
 	job      *Job
 	spec     jobSpec
 	tenant   *tenantState
-	stream   *liveStream
+	entry    *Entry // the cache entry this run leads; nil for trace runs and recovered jobs
 	ctx      context.Context
 	cancel   context.CancelCauseFunc
-	frontier int      // replications with journaled outcomes
-	outcomes [][]byte // their outcome lines, in replication order
+	frontier int        // replications with journaled outcomes
+	outcomes [][]byte   // their outcome lines, in replication order
+	log      *trace.Log // a trace run's event log
 }
 
-// newStoredRun wires a run's context under the server base context and
-// registers its stream for tailing.
-func (s *Server) newStoredRun(job *Job, spec jobSpec, t *tenantState, stream *liveStream, outcomes [][]byte) *storedRun {
-	run := &storedRun{job: job, spec: spec, tenant: t, stream: stream,
-		frontier: len(outcomes), outcomes: outcomes}
+// newStoredRun wires a run's context under the server base context.
+func (s *Server) newStoredRun(job *Job, spec jobSpec, t *tenantState, outcomes [][]byte) *storedRun {
+	run := &storedRun{job: job, spec: spec, tenant: t, frontier: len(outcomes), outcomes: outcomes}
 	run.ctx, run.cancel = context.WithCancelCause(s.baseCtx)
 	job.bindCancel(func() { run.cancel(errCanceledByClient) })
-	s.jobsMu.Lock()
-	s.streams[job.ID] = stream
-	s.jobsMu.Unlock()
 	return run
 }
 
@@ -163,7 +147,7 @@ func (run *storedRun) journalRaw(s *Server, line []byte) error {
 	if err := s.store.AppendStream(run.job.ID, line); err != nil {
 		return err
 	}
-	run.stream.append(line)
+	run.job.stream.append(line)
 	return nil
 }
 
@@ -175,27 +159,33 @@ func (run *storedRun) journal(s *Server, l streamLine) error {
 	return run.journalRaw(s, b)
 }
 
+// progress journals the progress line of local replication i (global
+// index start+i).
+func (run *storedRun) progress(s *Server, i int) error {
+	return run.journal(s, streamLine{Type: "progress", Job: run.job.ID,
+		Rep: run.spec.start + i, Done: i + 1, Total: run.spec.reps})
+}
+
 // reconcile brings the stream journal up to the outcome frontier: the
 // accepted line if the journal is empty, then any progress lines whose
 // outcomes the previous process journaled but whose stream lines it did
 // not reach before dying.
 func (run *storedRun) reconcile(s *Server) error {
-	if run.stream.count() == 0 {
+	if run.job.stream.count() == 0 {
 		if err := run.journal(s, streamLine{Type: "accepted", Job: run.job.ID,
 			Key: run.spec.key, Cache: "miss", Total: run.spec.reps}); err != nil {
 			return err
 		}
 	}
-	for rep := run.stream.count() - 1; rep < run.frontier; rep++ {
-		if err := run.journal(s, streamLine{Type: "progress", Job: run.job.ID,
-			Rep: rep, Done: rep + 1, Total: run.spec.reps}); err != nil {
+	for i := run.job.stream.count() - 1; i < run.frontier; i++ {
+		if err := run.progress(s, i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runStored is the background goroutine of one durable job: journal
+// runStored is the background goroutine of one job: journal
 // reconciliation, fair-share admission, segmented execution, terminal
 // journaling.
 func (s *Server) runStored(run *storedRun, wtr *waiter) {
@@ -236,11 +226,10 @@ func (s *Server) runStored(run *storedRun, wtr *waiter) {
 
 // executeStored runs the remaining replications in journaled segments.
 func (s *Server) executeStored(run *storedRun) error {
-	ctx := WithTenant(run.ctx, run.tenant.cfg.Name)
 	onRep := func(int, error) { s.mReps.Inc() }
 	for run.frontier < run.spec.reps {
-		count := min(storedSegmentReps, run.spec.reps-run.frontier)
-		outcomes, err := s.sweepRange(ctx, run.spec, run.frontier, count, onRep)
+		count := min(s.segmentReps(run.spec), run.spec.reps-run.frontier)
+		outcomes, err := s.execute(run, run.spec.start+run.frontier, count, onRep)
 		if err != nil {
 			return err
 		}
@@ -255,15 +244,31 @@ func (s *Server) executeStored(run *storedRun) error {
 		}
 		run.outcomes = append(run.outcomes, lines...)
 		for i := 0; i < count; i++ {
-			rep := run.frontier + i
-			if err := run.journal(s, streamLine{Type: "progress", Job: run.job.ID,
-				Rep: rep, Done: rep + 1, Total: run.spec.reps}); err != nil {
+			if err := run.progress(s, run.frontier+i); err != nil {
 				return err
 			}
 		}
 		run.frontier += count
 	}
 	return nil
+}
+
+// segmentReps sizes one journaled segment. Each segment is a barrier, so it
+// must be wide enough to keep whatever executes it busy: the job's
+// replication pool, or every live worker of the fleet.
+func (s *Server) segmentReps(spec jobSpec) int {
+	n := max(storedSegmentReps, s.pool(spec))
+	if d := s.cfg.Distributor; d != nil {
+		n = max(n, d.Width())
+	}
+	return n
+}
+
+func (s *Server) pool(spec jobSpec) int {
+	if spec.pool > 0 {
+		return spec.pool
+	}
+	return s.cfg.SweepWorkers
 }
 
 // finishStoredDone rebuilds the result payload from the journaled outcomes
@@ -285,67 +290,91 @@ func (s *Server) finishStoredDone(run *storedRun, elapsed time.Duration) {
 		s.finishStoredErr(run, err)
 		return
 	}
-	s.cache.Put(run.spec.key, payload)
-	if run.stream.count() == run.spec.reps+1 {
+	if run.entry != nil {
+		s.cache.Complete(run.entry, payload, nil)
+	} else {
+		s.cache.Put(run.spec.key, payload)
+	}
+	stream := run.job.stream
+	if stream.count() == run.spec.reps+1 {
 		if err := run.journal(s, streamLine{Type: "result", Job: run.job.ID,
 			Cache: "miss", Total: run.spec.reps}); err != nil {
 			s.finishStoredErr(run, err)
 			return
 		}
 	}
-	if run.stream.count() == run.spec.reps+2 {
+	if stream.count() == run.spec.reps+2 {
 		if err := run.journalRaw(s, payload); err != nil {
 			s.finishStoredErr(run, err)
 			return
 		}
 	}
-	run.job.finish(StatusDone, "", payload, nil)
+	run.job.finish(StatusDone, "", payload, run.log)
 	s.mJobs.Inc(StatusDone)
 	s.mSeconds.Observe(elapsed.Seconds())
-	run.stream.close()
+	stream.close()
 }
 
-// finishStoredErr ends a run that did not complete. A drain leaves the
-// journal untouched — the job resumes on restart; anything else (DELETE,
-// an execution error, a store write failure) is terminal and journals an
-// error line.
+// finishStoredErr ends a run that did not complete. A drain of a durable
+// server leaves the journal untouched — the job resumes on restart;
+// anything else (DELETE, a drain without a durable store, an execution
+// error, a store write failure) is terminal and journals an error line.
 func (s *Server) finishStoredErr(run *storedRun, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		if c := context.Cause(run.ctx); c != nil {
 			err = c
 		}
 	}
-	if errors.Is(err, errShutdown) {
-		run.stream.close()
+	if run.entry != nil {
+		s.cache.Complete(run.entry, nil, err)
+	}
+	if errors.Is(err, errShutdown) && s.durable {
+		run.job.stream.close()
 		return
 	}
 	status := StatusFailed
-	if errors.Is(err, errCanceledByClient) {
+	if errors.Is(err, errCanceledByClient) || errors.Is(err, errShutdown) {
 		status = StatusCanceled
 	}
 	msg := err.Error()
 	_ = run.journal(s, streamLine{Type: "error", Job: run.job.ID, Error: msg})
 	run.job.finish(status, msg, nil, nil)
 	s.mJobs.Inc(status)
-	run.stream.close()
+	run.job.stream.close()
 }
 
-// sweepRange executes [start, start+count) of a sweep: through the fleet
-// when one is configured and alive, locally otherwise. Outcomes come back
-// in replication order either way.
-func (s *Server) sweepRange(ctx context.Context, spec jobSpec, start, count int, onRep func(int, error)) ([]metrics.Outcome, error) {
+// execute runs global replications [start, start+count) of the job. A run
+// is its single replication, seeded by the config itself; a sweep's range
+// goes through the fleet when one is configured and alive, locally
+// otherwise. Outcomes come back in replication order either way.
+func (s *Server) execute(run *storedRun, start, count int, onRep func(int, error)) ([]metrics.Outcome, error) {
+	spec := run.spec
+	if spec.kind == "run" {
+		cfg := spec.cfg
+		cfg.Trace = spec.trace
+		world, err := scenario.Build(cfg)
+		if err != nil {
+			return nil, err
+		}
+		o, err := world.RunContext(run.ctx)
+		if err != nil {
+			return nil, err
+		}
+		onRep(0, nil)
+		if spec.trace {
+			snap := world.Env.Tracer.Snapshot()
+			run.log = &snap
+		}
+		return []metrics.Outcome{o}, nil
+	}
 	if d := s.cfg.Distributor; d != nil {
-		outcomes, err := d.SweepRange(ctx, spec.cfg, start, count, onRep)
+		outcomes, err := d.SweepRange(run.ctx, spec.cfg, start, count, onRep)
 		if err == nil || !errors.Is(err, ErrNoWorkers) {
 			return outcomes, err
 		}
 	}
-	pool := spec.pool
-	if pool <= 0 {
-		pool = s.cfg.SweepWorkers
-	}
-	return scenario.RunSweepRange(ctx, spec.cfg, start, count,
-		scenario.SweepOptions{Workers: pool, OnRep: onRep}, nil)
+	return scenario.RunSweepRange(run.ctx, spec.cfg, start, count,
+		scenario.SweepOptions{Workers: s.pool(spec), OnRep: onRep}, nil)
 }
 
 // specFromStored rebuilds the validated jobSpec of a recovered job.
@@ -358,8 +387,8 @@ func specFromStored(sp StoredSpec) (jobSpec, error) {
 	if err != nil {
 		return jobSpec{}, err
 	}
-	return jobSpec{kind: sp.Kind, cfg: cfg, reps: sp.Reps, pool: sp.Pool,
-		key: fmt.Sprintf("%s/%d/%s", sp.Kind, sp.Reps, fp), rawCfg: sp.Config}, nil
+	return jobSpec{kind: sp.Kind, cfg: cfg, start: sp.Start, reps: sp.Reps, pool: sp.Pool,
+		trace: sp.Trace, key: jobKey(sp.Kind, sp.Start, sp.Reps, fp), rawCfg: sp.Config}, nil
 }
 
 // journalState classifies a recovered stream journal: terminal if it holds
@@ -408,62 +437,47 @@ func (s *Server) recoverStored() error {
 			return fmt.Errorf("serve: recovering %s: %w", sj.Spec.ID, err)
 		}
 		job := &Job{ID: sj.Spec.ID, Kind: spec.kind, Key: spec.key, Reps: spec.reps,
-			Tenant: sj.Spec.Tenant, status: StatusQueued, created: time.Now()}
+			Tenant: sj.Spec.Tenant, status: StatusQueued, created: time.Now(),
+			stream: newLiveStream(sj.Stream)}
 		job.setCache("miss")
 		s.jobsMu.Lock()
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
 		s.jobsMu.Unlock()
-		stream := newLiveStream(sj.Stream)
 		if terminal, status, errMsg, payload := journalState(sj.Stream); terminal {
-			s.jobsMu.Lock()
-			s.streams[job.ID] = stream
-			s.jobsMu.Unlock()
-			stream.close()
+			job.stream.close()
 			job.finish(status, errMsg, payload, nil)
 			if status == StatusDone && payload != nil {
 				s.cache.Put(spec.key, payload)
 			}
 			continue
 		}
-		t := s.adm.lookup(sj.Spec.Tenant)
-		if t == nil {
+		run := s.newStoredRun(job, spec, s.adm.lookup(sj.Spec.Tenant), sj.Outcomes)
+		if run.tenant == nil {
 			// The keyfile changed across the restart and this job's tenant
 			// is gone; it cannot be re-admitted fairly, so it fails loudly
 			// rather than running outside every quota.
-			s.jobsMu.Lock()
-			s.streams[job.ID] = stream
-			s.jobsMu.Unlock()
-			run := &storedRun{job: job, spec: spec, tenant: nil, stream: stream,
-				frontier: len(sj.Outcomes), outcomes: sj.Outcomes}
-			run.ctx, run.cancel = context.WithCancelCause(s.baseCtx)
-			_ = run.journal(s, streamLine{Type: "error", Job: job.ID,
-				Error: "tenant " + sj.Spec.Tenant + " is no longer configured"})
-			job.finish(StatusFailed, "tenant "+sj.Spec.Tenant+" is no longer configured", nil, nil)
-			s.mJobs.Inc(StatusFailed)
-			stream.close()
+			s.finishStoredErr(run, errors.New("tenant "+sj.Spec.Tenant+" is no longer configured"))
 			continue
 		}
-		run := s.newStoredRun(job, spec, t, stream, sj.Outcomes)
-		wtr, _ := s.adm.acquire(t, true)
+		wtr, _ := s.adm.acquire(run.tenant, true)
 		s.runnersWG.Add(1)
 		go s.runStored(run, wtr)
 	}
-	for {
-		cur := s.seq.Load()
-		if cur >= maxSeq || s.seq.CompareAndSwap(cur, maxSeq) {
-			break
-		}
-	}
+	s.seq.Store(maxSeq) // New recovers before serving, so nothing races this
 	return nil
 }
 
-// submitStored admits a durable sweep: spec persisted, runner started in
-// the background, and the response is a tail of the journal from offset 0.
+// submit admits a cache miss: spec persisted, runner started in the
+// background, and the response is a tail of the journal from offset 0.
 // A disconnecting client stops only its tail — the job keeps running.
-func (s *Server) submitStored(w http.ResponseWriter, r *http.Request, t *tenantState, spec jobSpec) {
+// entry is the cache entry the job leads (nil for trace runs).
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenantState, spec jobSpec, entry *Entry) {
 	wtr, ok := s.adm.acquire(t, false)
 	if !ok {
+		if entry != nil {
+			s.cache.Complete(entry, nil, errors.New("serve: rejected by admission control"))
+		}
 		s.mRejected.Inc()
 		s.mTenantRejected.Inc(t.cfg.Name)
 		WriteError(w, http.StatusTooManyRequests, "queue_full",
@@ -474,9 +488,12 @@ func (s *Server) submitStored(w http.ResponseWriter, r *http.Request, t *tenantS
 	s.mTenantAccepted.Inc(t.cfg.Name)
 	job := s.newJob(spec, t.cfg.Name)
 	if err := s.store.PutSpec(StoredSpec{ID: job.ID, Kind: spec.kind, Tenant: t.cfg.Name,
-		Reps: spec.reps, Pool: spec.pool, Config: spec.rawCfg}); err != nil {
+		Start: spec.start, Reps: spec.reps, Pool: spec.pool, Trace: spec.trace, Config: spec.rawCfg}); err != nil {
 		if wtr == nil || !s.adm.cancelWait(wtr) {
 			s.adm.release(t)
+		}
+		if entry != nil {
+			s.cache.Complete(entry, nil, err)
 		}
 		job.finish(StatusFailed, err.Error(), nil, nil)
 		s.mJobs.Inc(StatusFailed)
@@ -485,18 +502,19 @@ func (s *Server) submitStored(w http.ResponseWriter, r *http.Request, t *tenantS
 		return
 	}
 	job.setCache("miss")
-	run := s.newStoredRun(job, spec, t, newLiveStream(nil), nil)
+	run := s.newStoredRun(job, spec, t, nil)
+	run.entry = entry
 	s.runnersWG.Add(1)
 	go s.runStored(run, wtr)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Blackdp-Cache", "miss")
-	run.stream.tail(r.Context(), w, 0)
+	job.stream.tail(r.Context(), w, 0)
 }
 
 // handleStream is GET /v1/jobs/{id}/stream?offset=N: a byte-exact replay
 // of the job's journal from line offset N, tailing live lines until the
-// job finishes. Only durable jobs (server started with a store) have one.
+// job finishes.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.authorize(w, r)
 	if !ok {
@@ -506,14 +524,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	job := s.lookup(id)
 	if job == nil || !s.visible(job, t) {
 		WriteError(w, http.StatusNotFound, "not_found", "no such job: "+id, 0)
-		return
-	}
-	s.jobsMu.Lock()
-	stream := s.streams[id]
-	s.jobsMu.Unlock()
-	if stream == nil {
-		WriteError(w, http.StatusNotFound, "no_stream",
-			"job "+id+" has no durable stream (server running without a store, or kind \"run\")", 0)
 		return
 	}
 	offset := 0
@@ -527,5 +537,5 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		offset = n
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	stream.tail(r.Context(), w, offset)
+	job.stream.tail(r.Context(), w, offset)
 }

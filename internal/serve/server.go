@@ -6,8 +6,8 @@
 // the canonical config hash (scenario.Fingerprint), with single-flight
 // coalescing for requests that overlap in flight.
 //
-// The API is versioned under /v1 (the pre-/v1 aliases are retired: the
-// unversioned paths answer 410 Gone with the error envelope):
+// The API is versioned under /v1; every other path answers the enveloped
+// 404:
 //
 //	POST   /v1/jobs            submit a job; the response is an NDJSON stream
 //	                           of accepted/progress/result lines, the final
@@ -17,8 +17,8 @@
 //	DELETE /v1/jobs/{id}       cancel a queued or running job; with a fleet
 //	                           configured the cancellation fans out to every
 //	                           worker holding one of the job's chunks
-//	GET  /v1/jobs/{id}/stream  byte-exact replay of a durable job's NDJSON
-//	                           stream from ?offset=N, tailing until done
+//	GET  /v1/jobs/{id}/stream  byte-exact replay of a job's NDJSON stream
+//	                           from ?offset=N, tailing until done
 //	GET  /v1/jobs/{id}/trace the retained event log of a trace-enabled run
 //	GET  /v1/metrics         Prometheus text exposition
 //	GET  /v1/healthz         liveness and drain state
@@ -36,12 +36,16 @@
 // no tenants configured the server is open and behaves as a single
 // unlimited tenant, preserving the original admission semantics.
 //
-// Durability (Config.Store): sweep jobs journal their spec, their stream
-// lines and their per-replication outcomes through a JobStore; a restarted
-// server resumes unfinished sweeps at the journaled frontier, and resumed
-// streams stitched through /stream?offset=N are byte-identical to
-// uninterrupted ones. Durable jobs run detached from the submitting
-// connection — disconnecting stops the tail, not the job.
+// One job engine: every cache miss — run, trace run or sweep — executes on
+// the journaled runner (runner.go), detached from the submitting
+// connection: disconnecting stops the tail, not the job, and DELETE
+// cancels it. A sweep may name a replication range ("start" plus "reps"),
+// which is how a coordinator's fleet workers — plain servers — execute
+// their chunks. Durability (Config.Store): jobs journal their spec, their
+// stream lines and their per-replication outcomes through a JobStore; a
+// restarted server resumes unfinished jobs at the journaled frontier, and
+// resumed streams stitched through /stream?offset=N are byte-identical to
+// uninterrupted ones.
 package serve
 
 import (
@@ -61,7 +65,6 @@ import (
 	"blackdp/internal/exp"
 	"blackdp/internal/metrics"
 	"blackdp/internal/scenario"
-	"blackdp/internal/trace"
 )
 
 // Distributor executes a contiguous slice of a sweep's replication range
@@ -74,13 +77,15 @@ import (
 // global replication indexes as results stream back from the fleet. A
 // Distributor that finds no live workers returns an error wrapping
 // ErrNoWorkers, which tells the server to fall back to local execution
-// rather than fail the job. Implementations read the submitting tenant
-// from the context (TenantName) and stamp it onto chunk requests.
+// rather than fail the job.
 //
 // internal/dist.Coordinator is the production implementation; it is wired
 // in through Config.Distributor by cmd/blackdp-serve's -fleet flag.
 type Distributor interface {
 	SweepRange(ctx context.Context, cfg scenario.Config, start, count int, onRep func(rep int, err error)) ([]metrics.Outcome, error)
+	// Width is how many replications the fleet executes at once right
+	// now; the runner sizes its journal segments to at least this.
+	Width() int
 }
 
 // ErrNoWorkers reports that a Distributor has no live worker to dispatch
@@ -113,9 +118,9 @@ type Config struct {
 	// Tenants declares the API keys. Empty means an open server: no
 	// authentication, one unlimited anonymous tenant.
 	Tenants []Tenant
-	// Store, when non-nil, makes sweep jobs durable: specs and journals
-	// persist through it and unfinished sweeps resume on restart. Runs and
-	// trace jobs stay in-memory (a trace log is not journalable).
+	// Store, when non-nil, makes jobs durable: specs and journals persist
+	// through it and unfinished jobs resume on restart. A trace run's event
+	// log stays in memory only. Nil keeps every journal in memory.
 	Store JobStore
 	// Distributor, when non-nil, fans sweep jobs out across a worker fleet
 	// (see the Distributor interface). Runs and trace jobs always execute
@@ -162,10 +167,12 @@ type Server struct {
 	http  *http.Server
 	adm   *admission
 	store JobStore
+	// durable reports a configured Store: drained jobs resume on the next
+	// start instead of running out the grace period.
+	durable bool
 
-	// baseCtx parents every durable job's execution context so Drain can
-	// interrupt them resumably; request-bound jobs keep their request
-	// contexts.
+	// baseCtx parents every job's execution context so Drain can interrupt
+	// them.
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
 	runnersWG  sync.WaitGroup
@@ -174,11 +181,10 @@ type Server struct {
 	running  atomic.Int64
 	draining atomic.Bool
 
-	seq     atomic.Uint64
-	jobsMu  sync.Mutex
-	jobs    map[string]*Job
-	order   []string
-	streams map[string]*liveStream // durable jobs' journals, for tailing
+	seq    atomic.Uint64
+	jobsMu sync.Mutex
+	jobs   map[string]*Job
+	order  []string
 
 	mAccepted       *Counter
 	mRejected       *Counter
@@ -192,7 +198,7 @@ type Server struct {
 
 // New builds a server with cfg (zero fields take defaults). It fails on an
 // invalid tenant set or an unreadable job store; with a store configured,
-// unfinished stored sweeps resume executing before New returns.
+// unfinished stored jobs resume executing before New returns.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	adm, err := newAdmission(cfg.Workers, cfg.QueueDepth, cfg.Tenants)
@@ -206,8 +212,11 @@ func New(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		adm:     adm,
 		store:   cfg.Store,
+		durable: cfg.Store != nil,
 		jobs:    make(map[string]*Job),
-		streams: make(map[string]*liveStream),
+	}
+	if !s.durable {
+		s.store = nopStore{}
 	}
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	s.http = &http.Server{Handler: s.mux}
@@ -270,28 +279,15 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealth)
-	// The pre-/v1 aliases are retired: a typed 410 tells old clients where
-	// the API went, and everything else unmatched gets an enveloped 404.
-	for _, p := range []string{"/jobs", "/jobs/", "/metrics", "/healthz"} {
-		s.mux.HandleFunc(p, handleGone)
-	}
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "not_found", "no such route: "+r.URL.Path, 0)
 	})
 
-	if s.store != nil {
-		if err := s.recoverStored(); err != nil {
-			s.baseCancel(errShutdown)
-			return nil, err
-		}
+	if err := s.recoverStored(); err != nil {
+		s.baseCancel(errShutdown)
+		return nil, err
 	}
 	return s, nil
-}
-
-// handleGone answers a retired unversioned route.
-func handleGone(w http.ResponseWriter, r *http.Request) {
-	WriteError(w, http.StatusGone, "gone",
-		"the unversioned API is retired; use /v1"+r.URL.Path, 0)
 }
 
 // Handler exposes the service mux (for tests and embedding).
@@ -306,28 +302,32 @@ func (s *Server) SetHandler(h http.Handler) { s.http.Handler = h }
 // http.ErrServerClosed after a clean drain, like net/http.
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
-// Drain stops admission (new submissions get 503), interrupts durable jobs
-// resumably (their journals are left for the next process), waits for
-// in-flight requests, and returns the final cache statistics for the
+// Drain stops admission (new submissions get 503) and ends the running
+// jobs under one rule: with a durable store they are interrupted at once
+// (their journals are left for the next process, which resumes them);
+// otherwise they run on until ctx's deadline, and whatever still runs then
+// is interrupted with a terminal error line. Drain then waits for
+// in-flight responses and returns the final cache statistics for the
 // shutdown log.
 func (s *Server) Drain(ctx context.Context) (CacheStats, error) {
 	s.draining.Store(true)
-	s.baseCancel(errShutdown)
+	if s.durable {
+		s.baseCancel(errShutdown)
+	}
 	runnersDone := make(chan struct{})
 	go func() { s.runnersWG.Wait(); close(runnersDone) }()
 	select {
 	case <-runnersDone:
 	case <-ctx.Done():
+		s.baseCancel(errShutdown)
+		<-runnersDone // cancellation is prompt: runners journal their error lines and exit
 	}
 	err := s.http.Shutdown(ctx)
-	if c, ok := s.store.(io.Closer); ok {
-		_ = c.Close()
-	}
 	return s.cache.Stats(), err
 }
 
-// Metrics exposes the registry (for embedding additional instruments).
-func (s *Server) Metrics() *Registry { return s.reg }
+// Running reports how many jobs are executing right now.
+func (s *Server) Running() int { return int(s.running.Load()) }
 
 // resultPayload is the final NDJSON line of a successful job — the bytes
 // the cache stores and replays verbatim, so identical requests get
@@ -364,19 +364,6 @@ func WriteError(w http.ResponseWriter, status int, code, message string, retryAf
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(APIError{Code: code, Message: message, RetryAfterSeconds: retryAfter})
-}
-
-func writeJSONLine(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-	return err
 }
 
 type streamLine struct {
@@ -445,212 +432,71 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Durable sweeps detach from the connection and journal through the
-	// store; runs and trace jobs keep the request-bound in-memory path.
-	if s.store != nil && spec.kind == "sweep" && !spec.trace {
-		s.submitStored(w, r, t, spec)
-		return
-	}
-
-	// A job's execution context cancels two ways: the submitting client
-	// disconnecting (r.Context) or DELETE /v1/jobs/{id} from any other
-	// connection (the cancel func bound to the job record).
-	ctx, cancelJob := context.WithCancel(r.Context())
-	defer cancelJob()
-
-	// Cache read path. Trace jobs skip it — an event log cannot come from
-	// the cache — but still publish their result bytes on completion.
+	// Every job but a trace run sits behind the cache front: a completed or
+	// in-flight entry answers without executing. Trace runs always execute —
+	// an event log cannot come from the cache — but still publish their
+	// result bytes on completion.
 	var entry *Entry
 	if !spec.trace {
 		var leader bool
-		entry, leader = s.cache.Begin(spec.key)
-		if !leader {
-			s.serveCached(ctx, cancelJob, w, t, spec, entry)
+		if entry, leader = s.cache.Begin(spec.key); !leader {
+			s.serveCached(w, r, t, spec, entry)
 			return
 		}
 	}
-
-	// Admission: claim a slot or a place in this tenant's queue.
-	wtr, admitted := s.adm.acquire(t, false)
-	if !admitted {
-		if entry != nil {
-			s.cache.Abort(entry, errors.New("serve: rejected by admission control"))
-		}
-		s.mRejected.Inc()
-		s.mTenantRejected.Inc(t.cfg.Name)
-		WriteError(w, http.StatusTooManyRequests, "queue_full",
-			"job queue is full", s.retryAfterSeconds())
-		return
-	}
-	s.mAccepted.Inc()
-	s.mTenantAccepted.Inc(t.cfg.Name)
-	job := s.newJob(spec, t.cfg.Name)
-	job.bindCancel(cancelJob)
-	job.setCache("miss")
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Blackdp-Cache", "miss")
-	_ = writeJSONLine(w, streamLine{Type: "accepted", Job: job.ID, Key: spec.key, Cache: "miss", Total: spec.reps})
-
-	// Wait for a slot grant; a disconnected client leaves the queue and
-	// withdraws the in-flight cache entry so the next request leads.
-	if wtr != nil {
-		s.queued.Add(1)
-		select {
-		case <-wtr.ready:
-			s.queued.Add(-1)
-		case <-ctx.Done():
-			s.queued.Add(-1)
-			if !s.adm.cancelWait(wtr) {
-				s.adm.release(t)
-			}
-			if entry != nil {
-				s.cache.Abort(entry, ctx.Err())
-			}
-			job.finish(StatusCanceled, ctx.Err().Error(), nil, nil)
-			s.mJobs.Inc(StatusCanceled)
-			return
-		}
-	}
-	s.running.Add(1)
-	defer func() { s.running.Add(-1); s.adm.release(t) }()
-
-	job.setStatus(StatusRunning)
-	start := time.Now()
-
-	// Progress lines flow through a buffered channel to a writer goroutine:
-	// OnRep fires under the sweep pool's lock, and a slow client must stall
-	// neither the pool nor the other workers — excess lines are dropped.
-	lines := make(chan streamLine, 64)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		for line := range lines {
-			_ = writeJSONLine(w, line)
-		}
-	}()
-	repsDone := 0
-	onRep := func(rep int, err error) { // serialised by exp.Map
-		s.mReps.Inc()
-		repsDone++
-		line := streamLine{Type: "progress", Job: job.ID, Rep: rep, Done: repsDone, Total: spec.reps}
-		if err != nil {
-			line.Error = err.Error()
-		}
-		select {
-		case lines <- line:
-		default: // drop: progress is advisory, the result line is not
-		}
-	}
-
-	outcomes, log, err := s.execute(WithTenant(ctx, t.cfg.Name), spec, onRep)
-	close(lines)
-	<-writerDone
-	elapsed := time.Since(start)
-
-	if err != nil {
-		if entry != nil {
-			s.cache.Complete(entry, nil, err)
-		}
-		status := StatusFailed
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = StatusCanceled
-		}
-		job.finish(status, err.Error(), nil, nil)
-		s.mJobs.Inc(status)
-		_ = writeJSONLine(w, streamLine{Type: "error", Job: job.ID, Error: err.Error(), ElapsedMS: elapsed.Milliseconds()})
-		return
-	}
-
-	payload, err := json.Marshal(resultPayload{Outcomes: outcomes, Summary: metrics.Aggregate(outcomes).Report()})
-	if err != nil {
-		if entry != nil {
-			s.cache.Complete(entry, nil, err)
-		}
-		job.finish(StatusFailed, err.Error(), nil, nil)
-		s.mJobs.Inc(StatusFailed)
-		_ = writeJSONLine(w, streamLine{Type: "error", Job: job.ID, Error: err.Error()})
-		return
-	}
-	if entry != nil {
-		s.cache.Complete(entry, payload, nil)
-	} else {
-		s.cache.Put(spec.key, payload)
-	}
-	job.finish(StatusDone, "", payload, log)
-	s.mJobs.Inc(StatusDone)
-	s.mSeconds.Observe(elapsed.Seconds())
-	_ = writeJSONLine(w, streamLine{Type: "result", Job: job.ID, Cache: "miss", ElapsedMS: elapsed.Milliseconds(), Total: spec.reps})
-	_, _ = w.Write(payload)
-	_, _ = io.WriteString(w, "\n")
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+	s.submit(w, r, t, spec, entry)
 }
 
 // serveCached answers a request whose key is already cached or in flight.
-func (s *Server) serveCached(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter, t *tenantState, spec jobSpec, entry *Entry) {
+// Like an executed job, the hit is a stream the response tails, so a
+// disconnect stops only the tail and DELETE cancels a join still waiting.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, t *tenantState, spec jobSpec, entry *Entry) {
 	s.mAccepted.Inc()
 	s.mTenantAccepted.Inc(t.cfg.Name)
 	job := s.newJob(spec, t.cfg.Name)
+	job.setCache("hit")
+	ctx, cancel := context.WithCancel(s.baseCtx)
 	job.bindCancel(cancel)
+	appendLine := func(l streamLine) {
+		b, _ := json.Marshal(l) // a streamLine always marshals
+		job.stream.append(b)
+	}
+	appendLine(streamLine{Type: "accepted", Job: job.ID, Key: spec.key, Cache: "hit", Total: spec.reps})
+	start := time.Now()
+	s.runnersWG.Add(1)
+	go func() {
+		defer s.runnersWG.Done()
+		defer cancel()
+		payload, err := entry.Wait(ctx)
+		if err != nil {
+			status := StatusFailed
+			if ctx.Err() != nil {
+				status = StatusCanceled
+			}
+			appendLine(streamLine{Type: "error", Job: job.ID, Error: err.Error()})
+			job.finish(status, err.Error(), nil, nil)
+			s.mJobs.Inc(status)
+		} else {
+			appendLine(streamLine{Type: "result", Job: job.ID, Cache: "hit",
+				ElapsedMS: time.Since(start).Milliseconds(), Total: spec.reps})
+			job.stream.append(payload)
+			job.finish(StatusDone, "", payload, nil)
+			s.mJobs.Inc(StatusDone)
+		}
+		job.stream.close()
+	}()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Blackdp-Cache", "hit")
-	_ = writeJSONLine(w, streamLine{Type: "accepted", Job: job.ID, Key: spec.key, Cache: "hit", Total: spec.reps})
-	start := time.Now()
-	payload, err := entry.Wait(ctx)
-	if err != nil {
-		job.finish(StatusFailed, err.Error(), nil, nil)
-		s.mJobs.Inc(StatusFailed)
-		_ = writeJSONLine(w, streamLine{Type: "error", Job: job.ID, Error: err.Error()})
-		return
-	}
-	job.setCache("hit")
-	job.finish(StatusDone, "", payload, nil)
-	s.mJobs.Inc(StatusDone)
-	_ = writeJSONLine(w, streamLine{Type: "result", Job: job.ID, Cache: "hit", ElapsedMS: time.Since(start).Milliseconds(), Total: spec.reps})
-	_, _ = w.Write(payload)
-	_, _ = io.WriteString(w, "\n")
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// execute runs the job's workload under ctx.
-func (s *Server) execute(ctx context.Context, spec jobSpec, onRep func(int, error)) ([]metrics.Outcome, *trace.Log, error) {
-	switch spec.kind {
-	case "run":
-		cfg := spec.cfg
-		cfg.Trace = spec.trace
-		world, err := scenario.Build(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		o, err := world.RunContext(ctx)
-		if onRep != nil {
-			onRep(0, err)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		var log *trace.Log
-		if spec.trace {
-			snap := world.Env.Tracer.Snapshot()
-			log = &snap
-		}
-		return []metrics.Outcome{o}, log, nil
-	default: // "sweep", validated upstream
-		outcomes, err := s.sweepRange(ctx, spec, 0, spec.reps, onRep)
-		return outcomes, nil, err
-	}
+	job.stream.tail(r.Context(), w, 0)
 }
 
 // newJob registers a retained job record, evicting the oldest finished jobs
-// beyond the retention bound (evicted durable jobs drop their journals and
-// store artifacts with them).
+// beyond the retention bound (evicted jobs drop their journals and store
+// artifacts with them).
 func (s *Server) newJob(spec jobSpec, tenant string) *Job {
 	j := &Job{ID: fmt.Sprintf("j-%d", s.seq.Add(1)), Kind: spec.kind, Key: spec.key,
-		Reps: spec.reps, Tenant: tenant, status: StatusQueued, created: time.Now()}
+		Reps: spec.reps, Tenant: tenant, status: StatusQueued, created: time.Now(),
+		stream: newLiveStream(nil)}
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	s.jobs[j.ID] = j
@@ -660,11 +506,8 @@ func (s *Server) newJob(spec jobSpec, tenant string) *Job {
 		for i, id := range s.order {
 			if s.jobs[id].done() {
 				delete(s.jobs, id)
-				delete(s.streams, id)
 				s.order = append(s.order[:i], s.order[i+1:]...)
-				if s.store != nil {
-					_ = s.store.Remove(id)
-				}
+				_ = s.store.Remove(id)
 				evicted = true
 				break
 			}
@@ -717,11 +560,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // handleCancel is DELETE /v1/jobs/{id}: it cancels a queued or running
 // job's execution context. For distributed sweeps the cancellation fans out
-// end-to-end — the coordinator's in-flight chunk requests are ctx-bound
-// HTTP calls, so cancelling the job aborts them, and each worker's chunk
-// context is its request context, so the aborted connections stop the
-// remote replication pools too. Cancelling a durable job is terminal: its
-// journal ends with an error line and it does not resume on restart.
+// end-to-end — the coordinator's in-flight chunk submissions are ctx-bound,
+// and when they end the coordinator DELETEs its chunk jobs on the workers,
+// stopping the remote replication pools too. Cancelling is terminal: the
+// journal ends with an error line and the job does not resume on restart.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.authorize(w, r)
 	if !ok {

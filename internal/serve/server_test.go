@@ -188,21 +188,8 @@ func TestAdmissionControlRejectsWith429(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	started := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(sweepBody(5, 64)))
-		if err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		buf := make([]byte, 1)
-		_, _ = resp.Body.Read(buf) // first byte of the accepted line: admitted
-		close(started)
-		_, _ = io.Copy(io.Discard, resp.Body)
-	}()
-	<-started
+	started, finished := postAsync(ts.URL, sweepBody(5, 64))
+	<-started // the accepted line: admitted
 
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(runBody(99)))
 	if err != nil {
@@ -324,6 +311,8 @@ func TestBadRequests(t *testing.T) {
 		"no reps":        `{"kind":"sweep"}`,
 		"too many reps":  `{"kind":"sweep","reps":11}`,
 		"sweep trace":    `{"kind":"sweep","reps":2,"trace":true}`,
+		"negative start": `{"kind":"sweep","start":-1,"reps":2}`,
+		"start on a run": `{"kind":"run","start":2}`,
 		"invalid config": `{"kind":"run","config":{"LossRate":2}}`,
 		"not json":       `{{{`,
 	} {
@@ -362,36 +351,24 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesAreGone checks the retirement of the unversioned routes:
-// every pre-/v1 path answers 410 with the typed "gone" envelope pointing at
-// its /v1 replacement, while the /v1 surface itself serves normally.
+// TestLegacyRoutesAreGone checks the unversioned routes are gone: every
+// pre-/v1 path falls through to the enveloped 404 catch-all, while the /v1
+// surface itself serves normally.
 func TestLegacyRoutesAreGone(t *testing.T) {
 	s := mustNew(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(runBody(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("POST /v1/jobs = %d: %s", resp.StatusCode, b)
-	}
-	var accepted streamLine
-	if err := json.Unmarshal([]byte(strings.SplitN(string(b), "\n", 2)[0]), &accepted); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, path := range []string{"/jobs", "/jobs/" + accepted.Job, "/metrics", "/healthz"} {
+	_, _, lines := post(t, ts, runBody(3))
+	id := acceptedJob(t, lines[0])
+	for _, path := range []string{"/jobs", "/jobs/" + id, "/metrics", "/healthz"} {
 		code, body := get(t, ts.URL+path)
-		if code != http.StatusGone {
-			t.Errorf("GET %s = %d, want 410: %s", path, code, body)
+		if code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404: %s", path, code, body)
 			continue
 		}
 		var e APIError
-		if err := json.Unmarshal([]byte(body), &e); err != nil || e.Code != "gone" || !strings.Contains(e.Message, "/v1") {
+		if err := json.Unmarshal([]byte(body), &e); err != nil || e.Code != "not_found" || !strings.Contains(e.Message, path) {
 			t.Errorf("GET %s envelope = %s (err %v)", path, body, err)
 		}
 	}
@@ -399,11 +376,11 @@ func TestLegacyRoutesAreGone(t *testing.T) {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusGone {
-			t.Errorf("POST /jobs = %d, want 410", resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST /jobs = %d, want 404", resp.StatusCode)
 		}
 	}
-	for _, path := range []string{"/v1/jobs", "/v1/jobs/" + accepted.Job, "/v1/metrics", "/v1/healthz"} {
+	for _, path := range []string{"/v1/jobs", "/v1/jobs/" + id, "/v1/metrics", "/v1/healthz"} {
 		if code, body := get(t, ts.URL+path); code != 200 {
 			t.Errorf("GET %s = %d: %s", path, code, body)
 		}
@@ -411,7 +388,7 @@ func TestLegacyRoutesAreGone(t *testing.T) {
 }
 
 // TestErrorEnvelope pins the typed JSON error contract, table-driven over
-// every status the API speaks: 400, 401, 404, 409, 410, 429 and 503 all
+// every status the API speaks: 400, 401, 404, 409, 429 and 503 all
 // answer with {"code","message","retry_after_seconds"}, the retry hint
 // appearing exactly when the Retry-After header does.
 func TestErrorEnvelope(t *testing.T) {
@@ -433,21 +410,8 @@ func TestErrorEnvelope(t *testing.T) {
 
 	// The 429 case: a long sweep holds the single worker while the probe
 	// POST bounces.
-	started := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(sweepBody(901, 64)))
-		if err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		buf := make([]byte, 1)
-		_, _ = resp.Body.Read(buf) // first byte of the accepted line: admitted
-		close(started)
-		_, _ = io.Copy(io.Discard, resp.Body)
-	}()
-	<-started
+	started, finished := postAsync(ts.URL, sweepBody(901, 64))
+	<-started // the accepted line: admitted
 
 	do := func(t *testing.T, method, url, body string) *http.Response {
 		t.Helper()
@@ -479,7 +443,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"401 unauthorized", "POST", authTS.URL + "/v1/jobs", runBody(1), http.StatusUnauthorized, "unauthorized", false},
 		{"404 not found", "GET", ts.URL + "/v1/jobs/j-missing", "", http.StatusNotFound, "not_found", false},
 		{"409 already finished", "DELETE", ts.URL + "/v1/jobs/" + doneJob.Job, "", http.StatusConflict, "already_finished", false},
-		{"410 gone", "GET", ts.URL + "/metrics", "", http.StatusGone, "gone", false},
+		{"404 unversioned route", "GET", ts.URL + "/metrics", "", http.StatusNotFound, "not_found", false},
 		{"429 queue full", "POST", ts.URL + "/v1/jobs", runBody(902), http.StatusTooManyRequests, "queue_full", true},
 	}
 	for _, tc := range cases {

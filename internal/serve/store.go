@@ -1,10 +1,11 @@
 package serve
 
-// Durable jobs. A JobStore persists each accepted sweep as three
+// Durable jobs. A JobStore persists each executed job as three
 // append-only artifacts:
 //
-//   - the spec: the validated request (kind, canonical config JSON, reps,
-//     pool, tenant) — everything needed to re-admit the job after a restart;
+//   - the spec: the validated request (kind, config JSON, start, reps,
+//     pool, trace, tenant) — everything needed to re-admit the job after a
+//     restart;
 //   - the stream journal: the job's NDJSON response lines, wire-exact — the
 //     journal IS the canonical stream, POST responses and
 //     GET /v1/jobs/{id}/stream?offset=N both replay it verbatim;
@@ -20,11 +21,16 @@ package serve
 // final result payload rebuilt from stored outcomes matches an
 // uninterrupted run byte for byte.
 //
-// FileStore, the on-disk implementation, never rewrites: appends go
-// straight to the files with no fsync — surviving SIGKILL of the process
-// only needs the OS page cache, which outlives it. A line torn by a
+// FileStore, the on-disk implementation, never rewrites: each append opens
+// the journal with O_APPEND, writes once and closes, with no fsync —
+// surviving SIGKILL of the process only needs the OS page cache, which
+// outlives it, and no descriptor outlives the write. A line torn by a
 // machine-level crash is detected on load (no trailing newline) and
 // truncated away; at most one segment of replications re-executes.
+//
+// A server without a FileStore journals through nopStore: the job's
+// liveStream and its runner's outcomes already hold the journal in memory,
+// so there is nothing to persist and nothing to recover.
 
 import (
 	"encoding/json"
@@ -34,17 +40,18 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// StoredSpec is the durable record of an accepted sweep: enough to re-admit
+// StoredSpec is the durable record of an accepted job: enough to re-admit
 // and re-execute it after a restart.
 type StoredSpec struct {
 	ID     string          `json:"id"`
 	Kind   string          `json:"kind"`
 	Tenant string          `json:"tenant"`
+	Start  int             `json:"start,omitempty"`
 	Reps   int             `json:"reps"`
 	Pool   int             `json:"workers,omitempty"`
+	Trace  bool            `json:"trace,omitempty"`
 	Config json.RawMessage `json:"config"`
 }
 
@@ -56,7 +63,7 @@ type StoredJob struct {
 	Outcomes [][]byte
 }
 
-// JobStore persists sweep jobs across restarts. Implementations must be
+// JobStore persists jobs across restarts. Implementations must be
 // safe for concurrent use and must only ever append to a job's journals —
 // recovery depends on prefixes staying immutable.
 type JobStore interface {
@@ -74,13 +81,19 @@ type JobStore interface {
 	Remove(id string) error
 }
 
+// nopStore is the JobStore of a server without durable storage.
+type nopStore struct{}
+
+func (nopStore) PutSpec(StoredSpec) error              { return nil }
+func (nopStore) AppendStream(string, []byte) error     { return nil }
+func (nopStore) AppendOutcomes(string, [][]byte) error { return nil }
+func (nopStore) Load() ([]StoredJob, error)            { return nil, nil }
+func (nopStore) Remove(string) error                   { return nil }
+
 // FileStore is the on-disk JobStore: <dir>/<id>.spec.json,
 // <dir>/<id>.stream.ndjson, <dir>/<id>.outcomes.ndjson.
 type FileStore struct {
 	dir string
-
-	mu      sync.Mutex
-	writers map[string]*os.File // open appenders, keyed "<id>.<journal>"
 }
 
 // NewFileStore opens (creating if needed) a store rooted at dir.
@@ -88,11 +101,8 @@ func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &FileStore{dir: dir, writers: make(map[string]*os.File)}, nil
+	return &FileStore{dir: dir}, nil
 }
-
-// Dir reports the store root.
-func (fs *FileStore) Dir() string { return fs.dir }
 
 func (fs *FileStore) path(id, suffix string) string {
 	return filepath.Join(fs.dir, id+"."+suffix)
@@ -107,44 +117,33 @@ func (fs *FileStore) PutSpec(spec StoredSpec) error {
 	return os.WriteFile(fs.path(spec.ID, "spec.json"), b, 0o644)
 }
 
-func (fs *FileStore) appender(id, suffix string) (*os.File, error) {
-	key := id + "." + suffix
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f, ok := fs.writers[key]; ok {
-		return f, nil
-	}
-	f, err := os.OpenFile(fs.path(id, suffix), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	fs.writers[key] = f
-	return f, nil
-}
-
-// AppendStream appends one stream-journal line.
-func (fs *FileStore) AppendStream(id string, line []byte) error {
-	f, err := fs.appender(id, "stream.ndjson")
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(append(append(make([]byte, 0, len(line)+1), line...), '\n'))
-	return err
-}
-
-// AppendOutcomes appends outcome lines as one write.
-func (fs *FileStore) AppendOutcomes(id string, lines [][]byte) error {
-	f, err := fs.appender(id, "outcomes.ndjson")
-	if err != nil {
-		return err
-	}
+// appendLines appends lines, each newline-terminated, to one journal in a
+// single O_APPEND write, so concurrent appends never interleave a line.
+func (fs *FileStore) appendLines(id, suffix string, lines ...[]byte) error {
 	var buf []byte
 	for _, l := range lines {
 		buf = append(buf, l...)
 		buf = append(buf, '\n')
 	}
+	f, err := os.OpenFile(fs.path(id, suffix), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
 	_, err = f.Write(buf)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
+}
+
+// AppendStream appends one stream-journal line.
+func (fs *FileStore) AppendStream(id string, line []byte) error {
+	return fs.appendLines(id, "stream.ndjson", line)
+}
+
+// AppendOutcomes appends outcome lines as one write.
+func (fs *FileStore) AppendOutcomes(id string, lines [][]byte) error {
+	return fs.appendLines(id, "outcomes.ndjson", lines...)
 }
 
 // loadLines reads a journal's complete lines; a torn trailing line (no
@@ -219,16 +218,8 @@ func (fs *FileStore) Load() ([]StoredJob, error) {
 	return jobs, nil
 }
 
-// Remove deletes a job's artifacts and closes its appenders.
+// Remove deletes a job's artifacts.
 func (fs *FileStore) Remove(id string) error {
-	fs.mu.Lock()
-	for _, suffix := range []string{"stream.ndjson", "outcomes.ndjson"} {
-		if f, ok := fs.writers[id+"."+suffix]; ok {
-			f.Close()
-			delete(fs.writers, id+"."+suffix)
-		}
-	}
-	fs.mu.Unlock()
 	var first error
 	for _, suffix := range []string{"spec.json", "stream.ndjson", "outcomes.ndjson"} {
 		if err := os.Remove(fs.path(id, suffix)); err != nil && !os.IsNotExist(err) && first == nil {
@@ -236,18 +227,6 @@ func (fs *FileStore) Remove(id string) error {
 		}
 	}
 	return first
-}
-
-// Close closes every open appender (the files are append-only, so this is
-// bookkeeping, not durability).
-func (fs *FileStore) Close() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for k, f := range fs.writers {
-		f.Close()
-		delete(fs.writers, k)
-	}
-	return nil
 }
 
 // jobSeq extracts n from "j-<n>" (0 for anything else).

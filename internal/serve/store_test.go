@@ -38,7 +38,6 @@ func TestFileStoreTruncatesTornTrailingLine(t *testing.T) {
 	if err := fs.AppendOutcomes("j-1", [][]byte{[]byte(`{"Delivered":1}`)}); err != nil {
 		t.Fatal(err)
 	}
-	fs.Close()
 
 	// Tear both journals: a partial line with no newline at the tail.
 	for _, name := range []string{"j-1.stream.ndjson", "j-1.outcomes.ndjson"} {
@@ -80,7 +79,6 @@ func TestFileStoreTruncatesTornTrailingLine(t *testing.T) {
 	if err := fs2.AppendStream("j-1", []byte(`{"type":"progress","rep":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	fs2.Close()
 	fs3, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -294,21 +292,4 @@ func TestDurableStreamOffsetsStitch(t *testing.T) {
 		}
 	}
 
-	// A non-durable job has no journal to tail: typed 404.
-	plain := mustNew(t, Config{})
-	plainTS := httptest.NewServer(plain.Handler())
-	defer plainTS.Close()
-	_, _, runLines := post(t, plainTS, runBody(1))
-	var run struct {
-		Job string `json:"job"`
-	}
-	_ = json.Unmarshal([]byte(runLines[0]), &run)
-	resp, err := http.Get(plainTS.URL + "/v1/jobs/" + run.Job + "/stream?offset=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("stream of a non-durable job: status %d, want 404", resp.StatusCode)
-	}
 }

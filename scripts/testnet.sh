@@ -1,5 +1,5 @@
 #!/bin/sh
-# Stand up a localhost sweep fabric — N blackdp-worker processes plus a
+# Stand up a localhost sweep fabric — N plain blackdp-serve workers plus a
 # blackdp-serve coordinator sharding over them — run a distributed sweep,
 # kill one worker mid-flight, and verify the surviving fleet still returns
 # bytes identical to a fleetless baseline server. This is the manual twin
@@ -25,9 +25,8 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "testnet: building binaries"
+echo "testnet: building blackdp-serve"
 go build -o "$tmp/blackdp-serve" ./cmd/blackdp-serve
-go build -o "$tmp/blackdp-worker" ./cmd/blackdp-worker
 
 # await_addr <logfile>: block until the process announces its port.
 await_addr() {
@@ -44,7 +43,7 @@ fleet=""
 first_worker_pid=""
 i=1
 while [ "$i" -le "$workers" ]; do
-	"$tmp/blackdp-worker" -addr 127.0.0.1:0 >"$tmp/worker$i.log" 2>&1 &
+	"$tmp/blackdp-serve" -addr 127.0.0.1:0 >"$tmp/worker$i.log" 2>&1 &
 	pid=$!
 	pids="$pids $pid"
 	[ "$i" -eq 1 ] && first_worker_pid="$pid"

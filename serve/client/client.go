@@ -147,10 +147,13 @@ func Probe(ctx context.Context, hc *http.Client, baseURL string) bool {
 	return health.Status == "ok"
 }
 
-// Request is the POST /v1/jobs payload.
+// Request is the POST /v1/jobs payload. Start, for sweeps only, is the
+// global index of the first replication: a sweep of Reps replications from
+// Start is that slice of the full sweep, byte for byte.
 type Request struct {
 	Kind    string          `json:"kind"`
 	Config  json.RawMessage `json:"config,omitempty"`
+	Start   int             `json:"start,omitempty"`
 	Reps    int             `json:"reps,omitempty"`
 	Workers int             `json:"workers,omitempty"`
 	Trace   bool            `json:"trace,omitempty"`
@@ -200,7 +203,7 @@ type Result struct {
 	Offset int
 }
 
-// Client speaks the /v1 API of one blackdp-serve (or worker) node.
+// Client speaks the /v1 API of one blackdp-serve node.
 type Client struct {
 	// BaseURL is the node root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -279,7 +282,7 @@ func backoff(ctx context.Context, e *APIError) error {
 // retry is safe. On success the Result carries the final payload; a job
 // that ends with an error line returns a *JobError; a stream interrupted
 // mid-flight returns the transport error alongside a partial Result
-// (Job and Offset let the caller resume durable jobs via StreamResume).
+// (Job and Offset let the caller resume the stream via StreamResume).
 func (c *Client) Submit(ctx context.Context, r Request, onRaw func(line []byte)) (*Result, error) {
 	body, err := json.Marshal(r)
 	if err != nil {
@@ -312,7 +315,7 @@ func (c *Client) Submit(ctx context.Context, r Request, onRaw func(line []byte))
 
 // Stream consumes GET /v1/jobs/{id}/stream?offset=N once. The Result is
 // always non-nil: its Offset reports how far consumption got, terminal or
-// not. Only durable jobs (a server started with -store) have streams.
+// not. Every retained job has a stream.
 func (c *Client) Stream(ctx context.Context, jobID string, offset int, onRaw func(line []byte)) (*Result, error) {
 	req, err := c.newRequest(ctx, http.MethodGet,
 		fmt.Sprintf("/v1/jobs/%s/stream?offset=%d", jobID, offset), nil)
@@ -331,7 +334,7 @@ func (c *Client) Stream(ctx context.Context, jobID string, offset int, onRaw fun
 	return res, cerr
 }
 
-// StreamResume tails a durable job to completion, resuming byte-exactly
+// StreamResume tails a job to completion, resuming byte-exactly
 // across interruptions: every transport error (server restarting, 429/503
 // backpressure, torn connection) backs off and re-requests the stream at
 // the current offset. It stops on success, on a *JobError (the job itself
