@@ -122,15 +122,14 @@ func BenchmarkBaselineComparison(b *testing.B) {
 // placeholder scheme, quantifying the cryptographic share of the paper's
 // SIII-C overhead concern.
 func BenchmarkCryptoOverhead(b *testing.B) {
-	for _, real := range []bool{true, false} {
-		name := "insecure-digest"
-		if real {
-			name = "ecdsa-p256"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, row := range []struct{ name, scheme string }{
+		{"ecdsa-p256", blackdp.SchemeECDSA},
+		{"insecure-digest", blackdp.SchemePlaceholder},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			cfg := blackdp.DefaultConfig()
 			cfg.AttackerCluster = 4
-			cfg.RealCrypto = real
+			cfg.CryptoScheme = row.scheme
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = int64(i + 1)

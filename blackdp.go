@@ -36,7 +36,11 @@
 // "interchange" (two crossing highways) — and SweepStream aggregates
 // arbitrarily large replication sweeps in bounded memory. Neighbor
 // resolution uses a grid-hash spatial index that is bit-for-bit equivalent
-// to the O(N) scan (Config.LinearScan retains the reference path).
+// to the O(N) scan; the scan survives only as a test-only reference path.
+//
+// Signatures default to ECDSA P-256 over the PKI, the paper's security
+// model; Config.CryptoScheme (or [WithCryptoScheme]) selects the
+// session-token or free placeholder scheme instead.
 package blackdp
 
 import (
@@ -103,7 +107,7 @@ const (
 )
 
 // Crypto scheme names for Config.CryptoScheme and [WithCryptoScheme]. The
-// empty string derives the scheme from the legacy Config.RealCrypto boolean.
+// empty string is the default, SchemeECDSA.
 const (
 	SchemeECDSA       = scenario.SchemeECDSA
 	SchemeSession     = scenario.SchemeSession
@@ -132,16 +136,14 @@ func DefaultConfig() Config { return scenario.DefaultConfig() }
 type Option func(*options)
 
 type options struct {
-	workers          int
-	runWorkers       int
-	runWorkersSet    bool
-	cryptoScheme     string
-	cryptoSchemeSet  bool
-	noVerifyCache    bool
-	noVerifyCacheSet bool
-	progress         func(done, total int)
-	onRep            func(rep int, err error)
-	mutate           func(rep int, c *Config)
+	workers         int
+	runWorkers      int
+	runWorkersSet   bool
+	cryptoScheme    string
+	cryptoSchemeSet bool
+	progress        func(done, total int)
+	onRep           func(rep int, err error)
+	mutate          func(rep int, c *Config)
 }
 
 func (o options) applyRunWorkers(cfg Config) Config {
@@ -150,9 +152,6 @@ func (o options) applyRunWorkers(cfg Config) Config {
 	}
 	if o.cryptoSchemeSet {
 		cfg.CryptoScheme = o.cryptoScheme
-	}
-	if o.noVerifyCacheSet {
-		cfg.NoVerifyCache = o.noVerifyCache
 	}
 	return cfg
 }
@@ -179,8 +178,7 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // byte-identical across releases); >= 2 executes it as a cluster-sharded
 // conservative parallel simulation on up to n goroutines. Sharded results
 // are deterministic and independent of the exact worker count, but form
-// their own mode, distinct from the serial stream; sharded configs must use
-// the spatial index (Config.Validate enforces it). Any crypto scheme shards
+// their own mode, distinct from the serial stream. Any crypto scheme shards
 // cleanly: verification caches are per-agent and signing randomness is
 // drawn from per-shard streams.
 // In sweeps the two worker budgets are reconciled so sweep workers times
@@ -200,15 +198,6 @@ func WithRunWorkers(n int) Option {
 // signature frame.
 func WithCryptoScheme(name string) Option {
 	return func(o *options) { o.cryptoScheme, o.cryptoSchemeSet = name, true }
-}
-
-// WithVerifyCache toggles the per-agent signature verification cache
-// (Config.NoVerifyCache inverted). The cache is byte-for-bit invisible —
-// the crypto differential suite holds cached and uncached runs identical —
-// so disabling it only slows the run; the reference path exists for
-// differential testing.
-func WithVerifyCache(enabled bool) Option {
-	return func(o *options) { o.noVerifyCache, o.noVerifyCacheSet = !enabled, true }
 }
 
 // WithProgress installs a callback invoked after each replication completes

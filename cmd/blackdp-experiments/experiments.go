@@ -18,9 +18,9 @@ type params struct {
 	ctx        context.Context
 	seed       int64
 	reps       int
-	workers    int  // replication pool size; 1 reproduces the historical serial path
-	runWorkers int  // intra-run shard workers; <= 1 keeps each run on the serial scheduler
-	freeCrypto bool // replace ECDSA with placeholder signatures in every scenario
+	workers    int    // replication pool size; 1 reproduces the historical serial path
+	runWorkers int    // intra-run shard workers; <= 1 keeps each run on the serial scheduler
+	scheme     string // crypto scheme of every config-driven scenario
 }
 
 func (p params) opts() []blackdp.Option {
@@ -28,16 +28,13 @@ func (p params) opts() []blackdp.Option {
 }
 
 // config is the base scenario every config-driven experiment starts from:
-// Table I defaults at the invocation's seed, with -crypto=false swapping in
-// free placeholder signatures so the tables measure the protocol without
-// the crypto cost. Sharded execution (-run-workers >= 2) composes with any
-// scheme.
+// Table I defaults at the invocation's seed and -scheme's signatures
+// (-scheme placeholder measures the protocol without the crypto cost).
+// Sharded execution (-run-workers >= 2) composes with any scheme.
 func (p params) config() blackdp.Config {
 	cfg := blackdp.DefaultConfig()
 	cfg.Seed = p.seed
-	if p.freeCrypto {
-		cfg.RealCrypto = false
-	}
+	cfg.CryptoScheme = p.scheme
 	return cfg
 }
 
@@ -427,22 +424,15 @@ func faults(p params) ([]*report.Table, error) {
 func crypto(p params) ([]*report.Table, error) {
 	t := report.New(fmt.Sprintf("ABLATION: signature scheme cost vs detection accuracy (%d runs each)", p.reps),
 		"scheme", "detected", "mean_detection_latency", "wall_per_run")
-	rows := []struct {
-		name    string
-		scheme  string
-		noCache bool
-	}{
-		{"ecdsa-p256", blackdp.SchemeECDSA, false},
-		{"ecdsa-p256-nocache", blackdp.SchemeECDSA, true},
-		{"session-token-hmac", blackdp.SchemeSession, false},
-		{"insecure-digest", blackdp.SchemePlaceholder, false},
+	rows := []struct{ name, scheme string }{
+		{"ecdsa-p256", blackdp.SchemeECDSA},
+		{"session-token-hmac", blackdp.SchemeSession},
+		{"insecure-digest", blackdp.SchemePlaceholder},
 	}
 	for _, row := range rows {
 		cfg := p.config()
 		cfg.AttackerCluster = 4
 		cfg.CryptoScheme = row.scheme
-		cfg.RealCrypto = row.scheme != blackdp.SchemePlaceholder
-		cfg.NoVerifyCache = row.noCache
 		start := time.Now()
 		outcomes, err := blackdp.Sweep(p.ctx, cfg, p.reps, p.opts()...)
 		if err != nil {

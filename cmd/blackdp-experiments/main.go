@@ -6,7 +6,7 @@
 //	blackdp-experiments fig5  [-reps 10]       # detection packets per scenario class
 //	blackdp-experiments compare [-reps 20]     # ablation: SN baselines vs BlackDP
 //	blackdp-experiments connector [-reps 10]   # ablation: the connector case
-//	blackdp-experiments crypto [-reps 10]      # ablation: ECDSA vs cached / session-token / free signatures
+//	blackdp-experiments crypto [-reps 10]      # ablation: ECDSA vs session-token vs free signatures
 //	blackdp-experiments loss [-reps 10]        # ablation: detection under channel loss
 //	blackdp-experiments density [-reps 10]     # ablation: vehicle density (RSU load)
 //	blackdp-experiments topology [-reps 10]    # ablation: highway vs grid/multi/interchange worlds
@@ -34,6 +34,7 @@ import (
 	"os"
 	"runtime"
 
+	"blackdp"
 	"blackdp/internal/report"
 )
 
@@ -48,14 +49,14 @@ func main() {
 	seed := fs.Int64("seed", 1, "base random seed")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "replication pool size (1 = serial)")
 	runWorkers := fs.Int("run-workers", 1, "intra-run shard workers per simulation (<=1 = serial scheduler; >=2 = cluster-sharded parallel runs)")
-	crypto := fs.Bool("crypto", true, "real ECDSA signatures (false = free placeholder)")
+	scheme := fs.String("scheme", blackdp.SchemeECDSA, "crypto scheme: ecdsa | session | placeholder")
 	csvDir := fs.String("csv", "", "directory to write CSV artefacts into")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
 
 	p := params{ctx: context.Background(), seed: *seed, reps: *reps, workers: *workers,
-		runWorkers: *runWorkers, freeCrypto: !*crypto}
+		runWorkers: *runWorkers, scheme: *scheme}
 	var err error
 	switch {
 	case cmd == "all":
@@ -95,7 +96,7 @@ func emit(run func(params) ([]*report.Table, error), p params, csvDir string) er
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: blackdp-experiments <table1|fig4|fig5|compare|connector|crypto|loss|density|topology|overhead|fog|faults|all> [-reps N] [-seed S] [-workers W] [-run-workers R] [-crypto=false] [-csv DIR]")
+	fmt.Fprintln(os.Stderr, "usage: blackdp-experiments <table1|fig4|fig5|compare|connector|crypto|loss|density|topology|overhead|fog|faults|all> [-reps N] [-seed S] [-workers W] [-run-workers R] [-scheme S] [-csv DIR]")
 }
 
 func defaultReps(cmd string) int {

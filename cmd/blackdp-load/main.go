@@ -183,7 +183,7 @@ func run() error {
 					cfgJSON, _ := json.Marshal(map[string]any{
 						"Seed": seed, "Vehicles": *vehicles, "HighwayLengthM": 3000,
 						"AttackerCluster": 2, "DataPackets": 3,
-						"MaxSimTime": 30 * time.Second, "RealCrypto": false,
+						"MaxSimTime": 30 * time.Second, "CryptoScheme": "placeholder",
 					})
 					start := time.Now()
 					_, err := cl.Submit(ctx, client.Request{Kind: "sweep", Reps: *reps, Config: cfgJSON}, nil)

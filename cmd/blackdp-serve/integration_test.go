@@ -47,7 +47,7 @@ func TestIntegrationServeSoak(t *testing.T) {
 	// is computed at most once and the other responses must come out of the
 	// cache (as completed hits or coalesced joins) byte-identical.
 	cfg := func(i int) string {
-		return fmt.Sprintf(`{"Seed":%d,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"RealCrypto":false}`, i%4)
+		return fmt.Sprintf(`{"Seed":%d,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"placeholder"}`, i%4)
 	}
 	type result struct {
 		payload string
@@ -148,7 +148,7 @@ func TestIntegrationKillRestartResume(t *testing.T) {
 		Kind: "sweep",
 		Reps: 160,
 		Config: []byte(`{"Seed":3,"HighwayLengthM":4000,"Vehicles":30,` +
-			`"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"RealCrypto":false}`),
+			`"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"placeholder"}`),
 	}
 
 	var mu sync.Mutex

@@ -142,7 +142,7 @@ func TestTestnetKillWorkerMidSweep(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-fleet", strings.Join(urls, ","), "-chunk-reps", "3")
 	baseline := startProc(t, serveBin, "-addr", "127.0.0.1:0")
 
-	body := `{"kind":"sweep","reps":60,"config":{"Seed":5,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"RealCrypto":false}}`
+	body := `{"kind":"sweep","reps":60,"config":{"Seed":5,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"placeholder"}}`
 	want := sweepPayload(t, "http://"+baseline.addr, body, nil)
 
 	// SIGKILL the first worker as soon as the distributed stream proves the

@@ -32,15 +32,12 @@ func main() {
 		extra     = flag.Int("extra", 0, "additional independent black holes")
 		loss      = flag.Float64("loss", 0, "per-receiver frame loss probability")
 		evasive   = flag.Bool("evasive", false, "enable evasive attacker behaviour in clusters 8-10")
-		crypto    = flag.Bool("crypto", true, "real ECDSA signatures (false = free placeholder)")
-		scheme    = flag.String("scheme", "", "crypto scheme: ecdsa | session | placeholder (empty = derive from -crypto)")
-		noVCache  = flag.Bool("no-verify-cache", false, "disable the per-agent verification cache (slow reference path, byte-identical results)")
+		scheme    = flag.String("scheme", blackdp.SchemeECDSA, "crypto scheme: ecdsa | session | placeholder")
 		topology  = flag.String("topology", "highway", "road layout: highway | grid | multi | interchange")
 		gridRows  = flag.Int("grid-rows", 4, "horizontal roads (topology=grid)")
 		gridCols  = flag.Int("grid-cols", 4, "vertical roads (topology=grid)")
 		highways  = flag.Int("highways", 3, "parallel carriageways (topology=multi)")
 		gap       = flag.Float64("gap", 30, "median gap between carriageways in metres (topology=multi)")
-		linScan   = flag.Bool("linearscan", false, "use the O(N) linear neighbor scan instead of the grid index (differential testing)")
 		runWork   = flag.Int("run-workers", 1, "intra-run shard workers (<=1 = serial scheduler; >=2 = cluster-sharded parallel run)")
 		confPath  = flag.String("config", "", "JSON config file (flags override its values)")
 		jsonOut   = flag.Bool("json", false, "emit the outcome as JSON instead of prose")
@@ -60,23 +57,20 @@ func main() {
 	// With a config file, only flags the user actually set override it;
 	// without one, flag values (including their defaults) are the config.
 	apply := map[string]func(){
-		"seed":            func() { cfg.Seed = *seed },
-		"cluster":         func() { cfg.AttackerCluster = *cluster },
-		"verify":          func() { cfg.Vehicle.Verify = *verify },
-		"vehicles":        func() { cfg.Vehicles = *vehicles },
-		"data":            func() { cfg.DataPackets = *dataN },
-		"extra":           func() { cfg.ExtraAttackers = *extra },
-		"loss":            func() { cfg.LossRate = *loss },
-		"crypto":          func() { cfg.RealCrypto = *crypto },
-		"scheme":          func() { cfg.CryptoScheme = *scheme },
-		"no-verify-cache": func() { cfg.NoVerifyCache = *noVCache },
-		"topology":        func() { cfg.Topology = *topology },
-		"grid-rows":       func() { cfg.GridRows = *gridRows },
-		"grid-cols":       func() { cfg.GridCols = *gridCols },
-		"highways":        func() { cfg.HighwayCount = *highways },
-		"gap":             func() { cfg.HighwayGapM = *gap },
-		"linearscan":      func() { cfg.LinearScan = *linScan },
-		"run-workers":     func() { cfg.RunWorkers = *runWork },
+		"seed":        func() { cfg.Seed = *seed },
+		"cluster":     func() { cfg.AttackerCluster = *cluster },
+		"verify":      func() { cfg.Vehicle.Verify = *verify },
+		"vehicles":    func() { cfg.Vehicles = *vehicles },
+		"data":        func() { cfg.DataPackets = *dataN },
+		"extra":       func() { cfg.ExtraAttackers = *extra },
+		"loss":        func() { cfg.LossRate = *loss },
+		"scheme":      func() { cfg.CryptoScheme = *scheme },
+		"topology":    func() { cfg.Topology = *topology },
+		"grid-rows":   func() { cfg.GridRows = *gridRows },
+		"grid-cols":   func() { cfg.GridCols = *gridCols },
+		"highways":    func() { cfg.HighwayCount = *highways },
+		"gap":         func() { cfg.HighwayGapM = *gap },
+		"run-workers": func() { cfg.RunWorkers = *runWork },
 		"attack": func() {
 			switch *attackS {
 			case "none":

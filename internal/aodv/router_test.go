@@ -422,3 +422,36 @@ func TestRouteTableInvalidateVia(t *testing.T) {
 		t.Error("unrelated route invalidated")
 	}
 }
+
+// TestRouteTableOrdersByID holds the table's map-backed sweeps to ascending
+// ID order: broken routes feed RERRs and RouteBroken callbacks, stale
+// neighbours feed invalidateVia, and neither may follow map iteration.
+// Twenty rounds over ten entries make a map-ordered result near-certain to
+// show up.
+func TestRouteTableOrdersByID(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		tbl := newTable()
+		for id := wire.NodeID(40); id > 30; id-- {
+			tbl.update(id, 2, 1, 1, 0, time.Minute)
+			tbl.heard(id, 0)
+		}
+		broken := tbl.invalidateVia(2)
+		if len(broken) != 10 {
+			t.Fatalf("round %d: invalidateVia broke %d routes, want 10", round, len(broken))
+		}
+		for i := 1; i < len(broken); i++ {
+			if broken[i-1].Dest >= broken[i].Dest {
+				t.Fatalf("round %d: broken routes out of order: %v", round, broken)
+			}
+		}
+		stale := tbl.appendStale([]wire.NodeID{99}, time.Minute, time.Second)
+		if len(stale) != 11 || stale[0] != 99 {
+			t.Fatalf("round %d: appendStale = %v, want the 99 prefix and 10 neighbours", round, stale)
+		}
+		for i := 2; i < len(stale); i++ {
+			if stale[i-1] >= stale[i] {
+				t.Fatalf("round %d: stale neighbours out of order: %v", round, stale[1:])
+			}
+		}
+	}
+}

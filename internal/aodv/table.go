@@ -1,6 +1,8 @@
 package aodv
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"blackdp/internal/wire"
@@ -106,7 +108,8 @@ func (t *table) invalidate(dest wire.NodeID) (Route, bool) {
 }
 
 // invalidateVia breaks every valid route whose next hop is via, returning
-// the broken entries.
+// the broken entries sorted by destination: callers advertise them in RERRs
+// and fire callbacks in this order, so it must not follow map iteration.
 func (t *table) invalidateVia(via wire.NodeID) []Route {
 	var broken []Route
 	for _, r := range t.routes {
@@ -115,6 +118,7 @@ func (t *table) invalidateVia(via wire.NodeID) []Route {
 			broken = append(broken, *r)
 		}
 	}
+	slices.SortFunc(broken, func(a, b Route) int { return cmp.Compare(a.Dest, b.Dest) })
 	return broken
 }
 
@@ -123,16 +127,18 @@ func (t *table) heard(n wire.NodeID, now time.Duration) {
 	t.neighbors[n] = now
 }
 
-// appendStale appends neighbours silent past the timeout to dst and forgets
-// them, returning the extended slice so the caller can reuse one scratch
-// buffer across maintenance rounds.
+// appendStale appends neighbours silent past the timeout to dst in
+// ascending ID order and forgets them, returning the extended slice so the
+// caller can reuse one scratch buffer across maintenance rounds.
 func (t *table) appendStale(dst []wire.NodeID, now, timeout time.Duration) []wire.NodeID {
+	start := len(dst)
 	for n, last := range t.neighbors {
 		if now-last >= timeout {
 			dst = append(dst, n)
 			delete(t.neighbors, n)
 		}
 	}
+	slices.Sort(dst[start:])
 	return dst
 }
 

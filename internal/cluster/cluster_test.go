@@ -247,6 +247,30 @@ func TestHeadPrune(t *testing.T) {
 	}
 }
 
+// TestHeadPruneRetiresInIDOrder holds Prune's MemberLeft callbacks to
+// ascending ID order rather than map order; twenty rounds over ten silent
+// members make a map-ordered sequence near-certain to show up.
+func TestHeadPruneRetiresInIDOrder(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		hh := newHeadHarness(t, 2)
+		var left []wire.NodeID
+		hh.head.cb.MemberLeft = func(id wire.NodeID) { left = append(left, id) }
+		for id := wire.NodeID(30); id > 20; id-- {
+			hh.join(id, 1000+50*float64(id-20))
+		}
+		hh.sched.RunFor(40 * time.Second)
+		hh.head.Prune()
+		if len(left) != 10 {
+			t.Fatalf("round %d: %d members left, want 10", round, len(left))
+		}
+		for i := 1; i < len(left); i++ {
+			if left[i-1] >= left[i] {
+				t.Fatalf("round %d: MemberLeft out of order: %v", round, left)
+			}
+		}
+	}
+}
+
 // clientHarness runs a real medium with heads at every cluster centre and
 // one vehicle client.
 type clientHarness struct {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"blackdp/internal/mobility"
@@ -266,14 +267,21 @@ func (h *Head) sendBlacklistTo(to wire.NodeID) {
 // reporting expired information and reduce storage overhead").
 func (h *Head) Prune() {
 	now := h.sched.Now()
+	var silent []wire.NodeID
 	for id, m := range h.members {
 		if now-m.LastSeen >= h.memberTTL {
-			delete(h.members, id)
-			h.history[id] = *m
-			h.stats.Pruned++
-			if h.cb.MemberLeft != nil {
-				h.cb.MemberLeft(id)
-			}
+			silent = append(silent, id)
+		}
+	}
+	// Retire in ascending ID order, not map order: MemberLeft reaches the
+	// protocol layer, which must see the same sequence on every replay.
+	slices.Sort(silent)
+	for _, id := range silent {
+		h.history[id] = *h.members[id]
+		delete(h.members, id)
+		h.stats.Pruned++
+		if h.cb.MemberLeft != nil {
+			h.cb.MemberLeft(id)
 		}
 	}
 	expiredBlack := false

@@ -30,6 +30,7 @@ func fastCfg(seed int64) scenario.Config {
 		AttackerCluster: 2,
 		DataPackets:     3,
 		MaxSimTime:      30 * time.Second,
+		CryptoScheme:    scenario.SchemePlaceholder,
 	}
 }
 

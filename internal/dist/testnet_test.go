@@ -141,7 +141,8 @@ func TestDistCancelLeavesNoOrphans(t *testing.T) {
 
 	// A sweep big enough to still be in flight when the DELETE lands: the
 	// full-size world takes seconds per replication.
-	slow := scenario.Config{Seed: 1, Vehicles: 40, AttackerCluster: 2, DataPackets: 8}
+	slow := scenario.Config{Seed: 1, Vehicles: 40, AttackerCluster: 2, DataPackets: 8,
+		CryptoScheme: scenario.SchemePlaceholder}
 	cfgJSON, err := json.Marshal(slow)
 	if err != nil {
 		t.Fatal(err)

@@ -13,13 +13,13 @@ import (
 // canonicalise to identical bytes, so the form
 //
 //   - applies DefaultConfig to every zero field (a hand-built Config with
-//     Vehicles unset and one with Vehicles: 100 describe the same run),
+//     Vehicles unset and one with Vehicles: 100 describe the same run; an
+//     empty CryptoScheme and "ecdsa" likewise),
 //   - sorts and deduplicates EvasiveClusters (membership is a set; the
 //     world materialises it as a map, so order never reaches the RNG),
 //   - clears Trace (the recorder only observes; the differential suite
 //     holds runs byte-identical with tracing on or off),
-//   - clears LinearScan (the spatial index is byte-for-bit invisible; the
-//     differential suite holds indexed and linear runs identical), and
+//   - collapses RunWorkers to its class (serial or sharded), and
 //   - marshals with encoding/json, which emits struct fields in declaration
 //     order — deterministic because Config and fault.Plan are plain data
 //     with no maps.
@@ -49,16 +49,6 @@ func Canonical(cfg Config) ([]byte, error) {
 		cfg.EvasiveClusters = nil
 	}
 	cfg.Trace = false
-	cfg.LinearScan = false
-	// The verification cache is byte-for-bit invisible (the crypto
-	// differential suite holds cached and uncached runs identical), so the
-	// reference-path knob never reaches the key. The scheme, by contrast,
-	// changes the run: resolve it to its explicit name so the legacy
-	// RealCrypto boolean and an equivalent CryptoScheme string collapse to
-	// one key, and scheme classes never share cache entries.
-	cfg.NoVerifyCache = false
-	cfg.CryptoScheme = cfg.SchemeName()
-	cfg.RealCrypto = cfg.CryptoScheme != SchemePlaceholder
 	// Sharded outcomes depend only on the mode (serial vs. sharded), never on
 	// the exact worker count, so the key collapses RunWorkers to its
 	// equivalence class: 1 for every serial value, 2 for every sharded one.

@@ -30,7 +30,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 // share a fingerprint.
 func TestFingerprintAppliesDefaults(t *testing.T) {
 	sparse := Config{Seed: 7, Attack: SingleBlackHole, AttackerCluster: 3,
-		Vehicle: DefaultConfig().Vehicle, RealCrypto: true,
+		Vehicle:      DefaultConfig().Vehicle,
 		ActLegitProb: 0.15, FleeProb: 0.3, RenewProb: 0.15, DataPackets: 10}
 	full := DefaultConfig()
 	full.Seed = 7

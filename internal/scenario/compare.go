@@ -80,7 +80,7 @@ func CompareDetectorsSweep(ctx context.Context, cfg Config, reps int, opt SweepO
 		// Raw discovery view for the sequence-number heuristics. The two
 		// worlds of one replication run back to back on this worker, so they
 		// share its event pool.
-		w, err := buildPooled(runCfg, pool)
+		w, err := buildPooled(runCfg, pool, opt.ref)
 		if err != nil {
 			return compareEvidence{}, err
 		}
@@ -102,7 +102,7 @@ func CompareDetectorsSweep(ctx context.Context, cfg Config, reps int, opt SweepO
 		ev.candidates = got.Candidates
 
 		// BlackDP's verdict on an identical world.
-		o, err := runPooled(ctx, runCfg, pool)
+		o, err := runPooled(ctx, runCfg, pool, opt.ref)
 		if err != nil {
 			return compareEvidence{}, err
 		}

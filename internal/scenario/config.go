@@ -65,12 +65,6 @@ type Config struct {
 	HighwayCount int     // carriageways in a "multi" world (default 3)
 	HighwayGapM  float64 // median width between "multi" carriageways (default 30)
 
-	// LinearScan disables the radio medium's grid-hash spatial index and
-	// restores the O(N) neighbor scan. The two are byte-identical (the
-	// differential suite proves it); this is the reference path for that
-	// proof and an escape hatch, not a tuning knob.
-	LinearScan bool
-
 	// Population (Table I).
 	Vehicles    int     // 100
 	SpeedMinKmh float64 // 50
@@ -91,24 +85,15 @@ type Config struct {
 	Fault fault.Plan
 
 	// Protocol.
-	Vehicle    core.VehicleConfig
-	Head       core.HeadConfig
-	RealCrypto bool // true: ECDSA P-256; false: free placeholder signatures
+	Vehicle core.VehicleConfig
+	Head    core.HeadConfig
 
-	// CryptoScheme picks the signature scheme by name, overriding the
-	// RealCrypto boolean: "ecdsa" (P-256 per packet), "session" (one ECDSA
-	// anchor per pseudonym epoch + HMAC-SHA256 per packet), or
-	// "placeholder" (free digests, the ablation). Empty derives the scheme
-	// from RealCrypto, keeping old configs working. The resolved name is
-	// part of the canonical fingerprint: scheme classes never share cache
-	// entries.
+	// CryptoScheme picks the signature scheme by name: "ecdsa" (P-256 per
+	// packet, the default), "session" (one ECDSA anchor per pseudonym epoch
+	// + HMAC-SHA256 per packet), or "placeholder" (free digests, the
+	// ablation). The name is part of the canonical fingerprint: scheme
+	// classes never share cache entries.
 	CryptoScheme string
-
-	// NoVerifyCache disables the per-agent verification cache, paying the
-	// full Open cost on every reception. It is the reference path the
-	// crypto differential wall compares against and is excluded from the
-	// canonical fingerprint (caching is observably invisible).
-	NoVerifyCache bool
 
 	// Attack.
 	Attack          AttackKind
@@ -140,10 +125,9 @@ type Config struct {
 	// count* (2, 4 and 8 workers produce byte-identical outcomes), but they
 	// draw radio RNG from per-shard streams (and, under real crypto,
 	// per-shard signing streams), so they form their own mode distinct
-	// from the serial stream. Sharded mode requires the spatial index
-	// (LinearScan false) and excludes Trace — Validate enforces both; any
-	// crypto scheme is allowed, since verification state is per-agent and
-	// signing randomness is per-shard.
+	// from the serial stream. Sharded mode excludes Trace — Validate
+	// enforces it; any crypto scheme is allowed, since verification state
+	// is per-agent and signing randomness is per-shard.
 	RunWorkers int
 }
 
@@ -153,18 +137,6 @@ const (
 	SchemeSession     = "session"     // ECDSA anchor per epoch + HMAC per packet
 	SchemePlaceholder = "placeholder" // free digest signatures (ablation)
 )
-
-// SchemeName resolves the effective crypto scheme: the explicit CryptoScheme
-// if set, otherwise derived from the legacy RealCrypto boolean.
-func (c Config) SchemeName() string {
-	if c.CryptoScheme != "" {
-		return c.CryptoScheme
-	}
-	if c.RealCrypto {
-		return SchemeECDSA
-	}
-	return SchemePlaceholder
-}
 
 // DefaultConfig returns the paper's Table I parameters with protocol
 // defaults: verification on, real ECDSA, two trusted authorities, no channel
@@ -188,7 +160,7 @@ func DefaultConfig() Config {
 		CertValidity:    time.Hour,
 		BackboneLatency: time.Millisecond,
 		Vehicle:         core.VehicleConfig{Verify: true},
-		RealCrypto:      true,
+		CryptoScheme:    SchemeECDSA,
 		Attack:          SingleBlackHole,
 		ActLegitProb:    0.15,
 		FleeProb:        0.3,
@@ -244,6 +216,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackboneLatency == 0 {
 		c.BackboneLatency = def.BackboneLatency
+	}
+	if c.CryptoScheme == "" {
+		c.CryptoScheme = def.CryptoScheme
 	}
 	if c.Attack == 0 {
 		c.Attack = def.Attack
@@ -301,19 +276,14 @@ func (c Config) Validate() error {
 	case c.ExtraAttackers < 0 || c.ExtraAttackers > c.Vehicles/4:
 		return fmt.Errorf("scenario: %d extra attackers for %d vehicles", c.ExtraAttackers, c.Vehicles)
 	}
-	switch c.SchemeName() {
+	switch c.CryptoScheme {
 	case SchemeECDSA, SchemeSession, SchemePlaceholder:
 	default:
 		return fmt.Errorf("scenario: unknown crypto scheme %q (want %q, %q or %q)",
 			c.CryptoScheme, SchemeECDSA, SchemeSession, SchemePlaceholder)
 	}
-	if c.RunWorkers >= 2 {
-		switch {
-		case c.Trace:
-			return fmt.Errorf("scenario: RunWorkers=%d excludes Trace (the recorder is not shard-safe)", c.RunWorkers)
-		case c.LinearScan:
-			return fmt.Errorf("scenario: RunWorkers=%d requires the spatial index (LinearScan=false)", c.RunWorkers)
-		}
+	if c.RunWorkers >= 2 && c.Trace {
+		return fmt.Errorf("scenario: RunWorkers=%d excludes Trace (the recorder is not shard-safe)", c.RunWorkers)
 	}
 	return c.Fault.Validate(clusters)
 }

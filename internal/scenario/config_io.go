@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -25,11 +27,19 @@ func LoadConfig(path string) (Config, error) {
 
 // DecodeConfig parses a JSON config document, layering it over DefaultConfig
 // exactly as LoadConfig does for files. The serve subsystem decodes request
-// bodies through it so a job payload and a config file mean the same thing.
+// bodies and recovered journals through it so a job payload and a config
+// file mean the same thing. Decoding is strict: a field Config does not have
+// (a typo, or one a later release removed) and data after the document are
+// errors, never silently dropped.
 func DecodeConfig(b []byte) (Config, error) {
 	cfg := DefaultConfig()
-	if err := json.Unmarshal(b, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("parsing config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("parsing config: trailing data after the config document")
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err

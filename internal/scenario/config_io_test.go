@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -95,4 +97,65 @@ func TestLoadedConfigRunsIdentically(t *testing.T) {
 	if a != b {
 		t.Errorf("run from saved config diverged:\n a=%+v\n b=%+v", a, b)
 	}
+}
+
+// TestDecodeConfigIsStrict: a field Config does not have — a typo, or one a
+// later release removed — is an error naming the field, and so is any data
+// after the document; neither may silently change the run.
+func TestDecodeConfigIsStrict(t *testing.T) {
+	for _, field := range []string{"RealCrypto", "LinearScan", "NoVerifyCache", "Vehicels"} {
+		_, err := DecodeConfig([]byte(`{"Seed":3,"` + field + `":false}`))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: err = %v, want an error naming the field", field, err)
+		}
+	}
+	for _, doc := range []string{`{"Seed":3} {"Seed":4}`, `{"Seed":3}}`, `{"Seed":3} x`} {
+		if _, err := DecodeConfig([]byte(doc)); err == nil {
+			t.Errorf("%s: trailing data accepted", doc)
+		}
+	}
+	cfg, err := DecodeConfig([]byte(" {\"Seed\":3}\n"))
+	if err != nil || cfg.Seed != 3 || cfg.CryptoScheme != SchemeECDSA {
+		t.Errorf("padded document: cfg %+v, err %v", cfg, err)
+	}
+}
+
+// FuzzDecodeConfig: strict decoding never panics, every accepted document
+// canonicalises, and its canonical bytes strictly decode back to the same
+// canonical bytes — the fixed point the serve cache key and durable-journal
+// recovery rely on.
+func FuzzDecodeConfig(f *testing.F) {
+	for _, seed := range []string{
+		`{"Seed":3,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"placeholder"}`,
+		`{"Seed":5,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"session","RunWorkers":4}`,
+		`{"Seed":9,"AttackerCluster":3,"EvasiveClusters":[10,8,9,8],"Trace":true}`,
+		`{"Topology":"grid","GridRows":3,"GridCols":3,"AttackerCluster":5}`,
+		`{"Fault":{"HeadCrashes":[{"Cluster":4,"At":2000000000}],"Burst":{"LossBad":0.3,"GoodToBad":0.1,"BadToGood":0.2}}}`,
+		`{"Seed":3,"RealCrypto":false}`,
+		`{"LinearScan":true,"NoVerifyCache":true}`,
+		`{"CryptoScheme":"rot13"}`,
+		`{"Seed":1} {"Seed":2}`,
+		`{}`,
+		`{"Seed":`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		cfg, err := DecodeConfig(doc)
+		if err != nil {
+			return
+		}
+		canon, err := Canonical(cfg)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot canonicalise it: %v", doc, err)
+		}
+		back, err := DecodeConfig(canon)
+		if err != nil {
+			t.Fatalf("canonical form %s does not decode: %v", canon, err)
+		}
+		again, err := Canonical(back)
+		if err != nil || !bytes.Equal(again, canon) {
+			t.Fatalf("canonical form is not a fixed point (err %v):\n first  %s\n second %s", err, canon, again)
+		}
+	})
 }

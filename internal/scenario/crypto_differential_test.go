@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -12,8 +13,8 @@ import (
 
 // The crypto differential wall. Three invariants pinned here:
 //
-//  1. The verification cache is byte-for-bit invisible: a cached run and a
-//     NoVerifyCache reference run of the same config produce identical
+//  1. The verification cache is byte-for-bit invisible: a cached run and an
+//     uncached reference run of the same config produce identical
 //     outcomes, seed by seed, and the cached stream matches a golden hash so
 //     the fast path cannot drift across releases.
 //  2. The session-token scheme is its own pinned deterministic stream — and,
@@ -41,7 +42,6 @@ func cryptoDiffConfig(seed int64) Config {
 	cfg.AttackerCluster = 2
 	cfg.DataPackets = 5
 	cfg.MaxSimTime = 45 * time.Second
-	cfg.RealCrypto = true
 	return cfg
 }
 
@@ -70,14 +70,12 @@ func cryptoStreamHash(t *testing.T, outcomes []metrics.Outcome) string {
 func TestCryptoCachedMatchesUncached(t *testing.T) {
 	outcomes := make([]metrics.Outcome, 0, cryptoDiffSeeds)
 	for seed := int64(1); seed <= cryptoDiffSeeds; seed++ {
-		cached := cryptoDiffConfig(seed)
-		want, err := Run(cached)
+		cfg := cryptoDiffConfig(seed)
+		want, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("seed %d cached: %v", seed, err)
 		}
-		reference := cryptoDiffConfig(seed)
-		reference.NoVerifyCache = true
-		got, err := Run(reference)
+		got, err := runPooled(context.Background(), cfg, nil, reference{noVerifyCache: true})
 		if err != nil {
 			t.Fatalf("seed %d uncached: %v", seed, err)
 		}
@@ -168,7 +166,6 @@ func TestCryptoSchemeVerdictParity(t *testing.T) {
 		for _, scheme := range []string{SchemeSession, SchemePlaceholder} {
 			cfg := cryptoDiffConfig(seed)
 			cfg.CryptoScheme = scheme
-			cfg.RealCrypto = scheme != SchemePlaceholder
 			out, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, scheme, err)
@@ -215,36 +212,23 @@ func TestCryptoShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestCryptoFingerprint pins the cache-key semantics of the new knobs: the
-// scheme is part of a run's identity, the verification cache is not, and the
-// legacy RealCrypto boolean collapses onto the explicit scheme names.
+// TestCryptoFingerprint pins the cache-key semantics of the scheme: it is
+// part of a run's identity, and an empty scheme is the ecdsa default.
 func TestCryptoFingerprint(t *testing.T) {
-	fp := func(mutate func(*Config)) string {
+	fp := func(scheme string) string {
 		cfg := cryptoDiffConfig(1)
-		mutate(&cfg)
+		cfg.CryptoScheme = scheme
 		s, err := Fingerprint(cfg)
 		if err != nil {
 			t.Fatalf("fingerprint: %v", err)
 		}
 		return s
 	}
-	ecdsa := fp(func(c *Config) { c.CryptoScheme = SchemeECDSA })
-	session := fp(func(c *Config) { c.CryptoScheme = SchemeSession })
-	placeholder := fp(func(c *Config) { c.CryptoScheme = SchemePlaceholder; c.RealCrypto = false })
-
+	ecdsa, session, placeholder := fp(SchemeECDSA), fp(SchemeSession), fp(SchemePlaceholder)
 	if ecdsa == session || ecdsa == placeholder || session == placeholder {
 		t.Errorf("scheme classes must have distinct fingerprints: ecdsa=%s session=%s placeholder=%s", ecdsa, session, placeholder)
 	}
-	if got := fp(func(c *Config) { c.RealCrypto = true }); got != ecdsa {
-		t.Error("legacy RealCrypto=true should share the ecdsa fingerprint")
-	}
-	if got := fp(func(c *Config) { c.RealCrypto = false }); got != placeholder {
-		t.Error("legacy RealCrypto=false should share the placeholder fingerprint")
-	}
-	if got := fp(func(c *Config) { c.CryptoScheme = SchemeECDSA; c.NoVerifyCache = true }); got != ecdsa {
-		t.Error("NoVerifyCache is byte-invisible and must not change the fingerprint")
-	}
-	if got := fp(func(c *Config) { c.CryptoScheme = SchemeSession; c.NoVerifyCache = true }); got != session {
-		t.Error("NoVerifyCache must not change the session fingerprint")
+	if fp("") != ecdsa {
+		t.Error("an empty scheme should share the ecdsa fingerprint")
 	}
 }

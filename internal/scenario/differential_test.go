@@ -83,17 +83,17 @@ func TestFig4SweepGoldenHash(t *testing.T) {
 	base.DataPackets = 5
 	base.MaxSimTime = 45 * time.Second
 	base.Seed = 42
-	assertFig4GoldenHash(t, base)
+	assertFig4GoldenHash(t, base, reference{})
 }
 
-// assertFig4GoldenHash runs the pinned Fig4 sweep for base at two worker
-// counts and holds the marshalled points to fig4GoldenHash. Shared with the
-// spatial-index differential suite, which asserts the linear-scan escape
-// hatch reproduces the identical bytes.
-func assertFig4GoldenHash(t *testing.T, base Config) {
+// assertFig4GoldenHash runs the pinned Fig4 sweep for base on the reference
+// paths ref selects at two worker counts and holds the marshalled points to
+// fig4GoldenHash. Shared with the spatial-index differential suite, which
+// asserts the linear-scan reference reproduces the identical bytes.
+func assertFig4GoldenHash(t *testing.T, base Config, ref reference) {
 	t.Helper()
 	for _, workers := range []int{1, 4} {
-		points, err := RunFig4Sweep(context.Background(), base, SingleBlackHole, 2, SweepOptions{Workers: workers})
+		points, err := RunFig4Sweep(context.Background(), base, SingleBlackHole, 2, SweepOptions{Workers: workers, ref: ref})
 		if err != nil {
 			t.Fatal(err)
 		}

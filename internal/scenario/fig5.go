@@ -372,7 +372,7 @@ func RunFig4Sweep(ctx context.Context, base Config, kind AttackKind, reps int, o
 	}, func(int) *sim.EventPool {
 		return sim.NewEventPool()
 	}, func(ctx context.Context, i int, pool *sim.EventPool) (metrics.Outcome, error) {
-		return runPooled(ctx, cfgs[i], pool)
+		return runPooled(ctx, cfgs[i], pool, opt.ref)
 	})
 	if err != nil {
 		return nil, err

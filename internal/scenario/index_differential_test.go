@@ -15,7 +15,7 @@ import (
 // to the crypto scheme.
 func indexDiffConfig() Config {
 	cfg := diffConfig()
-	cfg.RealCrypto = false
+	cfg.CryptoScheme = SchemePlaceholder
 	return cfg
 }
 
@@ -33,15 +33,12 @@ func TestGridIndexDifferential(t *testing.T) {
 	base.AttackerCluster = 0
 	for s := 0; s < seeds; s++ {
 		base.Seed = int64(1000 + 37*s)
-		grid := base
-		linear := base
-		linear.LinearScan = true
-
-		gp, err := RunFig4Sweep(context.Background(), grid, SingleBlackHole, 1, SweepOptions{Workers: 4})
+		gp, err := RunFig4Sweep(context.Background(), base, SingleBlackHole, 1, SweepOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := RunFig4Sweep(context.Background(), linear, SingleBlackHole, 1, SweepOptions{Workers: 4})
+		lp, err := RunFig4Sweep(context.Background(), base, SingleBlackHole, 1,
+			SweepOptions{Workers: 4, ref: reference{linearScan: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +66,7 @@ func TestLinearScanGoldenHash(t *testing.T) {
 	base.DataPackets = 5
 	base.MaxSimTime = 45 * time.Second
 	base.Seed = 42
-	base.LinearScan = true
-	assertFig4GoldenHash(t, base)
+	assertFig4GoldenHash(t, base, reference{linearScan: true})
 }
 
 // TestRunSweepStreamMatchesRetained holds the streaming sweep to the

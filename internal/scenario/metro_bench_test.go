@@ -15,7 +15,7 @@ func metroConfig(vehicles, rowsCols int) Config {
 	cfg.GridRows = rowsCols
 	cfg.GridCols = rowsCols
 	cfg.Vehicles = vehicles
-	cfg.RealCrypto = false
+	cfg.CryptoScheme = SchemePlaceholder
 	cfg.DataPackets = 2
 	cfg.MaxSimTime = 10e9 // 10 simulated seconds
 	return cfg

@@ -24,7 +24,7 @@ func propConfig(seed int64) Config {
 	cfg.HighwayLengthM = 4000
 	cfg.Vehicles = 30
 	cfg.Authorities = 2
-	cfg.RealCrypto = false
+	cfg.CryptoScheme = SchemePlaceholder
 	cfg.DataPackets = 5
 	cfg.MaxSimTime = 45 * time.Second
 	return cfg

@@ -20,6 +20,7 @@ func rangeTestConfig(seed int64) Config {
 		AttackerCluster: 2,
 		DataPackets:     5,
 		MaxSimTime:      45 * time.Second,
+		CryptoScheme:    SchemePlaceholder,
 	}
 }
 

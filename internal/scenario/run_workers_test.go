@@ -21,7 +21,7 @@ import (
 func shardedConfig(seed int64) Config {
 	cfg := DefaultConfig()
 	cfg.Seed = seed
-	cfg.RealCrypto = false
+	cfg.CryptoScheme = SchemePlaceholder
 	return cfg
 }
 
@@ -141,7 +141,6 @@ func TestRunWorkersValidation(t *testing.T) {
 		want   string
 	}{
 		{"trace", func(c *Config) { c.Trace = true }, "Trace"},
-		{"linear scan", func(c *Config) { c.LinearScan = true }, "spatial index"},
 		{"unknown scheme", func(c *Config) { c.CryptoScheme = "rot13" }, "crypto scheme"},
 	}
 	for _, tc := range cases {
@@ -159,12 +158,16 @@ func TestRunWorkersValidation(t *testing.T) {
 		ok := shardedConfig(1)
 		ok.RunWorkers = 4
 		ok.CryptoScheme = scheme
-		if scheme != "" {
-			ok.RealCrypto = scheme != SchemePlaceholder
-		}
 		if err := ok.Validate(); err != nil {
 			t.Errorf("sharded config with scheme %q rejected: %v", scheme, err)
 		}
+	}
+	// The linear-scan reference path reads the medium without the
+	// sharded executor's spatial-index refresh, so the build refuses it.
+	cfg := shardedConfig(1)
+	cfg.RunWorkers = 4
+	if _, err := buildPooled(cfg, nil, reference{linearScan: true}); err == nil || !strings.Contains(err.Error(), "spatial index") {
+		t.Errorf("sharded linear-scan build: err = %v, want error mentioning %q", err, "spatial index")
 	}
 }
 

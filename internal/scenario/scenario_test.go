@@ -192,7 +192,7 @@ func TestInsecureSchemeRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 19
 	cfg.AttackerCluster = 3
-	cfg.RealCrypto = false
+	cfg.CryptoScheme = SchemePlaceholder
 	o, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

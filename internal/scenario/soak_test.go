@@ -44,7 +44,7 @@ func TestSoakInvariants(t *testing.T) {
 			cfg.LossRate = 0.01
 		}
 		if rng.Bool(0.3) {
-			cfg.RealCrypto = false
+			cfg.CryptoScheme = SchemePlaceholder
 		}
 
 		o, err := Run(cfg)

@@ -104,7 +104,21 @@ func (h *Hostile) detectedIn(t *core.Tally) bool {
 
 // Build constructs the world for cfg without running it.
 func Build(cfg Config) (*World, error) {
-	return buildPooled(cfg, nil)
+	return buildPooled(cfg, nil, reference{})
+}
+
+// reference selects the retained reference implementations that the
+// differential tests hold the production paths against. Both are
+// byte-for-bit invisible, so they are build arguments rather than Config
+// fields: they never reach a fingerprint, a request body or a flag. Every
+// production caller passes the zero value.
+type reference struct {
+	// linearScan resolves radio neighbours by the O(N) scan instead of the
+	// grid-hash spatial index.
+	linearScan bool
+	// noVerifyCache pays the full Open cost on every reception instead of
+	// consulting the per-agent verification cache.
+	noVerifyCache bool
 }
 
 // buildTopology constructs the road layout cfg selects. The highway return
@@ -141,15 +155,19 @@ func buildTopology(cfg Config) (mobility.Topology, *mobility.Highway, *mobility.
 	}
 }
 
-// buildPooled is Build with a shared event pool for the scheduler. Sweep
-// workers pass their per-worker pool so consecutive replications reuse one
-// warmed free list; a nil pool gives the scheduler a private pool, which is
-// exactly Build. Pooling must stay invisible to outcomes — the differential
-// and golden-hash tests in this package enforce that.
-func buildPooled(cfg Config, pool *sim.EventPool) (*World, error) {
+// buildPooled is Build with a shared event pool for the scheduler and the
+// reference paths ref selects. Sweep workers pass their per-worker pool so
+// consecutive replications reuse one warmed free list; a nil pool gives the
+// scheduler a private pool, which is exactly Build. Pooling must stay
+// invisible to outcomes — the differential and golden-hash tests in this
+// package enforce that.
+func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if ref.linearScan && cfg.RunWorkers >= 2 {
+		return nil, fmt.Errorf("scenario: RunWorkers=%d requires the spatial index, not the linear scan", cfg.RunWorkers)
 	}
 	topo, highway, mesh, err := buildTopology(cfg)
 	if err != nil {
@@ -173,7 +191,7 @@ func buildPooled(cfg Config, pool *sim.EventPool) (*World, error) {
 	}
 
 	var scheme pki.Scheme = pki.Insecure{}
-	switch cfg.SchemeName() {
+	switch cfg.CryptoScheme {
 	case SchemeECDSA:
 		scheme = pki.ECDSA{Rand: rng.Split("crypto").Reader()}
 	case SchemeSession:
@@ -187,7 +205,7 @@ func buildPooled(cfg Config, pool *sim.EventPool) (*World, error) {
 		tracer = trace.NewRecorder(sched.Now, 0)
 	}
 	radioOpts := []radio.Option{radio.WithRange(cfg.TxRangeM), radio.WithLossRate(cfg.LossRate)}
-	if cfg.LinearScan {
+	if ref.linearScan {
 		radioOpts = append(radioOpts, radio.WithLinearScan())
 	}
 	if cfg.Fault.Burst.Enabled() {
@@ -219,7 +237,7 @@ func buildPooled(cfg Config, pool *sim.EventPool) (*World, error) {
 		shard.OnWindow(func(_, we time.Duration) { medium.RefreshIndex(we) })
 	}
 	var shardSchemes []pki.Scheme
-	if shard != nil && cfg.SchemeName() == SchemeECDSA {
+	if shard != nil && cfg.CryptoScheme == SchemeECDSA {
 		// ECDSA signing draws nonce randomness per signature, so strip
 		// shards each get their own signing stream — agents on one shard
 		// sign serially, and the draw sequence per shard is a pure function
@@ -242,7 +260,7 @@ func buildPooled(cfg Config, pool *sim.EventPool) (*World, error) {
 		Tracer:   tracer,
 		Tally:    core.NewTally(),
 
-		NoVerifyCache: cfg.NoVerifyCache,
+		NoVerifyCache: ref.noVerifyCache,
 	}
 	if shard != nil {
 		env.Port = ports[0]
@@ -984,13 +1002,13 @@ func Run(cfg Config) (metrics.Outcome, error) {
 
 // RunContext is Run with cooperative cancellation (see World.RunContext).
 func RunContext(ctx context.Context, cfg Config) (metrics.Outcome, error) {
-	return runPooled(ctx, cfg, nil)
+	return runPooled(ctx, cfg, nil, reference{})
 }
 
 // runPooled builds and executes one replication against a (possibly shared)
-// event pool. See buildPooled for the pooling contract.
-func runPooled(ctx context.Context, cfg Config, pool *sim.EventPool) (metrics.Outcome, error) {
-	w, err := buildPooled(cfg, pool)
+// event pool. See buildPooled for the pooling and reference contracts.
+func runPooled(ctx context.Context, cfg Config, pool *sim.EventPool, ref reference) (metrics.Outcome, error) {
+	w, err := buildPooled(cfg, pool, ref)
 	if err != nil {
 		return metrics.Outcome{}, err
 	}
@@ -1009,6 +1027,10 @@ type SweepOptions struct {
 	// its replication index and error (nil on success). Calls are
 	// serialised but, with more than one worker, not in replication order.
 	OnRep func(rep int, err error)
+
+	// ref selects reference paths for every replication; only this
+	// package's differential tests set it.
+	ref reference
 }
 
 // RunMany executes reps independent runs of cfg with derived seeds and
@@ -1113,7 +1135,7 @@ func RunSweepRange(ctx context.Context, cfg Config, start, count int, opt SweepO
 	}, func(int) *sim.EventPool {
 		return sim.NewEventPool()
 	}, func(ctx context.Context, rep int, pool *sim.EventPool) (metrics.Outcome, error) {
-		return runPooled(ctx, cfgs[rep], pool)
+		return runPooled(ctx, cfgs[rep], pool, opt.ref)
 	})
 }
 
@@ -1145,7 +1167,7 @@ func RunSweepStream(ctx context.Context, cfg Config, reps int, opt SweepOptions,
 	}, func(int) *sim.EventPool {
 		return sim.NewEventPool()
 	}, func(ctx context.Context, rep int, pool *sim.EventPool) (struct{}, error) {
-		o, err := runPooled(ctx, cfgs[rep], pool)
+		o, err := runPooled(ctx, cfgs[rep], pool, opt.ref)
 		if err != nil {
 			return struct{}{}, err
 		}

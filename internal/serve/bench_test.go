@@ -31,7 +31,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	s := mustNew(b, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body := `{"kind":"run","config":{"Seed":7,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"RealCrypto":false}}`
+	body := `{"kind":"run","config":{"Seed":7,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"placeholder"}}`
 	warm, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		b.Fatal(err)
@@ -63,7 +63,7 @@ func BenchmarkServeSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// A fresh seed each iteration defeats the cache on purpose.
-		body := fmt.Sprintf(`{"kind":"sweep","reps":8,"config":{"Seed":%d,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"RealCrypto":false}}`, i+1)
+		body := fmt.Sprintf(`{"kind":"sweep","reps":8,"config":{"Seed":%d,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"placeholder"}}`, i+1)
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			b.Fatal(err)

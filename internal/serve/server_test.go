@@ -16,7 +16,7 @@ import (
 // world (4 clusters, 30 vehicles, full detection pipeline) with free
 // signatures so a run costs milliseconds.
 func tinyWorld(seed int64) string {
-	return fmt.Sprintf(`{"Seed":%d,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"RealCrypto":false}`, seed)
+	return fmt.Sprintf(`{"Seed":%d,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"placeholder"}`, seed)
 }
 
 func runBody(seed int64) string {
@@ -488,28 +488,35 @@ func TestErrorEnvelope(t *testing.T) {
 }
 
 // TestCryptoSchemeSeparatesCacheEntries pins the fingerprint semantics of
-// the crypto knobs at the HTTP layer: scheme classes never share a cache
-// entry, the legacy RealCrypto boolean collapses onto its scheme name, and
-// the byte-invisible verification-cache toggle never splits one.
+// the crypto scheme at the HTTP layer: scheme classes never share a cache
+// entry, an absent scheme is the ecdsa default, and the removed crypto and
+// reference-path fields are a 400 naming the field, never silently ignored.
 func TestCryptoSchemeSeparatesCacheEntries(t *testing.T) {
 	s := mustNew(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	body := func(extra string) string {
-		return fmt.Sprintf(`{"kind":"run","config":{"Seed":5,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,%s}}`, extra)
+		return fmt.Sprintf(`{"kind":"run","config":{"Seed":5,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000%s}}`, extra)
 	}
 
-	if _, cache, _ := post(t, ts, body(`"CryptoScheme":"ecdsa"`)); cache != "miss" {
+	if _, cache, _ := post(t, ts, body(`,"CryptoScheme":"ecdsa"`)); cache != "miss" {
 		t.Fatalf("ecdsa first post: cache %q, want miss", cache)
 	}
-	if _, cache, _ := post(t, ts, body(`"CryptoScheme":"session"`)); cache != "miss" {
+	if _, cache, _ := post(t, ts, body(`,"CryptoScheme":"session"`)); cache != "miss" {
 		t.Fatalf("session must not share the ecdsa entry: cache %q", cache)
 	}
-	if _, cache, _ := post(t, ts, body(`"RealCrypto":true`)); cache != "hit" {
-		t.Fatalf("RealCrypto:true should hit the ecdsa entry: cache %q", cache)
+	if _, cache, _ := post(t, ts, body(``)); cache != "hit" {
+		t.Fatalf("an absent scheme should hit the ecdsa entry: cache %q", cache)
 	}
-	if _, cache, _ := post(t, ts, body(`"CryptoScheme":"ecdsa","NoVerifyCache":true`)); cache != "hit" {
-		t.Fatalf("NoVerifyCache is byte-invisible and should hit: cache %q", cache)
+	for _, field := range []string{"RealCrypto", "LinearScan", "NoVerifyCache"} {
+		status, _, lines := post(t, ts, body(fmt.Sprintf(`,%q:true`, field)))
+		var e APIError
+		if err := json.Unmarshal([]byte(lines[0]), &e); err != nil {
+			t.Fatalf("%s: error body is not the JSON envelope: %q (%v)", field, lines, err)
+		}
+		if status != http.StatusBadRequest || e.Code != "bad_request" || !strings.Contains(e.Message, field) {
+			t.Errorf("%s: status %d envelope %+v, want a 400 naming the field", field, status, e)
+		}
 	}
 }

@@ -57,6 +57,11 @@ func ParseTenant(s string) (Tenant, error) {
 		if err != nil {
 			return Tenant{}, fmt.Errorf("serve: tenant %q: bad rate: %w", s, err)
 		}
+		// A NaN rate would never admit the tenant and an infinite one has
+		// no burst; neither is a rate.
+		if math.IsNaN(rate) || math.IsInf(rate, 0) {
+			return Tenant{}, fmt.Errorf("serve: tenant %q: rate %v is not finite", s, rate)
+		}
 		t.Rate = rate
 	}
 	if len(parts) >= 4 && parts[3] != "" {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -48,6 +49,9 @@ func TestParseTenant(t *testing.T) {
 		{":k1", Tenant{}, false},
 		{"alice:", Tenant{}, false},
 		{"alice:k1:fast", Tenant{}, false},
+		{"alice:k1:NaN", Tenant{}, false},
+		{"alice:k1:+Inf", Tenant{}, false},
+		{"alice:k1:-inf:3", Tenant{}, false},
 		{"alice:k1:1:2:3", Tenant{}, false},
 	}
 	for _, c := range cases {
@@ -72,6 +76,24 @@ func TestParseTenant(t *testing.T) {
 			t.Errorf("New accepted invalid tenant set %+v", bad)
 		}
 	}
+}
+
+// FuzzParseTenant: the -api-key grammar never panics, and every accepted
+// tenant has a non-empty name and key and a finite rate.
+func FuzzParseTenant(f *testing.F) {
+	for _, seed := range []string{"alice:k1", "alice:k1:2.5", "alice:k1:2.5:7", "alice:k1:NaN",
+		"alice:k1:+Inf:1", " :k", "a:b:c:d:e", "a:k:1e309", "a:k:0x1p-2:-3"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tn, err := ParseTenant(s)
+		if err != nil {
+			return
+		}
+		if tn.Name == "" || tn.Key == "" || math.IsNaN(tn.Rate) || math.IsInf(tn.Rate, 0) {
+			t.Fatalf("ParseTenant(%q) accepted %+v", s, tn)
+		}
+	})
 }
 
 // TestAdmissionFairShare pins the slot discipline at the unit level: one

@@ -63,7 +63,7 @@ pids="$pids $!"
 baseline="$(await_addr "$tmp/baseline.log")"
 echo "testnet: baseline on $baseline"
 
-body="{\"kind\":\"sweep\",\"reps\":$reps,\"config\":{\"Seed\":5,\"HighwayLengthM\":4000,\"Vehicles\":30,\"AttackerCluster\":2,\"DataPackets\":5,\"MaxSimTime\":45000000000,\"RealCrypto\":false}}"
+body="{\"kind\":\"sweep\",\"reps\":$reps,\"config\":{\"Seed\":5,\"HighwayLengthM\":4000,\"Vehicles\":30,\"AttackerCluster\":2,\"DataPackets\":5,\"MaxSimTime\":45000000000,\"CryptoScheme\":\"placeholder\"}}"
 
 echo "testnet: baseline sweep ($reps reps, single node)"
 curl -sfN "http://$baseline/v1/jobs" -d "$body" | tail -n 1 >"$tmp/want.json"

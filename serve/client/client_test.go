@@ -28,7 +28,7 @@ func TestClientAgainstServe(t *testing.T) {
 	ctx := context.Background()
 
 	req := client.Request{Kind: "run", Config: []byte(
-		`{"Seed":3,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"RealCrypto":false}`)}
+		`{"Seed":3,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"MaxSimTime":45000000000,"CryptoScheme":"placeholder"}`)}
 
 	var lines int
 	first, err := cl.Submit(ctx, req, func([]byte) { lines++ })
