@@ -38,11 +38,12 @@ func newWorldWithHeads(t *testing.T, seed int64, headCfg HeadConfig) *world {
 	}
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(seed)
+	rng.Split("crypto") // spent: signatures draw nothing, but the radio split follows it
 	env := Env{
 		Sched:    sched,
 		RNG:      rng,
 		Trust:    pki.NewTrustStore(),
-		Scheme:   pki.ECDSA{Rand: rng.Split("crypto").Reader()},
+		Scheme:   pki.ECDSA{},
 		Dir:      cluster.NewDirectory(),
 		Highway:  highway,
 		Medium:   radio.NewMedium(sched, rng.Split("radio")),

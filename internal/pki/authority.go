@@ -34,18 +34,17 @@ var (
 // everything the run can observe before the first signature — pseudonym,
 // serial, authority and expiry — and the key pair plus the TA's signature
 // over the certificate are minted on first use: the first Seal, or the
-// first call to Certificate or PrivateKey. Minting draws the key, and under
-// ECDSA the certificate signature's nonce, from the stream handed to Issue
-// rather than the scheme's shared stream (a SessionToken draws its epoch
-// anchors under its own lock), so it may happen on any shard. A credential
-// is minted at most once, however many goroutines use it.
+// first call to Certificate or PrivateKey. Minting derives the key from the
+// stream handed to Issue, and signatures are deterministic, so it shares no
+// state with other credentials and may happen on any shard. A credential is
+// minted at most once, however many goroutines use it.
 type Credential struct {
 	cert wire.Certificate // PubKey and Signature stay empty until minted
 	key  *ecdsa.PrivateKey
 
 	mint sync.Once
 	auth *Authority // issuer that mints the credential; nil when complete
-	rand io.Reader  // key and nonce stream for minting
+	rand io.Reader  // key stream for minting
 	err  error      // sticky minting failure
 }
 
@@ -199,9 +198,9 @@ func (a *Authority) PublicKey() *ecdsa.PublicKey { return &a.key.PublicKey }
 
 // Issue creates a fresh credential for the (TA-internal) identity lineage,
 // valid for validity from now. Pseudonyms are allocated from the authority's
-// private range so two authorities never collide. The key pair and the
-// certificate signature are minted from rand (nil for crypto/rand) on the
-// credential's first use; rand must stay private to the credential.
+// private range so two authorities never collide. The key pair is derived
+// from rand (nil for crypto/rand) on the credential's first use, when the
+// certificate is signed; rand must stay private to the credential.
 func (a *Authority) Issue(lineage string, validity time.Duration, rand io.Reader) (*Credential, error) {
 	if lineage == "" {
 		return nil, errors.New("pki: empty lineage")
@@ -216,9 +215,8 @@ func (a *Authority) Issue(lineage string, validity time.Duration, rand io.Reader
 	return &Credential{cert: a.allocateCert(lineage, validity), auth: a, rand: rand}, nil
 }
 
-// mint generates c's key pair and signs its certificate. The certificate
-// signature draws its nonce from c's own stream rather than the scheme's
-// shared one, so concurrent mints on different shards share no state.
+// mint derives c's key pair from c's own stream and signs its certificate,
+// so concurrent mints on different shards share no state.
 func (a *Authority) mint(c *Credential) error {
 	key, err := GenerateKey(c.rand)
 	if err != nil {
@@ -230,12 +228,7 @@ func (a *Authority) mint(c *Credential) error {
 	}
 	cert := c.cert
 	cert.PubKey = der
-	scheme := a.scheme
-	if e, ok := scheme.(ECDSA); ok {
-		e.Rand = c.rand
-		scheme = e
-	}
-	sig, err := scheme.Sign(a.key, cert.Preimage())
+	sig, err := a.scheme.Sign(a.key, cert.Preimage())
 	if err != nil {
 		return err
 	}

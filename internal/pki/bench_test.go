@@ -24,7 +24,7 @@ func benchSetup(b *testing.B, scheme Scheme) (*Authority, *Credential, *TrustSto
 // BenchmarkSealECDSA measures signing one route reply (the per-RREP cost a
 // destination or intermediate pays).
 func BenchmarkSealECDSA(b *testing.B) {
-	scheme := ECDSA{Rand: newDetReader(3)}
+	scheme := ECDSA{}
 	_, cred, _ := benchSetup(b, scheme)
 	p := &wire.RREP{Origin: 1, Dest: 7, DestSeq: 75, HopCount: 3, Issuer: cred.NodeID()}
 	b.ReportAllocs()
@@ -39,7 +39,7 @@ func BenchmarkSealECDSA(b *testing.B) {
 // plus signature verification plus decode — the paper's per-packet
 // authentication cost at vehicles and RSUs.
 func BenchmarkOpenECDSA(b *testing.B) {
-	scheme := ECDSA{Rand: newDetReader(3)}
+	scheme := ECDSA{}
 	_, cred, trust := benchSetup(b, scheme)
 	sec, err := Seal(&wire.RREP{Origin: 1, Dest: 7, DestSeq: 75, Issuer: cred.NodeID()}, cred, scheme)
 	if err != nil {
@@ -73,7 +73,7 @@ func BenchmarkOpenInsecure(b *testing.B) {
 // generation + TA signature at mint), the TA-side renewal cost the paper
 // worries about under load.
 func BenchmarkIssue(b *testing.B) {
-	scheme := ECDSA{Rand: newDetReader(3)}
+	scheme := ECDSA{}
 	a, _, _ := benchSetup(b, scheme)
 	r := newDetReader(4)
 	b.ReportAllocs()
@@ -90,7 +90,7 @@ func BenchmarkIssue(b *testing.B) {
 
 // BenchmarkVerifyCertificate isolates the certificate check.
 func BenchmarkVerifyCertificate(b *testing.B) {
-	scheme := ECDSA{Rand: newDetReader(3)}
+	scheme := ECDSA{}
 	_, cred, trust := benchSetup(b, scheme)
 	cert := certOf(b, cred)
 	b.ReportAllocs()
@@ -104,7 +104,7 @@ func BenchmarkVerifyCertificate(b *testing.B) {
 // BenchmarkOpenECDSACached measures the steady-state receiver cost once the
 // verification cache is warm — the price of a re-broadcast reception.
 func BenchmarkOpenECDSACached(b *testing.B) {
-	scheme := ECDSA{Rand: newDetReader(3)}
+	scheme := ECDSA{}
 	_, cred, trust := benchSetup(b, scheme)
 	sec, err := Seal(&wire.RREP{Origin: 1, Dest: 7, DestSeq: 75, Issuer: cred.NodeID()}, cred, scheme)
 	if err != nil {
@@ -158,7 +158,7 @@ func relayedBenchWorkload(b *testing.B, scheme Scheme) (*TrustStore, []*wire.Sec
 // BenchmarkOpenRelayedECDSA is the uncached reference on the relayed
 // workload: every reception pays the full certificate + envelope ECDSA cost.
 func BenchmarkOpenRelayedECDSA(b *testing.B) {
-	scheme := ECDSA{Rand: newDetReader(3)}
+	scheme := ECDSA{}
 	trust, work := relayedBenchWorkload(b, scheme)
 	v := NewVerifier(trust, scheme, VerifierOptions{Disabled: true})
 	b.ReportAllocs()
@@ -178,7 +178,7 @@ func BenchmarkOpenRelayedECDSA(b *testing.B) {
 // cost is BenchmarkOpenECDSA, and TestCachedVerifyReduction pins the >= 5x
 // verification reduction including the cold misses.
 func BenchmarkOpenRelayedECDSACached(b *testing.B) {
-	scheme := ECDSA{Rand: newDetReader(3)}
+	scheme := ECDSA{}
 	trust, work := relayedBenchWorkload(b, scheme)
 	v := NewVerifier(trust, scheme, VerifierOptions{})
 	for _, sec := range work {
@@ -200,7 +200,7 @@ func BenchmarkOpenRelayedECDSACached(b *testing.B) {
 // BenchmarkSealSessionToken measures the sender-side per-packet cost under
 // the session-token scheme (epoch anchor amortized away).
 func BenchmarkSealSessionToken(b *testing.B) {
-	scheme := NewSessionToken(newDetReader(3))
+	scheme := NewSessionToken()
 	_, cred, _ := benchSetup(b, scheme)
 	p := &wire.RREP{Origin: 1, Dest: 7, DestSeq: 75, HopCount: 3, Issuer: cred.NodeID()}
 	if _, err := Seal(p, cred, scheme); err != nil { // establish the epoch
@@ -219,7 +219,7 @@ func BenchmarkSealSessionToken(b *testing.B) {
 // the session-token scheme: after the one ECDSA anchor verification per
 // epoch, each packet is an HMAC compare (plus the cached certificate check).
 func BenchmarkOpenSessionToken(b *testing.B) {
-	scheme := NewSessionToken(newDetReader(3))
+	scheme := NewSessionToken()
 	_, cred, trust := benchSetup(b, scheme)
 	sec, err := Seal(&wire.RREP{Origin: 1, Dest: 7, DestSeq: 75, Issuer: cred.NodeID()}, cred, scheme)
 	if err != nil {

@@ -51,7 +51,7 @@ func TestIssueDefersMinting(t *testing.T) {
 // TestSealMintsOnce: two Seals on one credential mint exactly once and carry
 // the same certificate; both envelopes open.
 func TestSealMintsOnce(t *testing.T) {
-	for _, scheme := range []Scheme{ECDSA{Rand: newDetReader(5)}, Insecure{}, NewSessionToken(newDetReader(5))} {
+	for _, scheme := range []Scheme{ECDSA{}, Insecure{}, NewSessionToken()} {
 		t.Run(scheme.Name(), func(t *testing.T) {
 			trust := NewTrustStore()
 			clk := &fakeClock{}
@@ -122,7 +122,7 @@ func TestNeverUsedCredentialRenews(t *testing.T) {
 func TestMintErrorSurfacesFromSeal(t *testing.T) {
 	trust := NewTrustStore()
 	clk := &fakeClock{}
-	scheme := ECDSA{Rand: newDetReader(5)}
+	scheme := ECDSA{}
 	a, err := NewAuthority(1, trust, clk.clock, scheme, newDetReader(1))
 	if err != nil {
 		t.Fatal(err)
@@ -147,19 +147,10 @@ func TestMintErrorSurfacesFromSeal(t *testing.T) {
 
 // TestConcurrentMinting mints credentials of one authority from many
 // goroutines, several of them racing on the same credential, as the shards
-// of a sharded run do. Each goroutine signs packets with its own ECDSA
-// stream, like a shard; the authority's scheme — and with ECDSA its shared
-// nonce stream — must stay untouched by minting. Run with -race.
+// of a sharded run do, every goroutine sealing with the authority's scheme.
+// Run with -race.
 func TestConcurrentMinting(t *testing.T) {
-	session := NewSessionToken(newDetReader(5))
-	for _, tc := range []struct {
-		scheme    Scheme
-		sealerFor func(i int) Scheme
-	}{
-		{ECDSA{Rand: newDetReader(5)}, func(i int) Scheme { return ECDSA{Rand: newDetReader(int64(100 + i))} }},
-		{session, func(int) Scheme { return session }},
-	} {
-		scheme := tc.scheme
+	for _, scheme := range []Scheme{ECDSA{}, NewSessionToken()} {
 		t.Run(scheme.Name(), func(t *testing.T) {
 			trust := NewTrustStore()
 			clk := &fakeClock{}
@@ -181,11 +172,11 @@ func TestConcurrentMinting(t *testing.T) {
 			var wg sync.WaitGroup
 			for i := range secs {
 				wg.Add(1)
-				go func(i int, sealer Scheme) {
+				go func(i int) {
 					defer wg.Done()
 					cred := list[i%creds]
-					secs[i], errs[i] = Seal(&wire.Hello{Origin: cred.NodeID(), Nonce: uint64(i)}, cred, sealer)
-				}(i, tc.sealerFor(i))
+					secs[i], errs[i] = Seal(&wire.Hello{Origin: cred.NodeID(), Nonce: uint64(i)}, cred, scheme)
+				}(i)
 			}
 			wg.Wait()
 			for i, sec := range secs {

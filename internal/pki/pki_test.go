@@ -1,8 +1,11 @@
 package pki
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,7 +54,7 @@ func (c *fakeClock) clock() time.Duration { return c.now }
 
 func newTestAuthority(t *testing.T, id wire.AuthorityID, trust *TrustStore, clk *fakeClock) *Authority {
 	t.Helper()
-	a, err := NewAuthority(id, trust, clk.clock, ECDSA{Rand: newDetReader(int64(id))}, newDetReader(int64(id)*100))
+	a, err := NewAuthority(id, trust, clk.clock, ECDSA{}, newDetReader(int64(id)*100))
 	if err != nil {
 		t.Fatalf("NewAuthority: %v", err)
 	}
@@ -62,7 +65,7 @@ func TestIssueAndVerifyCertificate(t *testing.T) {
 	trust := NewTrustStore()
 	clk := &fakeClock{}
 	a := newTestAuthority(t, 1, trust, clk)
-	scheme := ECDSA{Rand: newDetReader(9)}
+	scheme := ECDSA{}
 
 	cred, err := a.Issue("veh-1", time.Hour, newDetReader(1))
 	if err != nil {
@@ -84,7 +87,7 @@ func TestVerifyCertificateFailures(t *testing.T) {
 	trust := NewTrustStore()
 	clk := &fakeClock{}
 	a := newTestAuthority(t, 1, trust, clk)
-	scheme := ECDSA{Rand: newDetReader(9)}
+	scheme := ECDSA{}
 	cred, err := a.Issue("veh-1", time.Hour, newDetReader(1))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +317,7 @@ func TestNewAuthorityValidation(t *testing.T) {
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {
-	for _, scheme := range []Scheme{ECDSA{Rand: newDetReader(5)}, Insecure{}} {
+	for _, scheme := range []Scheme{ECDSA{}, Insecure{}} {
 		t.Run(scheme.Name(), func(t *testing.T) {
 			trust := NewTrustStore()
 			clk := &fakeClock{}
@@ -349,7 +352,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 func TestOpenRejectsTampering(t *testing.T) {
 	trust := NewTrustStore()
 	clk := &fakeClock{}
-	scheme := ECDSA{Rand: newDetReader(5)}
+	scheme := ECDSA{}
 	a, err := NewAuthority(1, trust, clk.clock, scheme, newDetReader(1))
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +412,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 func TestSecureEnvelopeSurvivesWire(t *testing.T) {
 	trust := NewTrustStore()
 	clk := &fakeClock{}
-	scheme := ECDSA{Rand: newDetReader(5)}
+	scheme := ECDSA{}
 	a, err := NewAuthority(1, trust, clk.clock, scheme, newDetReader(1))
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +447,7 @@ func TestSignatureFixedWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []Scheme{ECDSA{Rand: newDetReader(2)}, Insecure{}} {
+	for _, scheme := range []Scheme{ECDSA{}, Insecure{}} {
 		for i := 0; i < 20; i++ {
 			sig, err := scheme.Sign(key, []byte{byte(i)})
 			if err != nil {
@@ -528,5 +531,58 @@ func TestInsecureSchemeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestKeysAndSignaturesAreDeterministic pins the frame-level determinism
+// contract: a key is a pure function of the keySeedLen bytes it reads, and
+// an ECDSA signature a pure function of key and message.
+func TestKeysAndSignaturesAreDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r1 := &countingReader{r: newDetReader(seed)}
+		k1, err := GenerateKey(r1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := GenerateKey(newDetReader(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.n != keySeedLen {
+			t.Errorf("seed %d: GenerateKey read %d bytes, want %d", seed, r1.n, keySeedLen)
+		}
+		if !k1.Equal(k2) || !k1.PublicKey.Equal(&k2.PublicKey) {
+			t.Fatalf("seed %d: one stream gave two keys", seed)
+		}
+		if !k1.Curve.IsOnCurve(k1.X, k1.Y) || k1.D.Sign() <= 0 || k1.D.Cmp(k1.Curve.Params().N) >= 0 {
+			t.Fatalf("seed %d: derived key is not a valid P-256 key", seed)
+		}
+		msg := []byte(fmt.Sprintf("frame %d", seed))
+		s1, err := ECDSA{}.Sign(k1, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := ECDSA{}.Sign(k2, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s1, s2) {
+			t.Errorf("seed %d: signatures differ across calls", seed)
+		}
+		if !(ECDSA{}).Verify(&k1.PublicKey, msg, s1) {
+			t.Errorf("seed %d: deterministic signature does not verify", seed)
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 func TestSealOpenProperty(t *testing.T) {
 	trust := NewTrustStore()
 	clk := &fakeClock{}
-	scheme := ECDSA{Rand: newDetReader(11)}
+	scheme := ECDSA{}
 	a, err := NewAuthority(1, trust, clk.clock, scheme, newDetReader(12))
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestSealOpenProperty(t *testing.T) {
 func TestTamperedEnvelopeNeverOpensProperty(t *testing.T) {
 	trust := NewTrustStore()
 	clk := &fakeClock{}
-	scheme := ECDSA{Rand: newDetReader(21)}
+	scheme := ECDSA{}
 	a, err := NewAuthority(1, trust, clk.clock, scheme, newDetReader(22))
 	if err != nil {
 		t.Fatal(err)

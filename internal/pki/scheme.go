@@ -6,6 +6,8 @@
 package pki
 
 import (
+	"crypto"
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	cryptorand "crypto/rand"
@@ -14,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 )
 
 // Scheme abstracts the signature algorithm so the benchmark harness can
@@ -28,10 +31,10 @@ type Scheme interface {
 }
 
 // Signature framing: ECDSA P-256 ASN.1 signatures vary between 70 and 72
-// bytes, and Go's signer draws nondeterministic nonces. To keep simulated
-// packet sizes (and therefore transmission delays and event ordering)
-// independent of signature randomness, signatures travel in a fixed-width
-// field: one length byte followed by the ASN.1 bytes, zero-padded.
+// bytes. To keep simulated packet sizes (and therefore transmission delays
+// and event ordering) independent of the signature value, signatures travel
+// in a fixed-width field: one length byte followed by the ASN.1 bytes,
+// zero-padded.
 const (
 	maxASN1SigLen = 72
 	// SignatureSize is the fixed on-wire signature field width.
@@ -39,11 +42,10 @@ const (
 )
 
 // ECDSA is the production scheme: SHA-256 digests signed with ECDSA P-256,
-// as mandated by IEEE 1609.2. The rand reader seeds nonce generation; pass
-// nil for crypto/rand.
-type ECDSA struct {
-	Rand io.Reader
-}
+// as mandated by IEEE 1609.2. Nonces are derived from the key and digest
+// (RFC 6979), so a signature is a pure function of its inputs and every
+// frame of a seeded run is reproducible byte for byte.
+type ECDSA struct{}
 
 var _ Scheme = ECDSA{}
 
@@ -51,12 +53,12 @@ var _ Scheme = ECDSA{}
 func (ECDSA) Name() string { return "ecdsa-p256-sha256" }
 
 // Sign implements Scheme.
-func (e ECDSA) Sign(priv *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
+func (ECDSA) Sign(priv *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
 	if priv == nil {
 		return nil, errors.New("pki: Sign with nil key")
 	}
 	digest := sha256.Sum256(msg)
-	asn1, err := ecdsa.SignASN1(e.Rand, priv, digest[:])
+	asn1, err := priv.Sign(nil, digest[:], crypto.SHA256)
 	if err != nil {
 		return nil, fmt.Errorf("pki: signing: %w", err)
 	}
@@ -171,14 +173,39 @@ func ParsePublicKey(der []byte) (*ecdsa.PublicKey, error) {
 	return pub, nil
 }
 
-// GenerateKey creates a fresh ECDSA P-256 key pair using rand (nil for
-// crypto/rand).
+// keySeedLen is the number of bytes GenerateKey reads: 64 bits more than
+// the P-256 order, so reducing them to a scalar is unbiased to 2^-64.
+const keySeedLen = 40
+
+// p256OrderMinus1 is n-1 for P-256; a private scalar lies in [1, n-1].
+var p256OrderMinus1 = new(big.Int).Sub(elliptic.P256().Params().N, big.NewInt(1))
+
+// GenerateKey derives an ECDSA P-256 key pair from exactly keySeedLen bytes
+// of rand (nil for crypto/rand). Unlike ecdsa.GenerateKey, whose output may
+// change between calls for the same input stream, the key is a pure
+// function of the bytes read: d = seed mod (n-1) + 1.
 func GenerateKey(rand io.Reader) (*ecdsa.PrivateKey, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), orCryptoRand(rand))
+	var seed [keySeedLen]byte
+	if _, err := io.ReadFull(orCryptoRand(rand), seed[:]); err != nil {
+		return nil, fmt.Errorf("pki: generating key: %w", err)
+	}
+	d := new(big.Int).SetBytes(seed[:])
+	d.Mod(d, p256OrderMinus1).Add(d, big.NewInt(1))
+	var scalar [p256Coord]byte
+	d.FillBytes(scalar[:])
+	ek, err := ecdh.P256().NewPrivateKey(scalar[:])
 	if err != nil {
 		return nil, fmt.Errorf("pki: generating key: %w", err)
 	}
-	return key, nil
+	pt := ek.PublicKey().Bytes() // uncompressed: 0x04 || X || Y
+	return &ecdsa.PrivateKey{
+		PublicKey: ecdsa.PublicKey{
+			Curve: elliptic.P256(),
+			X:     new(big.Int).SetBytes(pt[1 : 1+p256Coord]),
+			Y:     new(big.Int).SetBytes(pt[1+p256Coord:]),
+		},
+		D: d,
+	}, nil
 }
 
 func orCryptoRand(r io.Reader) io.Reader {

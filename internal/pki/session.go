@@ -5,7 +5,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
-	"io"
 	"sync"
 )
 
@@ -35,13 +34,9 @@ import (
 // epoch); a receiver that was never announced to — a separate SessionToken
 // instance — rejects everything, which the tests pin. The instance is
 // mutex-guarded so sharded runs can sign and verify concurrently; anchor
-// signatures consume nonce randomness in establishment order, but no nonce
-// byte reaches the wire or a verdict, so run outcomes stay deterministic.
+// signatures are deterministic (RFC 6979), so establishment order cannot
+// change a byte.
 type SessionToken struct {
-	// Rand seeds the nonces of the per-epoch anchor signatures; nil means
-	// crypto/rand.
-	Rand io.Reader
-
 	mu       sync.Mutex
 	sessions map[[32]byte]*epochSession
 	stats    SessionStats
@@ -64,10 +59,9 @@ type epochSession struct {
 
 var _ Scheme = (*SessionToken)(nil)
 
-// NewSessionToken creates a session-token scheme drawing anchor-signature
-// nonces from rand (nil for crypto/rand).
-func NewSessionToken(rand io.Reader) *SessionToken {
-	return &SessionToken{Rand: rand, sessions: make(map[[32]byte]*epochSession)}
+// NewSessionToken creates a session-token scheme with no epochs.
+func NewSessionToken() *SessionToken {
+	return &SessionToken{sessions: make(map[[32]byte]*epochSession)}
 }
 
 // Name implements Scheme.
@@ -168,7 +162,7 @@ func (st *SessionToken) Sign(priv *ecdsa.PrivateKey, msg []byte) ([]byte, error)
 			return nil, errors.New("pki: session sign with malformed key")
 		}
 		anchor, _ := anchorMessage(&priv.PublicKey, key)
-		sig, err := ECDSA{Rand: st.Rand}.Sign(priv, anchor)
+		sig, err := ECDSA{}.Sign(priv, anchor)
 		if err != nil {
 			st.mu.Unlock()
 			return nil, err

@@ -11,7 +11,7 @@ import (
 // TestSessionTokenRoundTrip runs the full envelope path — TA-signed
 // certificate plus per-packet token — under the session scheme.
 func TestSessionTokenRoundTrip(t *testing.T) {
-	scheme := NewSessionToken(newDetReader(3))
+	scheme := NewSessionToken()
 	f := newVerifierFixture(t, scheme, 1)
 	sec := f.seal(t, f.creds[0], 5)
 	pkt, cert, err := Open(sec, f.trust, 0, scheme)
@@ -29,7 +29,7 @@ func TestSessionTokenRoundTrip(t *testing.T) {
 // TestSessionTokenAmortization pins the scheme's cost model: real ECDSA work
 // happens once per epoch per side, no matter how many packets flow.
 func TestSessionTokenAmortization(t *testing.T) {
-	scheme := NewSessionToken(newDetReader(5))
+	scheme := NewSessionToken()
 	f := newVerifierFixture(t, scheme, 1)
 	const packets = 50
 	for i := 0; i < packets; i++ {
@@ -59,7 +59,7 @@ func TestSessionTokenAmortization(t *testing.T) {
 // with no anchored epoch, cross-epoch token reuse, corrupted anchors, and
 // receivers the epoch was never announced to.
 func TestSessionTokenRejections(t *testing.T) {
-	scheme := NewSessionToken(newDetReader(7))
+	scheme := NewSessionToken()
 	f := newVerifierFixture(t, scheme, 2)
 	sec := f.seal(t, f.creds[0], 9)
 	if _, _, err := Open(sec, f.trust, 0, scheme); err != nil {
@@ -126,7 +126,7 @@ func TestSessionTokenRejections(t *testing.T) {
 		// A fresh verifier-side epoch whose anchor signature was damaged
 		// in the session table must reject every packet: the session key
 		// is only trusted once its ECDSA anchor verifies.
-		corrupt := NewSessionToken(newDetReader(11))
+		corrupt := NewSessionToken()
 		g := newVerifierFixture(t, corrupt, 1)
 		csec := g.seal(t, g.creds[0], 1)
 		fp, ok := sessionFingerprint(&keyOf(t, g.creds[0]).PublicKey)
@@ -143,7 +143,7 @@ func TestSessionTokenRejections(t *testing.T) {
 	t.Run("unannounced receiver", func(t *testing.T) {
 		// A receiver whose session table never saw the epoch (a separate
 		// scheme instance) rejects the packet outright.
-		elsewhere := NewSessionToken(newDetReader(13))
+		elsewhere := NewSessionToken()
 		if elsewhere.Verify(&keyOf(t, f.creds[0]).PublicKey, sec.Inner, sec.Signature) {
 			t.Fatal("accepted a token for an epoch never announced here")
 		}
@@ -162,7 +162,7 @@ func TestSessionTokenRejections(t *testing.T) {
 // rides on: session tokens occupy exactly the same fixed-width signature
 // field as ECDSA, so packet sizes and event timing are scheme-independent.
 func TestSessionTokenWireShape(t *testing.T) {
-	scheme := NewSessionToken(newDetReader(17))
+	scheme := NewSessionToken()
 	key, err := GenerateKey(newDetReader(18))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestSessionTokenWireShape(t *testing.T) {
 // stays off for session tokens: the MAC check is as cheap as the cache
 // lookup would be, so only the certificate cache engages.
 func TestSessionTokenCheapVerify(t *testing.T) {
-	scheme := NewSessionToken(newDetReader(19))
+	scheme := NewSessionToken()
 	v := NewVerifier(NewTrustStore(), scheme, VerifierOptions{})
 	if v.cacheEnvelopes {
 		t.Fatal("envelope cache engaged for session tokens")

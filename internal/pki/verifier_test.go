@@ -80,9 +80,9 @@ func TestVerifierMatchesOpen(t *testing.T) {
 		name   string
 		scheme Scheme
 	}{
-		{"ecdsa", ECDSA{Rand: newDetReader(9)}},
+		{"ecdsa", ECDSA{}},
 		{"insecure", Insecure{}},
-		{"session", NewSessionToken(newDetReader(9))},
+		{"session", NewSessionToken()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newVerifierFixture(t, tc.scheme, 2)
@@ -140,7 +140,7 @@ func TestVerifierMatchesOpen(t *testing.T) {
 // has already accepted the honest envelopes: nothing a cached success proves
 // may transfer to tampered payloads, forged or expired certificates.
 func TestVerifierNoLaundering(t *testing.T) {
-	scheme := ECDSA{Rand: newDetReader(21)}
+	scheme := ECDSA{}
 	f := newVerifierFixture(t, scheme, 2)
 	v := NewVerifier(f.trust, scheme, VerifierOptions{})
 
@@ -201,7 +201,7 @@ func TestVerifierNoLaundering(t *testing.T) {
 // TestVerifierEvictionBounded proves the caches never outgrow their bounds
 // and that evicted entries are simply re-verified, not corrupted.
 func TestVerifierEvictionBounded(t *testing.T) {
-	scheme := ECDSA{Rand: newDetReader(31)}
+	scheme := ECDSA{}
 	f := newVerifierFixture(t, scheme, 5)
 	v := NewVerifier(f.trust, scheme, VerifierOptions{CertCapacity: 2, EnvelopeCapacity: 3})
 
@@ -233,7 +233,7 @@ func TestVerifierEvictionBounded(t *testing.T) {
 // TestOpenBatchMatchesSequential pins OpenBatch to per-envelope Open
 // results, including nil slots.
 func TestOpenBatchMatchesSequential(t *testing.T) {
-	scheme := ECDSA{Rand: newDetReader(41)}
+	scheme := ECDSA{}
 	f := newVerifierFixture(t, scheme, 3)
 	good := f.seal(t, f.creds[0], 1)
 	bad := f.seal(t, f.creds[1], 2)
@@ -288,7 +288,7 @@ func relayedWorkload(t testing.TB, f *verifierFixture, copies int) []*wire.Secur
 // workload (each envelope received 8 times) the cache must cut scheme
 // verifications by at least 5x versus the uncached reference path.
 func TestCachedVerifyReduction(t *testing.T) {
-	scheme := ECDSA{Rand: newDetReader(51)}
+	scheme := ECDSA{}
 	f := newVerifierFixture(t, scheme, 8)
 	work := relayedWorkload(t, f, 8)
 
@@ -318,7 +318,7 @@ func TestVerifierAllocsCachedOpen(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	scheme := ECDSA{Rand: newDetReader(61)}
+	scheme := ECDSA{}
 	f := newVerifierFixture(t, scheme, 1)
 	sec := f.seal(t, f.creds[0], 7)
 	v := NewVerifier(f.trust, scheme, VerifierOptions{})

@@ -25,7 +25,10 @@
 package radio
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 	"time"
 
@@ -178,6 +181,7 @@ type Shard struct {
 	stats   liveStats
 	freeDel []*delivery
 	scratch collectScratch
+	digest  hash.Hash // nil unless DigestFrames was called
 }
 
 // delivery is one frame copy in flight toward one receiver. Records are
@@ -515,8 +519,49 @@ func (m *Medium) deliverCopy(a any) {
 		return
 	}
 	c.stats.delivered.count(payload, len(payload))
+	if c.digest != nil {
+		c.digestCopy(dev.id, payload)
+	}
 	dev.recv(frame)
 	c.putDelivery(d)
+}
+
+// DigestFrames makes the medium hash every delivered copy's arrival time,
+// receiver pseudonym and payload, for FrameDigest. It is a test hook for
+// frame-level determinism walls: hashing reads what the run delivers and
+// changes nothing it does. Call it before the run starts.
+func (m *Medium) DigestFrames() {
+	for _, c := range m.shards {
+		c.digest = sha256.New()
+	}
+}
+
+// FrameDigest returns the SHA-256 over every context's delivery hash, in
+// context order. Each context hashes its own deliveries in its own event
+// order, so the digest does not depend on how shard goroutines interleave.
+// It is the zero digest unless DigestFrames was called.
+func (m *Medium) FrameDigest() [sha256.Size]byte {
+	var out [sha256.Size]byte
+	if m.shards[0].digest == nil {
+		return out
+	}
+	h := sha256.New()
+	for _, c := range m.shards {
+		h.Write(c.digest.Sum(nil))
+	}
+	h.Sum(out[:0])
+	return out
+}
+
+// digestCopy hashes one delivered copy as (time, receiver, length,
+// payload), fixed-width fields first so distinct copies never alias.
+func (c *Shard) digestCopy(to wire.NodeID, payload []byte) {
+	var hdr [20]byte
+	binary.BigEndian.PutUint64(hdr[0:], uint64(c.rt.Now()))
+	binary.BigEndian.PutUint64(hdr[8:], uint64(to))
+	binary.BigEndian.PutUint32(hdr[16:], uint32(len(payload)))
+	c.digest.Write(hdr[:])
+	c.digest.Write(payload)
 }
 
 // dropCopy draws one loss decision: uniform by default, Gilbert–Elliott when

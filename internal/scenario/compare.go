@@ -173,7 +173,7 @@ func RunConnector(seed int64, seqBonus wire.SeqNum) (ConnectorResult, error) {
 		Sched:    sched,
 		RNG:      rng.Split("core"),
 		Trust:    pki.NewTrustStore(),
-		Scheme:   pki.ECDSA{Rand: rng.Split("crypto").Reader()},
+		Scheme:   ecdsaScheme(rng),
 		Dir:      cluster.NewDirectory(),
 		Highway:  highway,
 		Medium:   radio.NewMedium(sched, rng.Split("radio")),

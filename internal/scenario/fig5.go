@@ -164,7 +164,7 @@ func newFig5World(cat Fig5Category, seed int64) (*fig5World, error) {
 		Sched:    sched,
 		RNG:      rng.Split("core"),
 		Trust:    pki.NewTrustStore(),
-		Scheme:   pki.ECDSA{Rand: rng.Split("crypto").Reader()},
+		Scheme:   ecdsaScheme(rng),
 		Dir:      cluster.NewDirectory(),
 		Highway:  highway,
 		Medium:   radio.NewMedium(sched, rng.Split("radio")),

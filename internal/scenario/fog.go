@@ -42,7 +42,7 @@ func RunFogAblation(seed int64, reporters int, authCost time.Duration, fogNodes 
 		Sched:    sched,
 		RNG:      rng.Split("core"),
 		Trust:    pki.NewTrustStore(),
-		Scheme:   pki.ECDSA{Rand: rng.Split("crypto").Reader()},
+		Scheme:   ecdsaScheme(rng),
 		Dir:      cluster.NewDirectory(),
 		Highway:  highway,
 		Medium:   radio.NewMedium(sched, rng.Split("radio")),

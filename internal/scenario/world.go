@@ -78,9 +78,6 @@ type World struct {
 	shard   *sim.Sharded
 	ports   []*radio.Shard
 	fillers bool
-	// shardSchemes are the per-shard ECDSA signing streams of a sharded
-	// real-crypto run, indexed like ports; nil otherwise.
-	shardSchemes []pki.Scheme
 }
 
 // Hostile bundles one extra attacker with its interceptor and the pseudonym
@@ -105,6 +102,15 @@ func (h *Hostile) detectedIn(t *core.Tally) bool {
 // Build constructs the world for cfg without running it.
 func Build(cfg Config) (*World, error) {
 	return buildPooled(cfg, nil, reference{})
+}
+
+// ecdsaScheme returns the ECDSA scheme after spending rng's "crypto" split.
+// Signatures are deterministic (RFC 6979) and draw nothing, but that split
+// once seeded their nonces and every later split of rng follows it, so the
+// draw stays: dropping it would move every seed's run.
+func ecdsaScheme(rng *sim.RNG) pki.Scheme {
+	rng.Split("crypto")
+	return pki.ECDSA{}
 }
 
 // reference selects the retained reference implementations that the
@@ -193,12 +199,13 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 	var scheme pki.Scheme = pki.Insecure{}
 	switch cfg.CryptoScheme {
 	case SchemeECDSA:
-		scheme = pki.ECDSA{Rand: rng.Split("crypto").Reader()}
+		scheme = ecdsaScheme(rng)
 	case SchemeSession:
 		// One shared instance models the epoch key-agreement channel; it
-		// is mutex-guarded, and no anchor nonce reaches the wire, so both
-		// serial and sharded outcomes stay deterministic.
-		scheme = pki.NewSessionToken(rng.Split("crypto").Reader())
+		// is mutex-guarded, and its anchor signatures are deterministic, so
+		// both serial and sharded outcomes stay deterministic.
+		rng.Split("crypto") // spent, as in ecdsaScheme
+		scheme = pki.NewSessionToken()
 	}
 	var tracer *trace.Recorder
 	if cfg.Trace {
@@ -236,16 +243,11 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 		// ahead is safe — see Medium.RefreshIndex).
 		shard.OnWindow(func(_, we time.Duration) { medium.RefreshIndex(we) })
 	}
-	var shardSchemes []pki.Scheme
 	if shard != nil && cfg.CryptoScheme == SchemeECDSA {
-		// ECDSA signing draws nonce randomness per signature, so strip
-		// shards each get their own signing stream — agents on one shard
-		// sign serially, and the draw sequence per shard is a pure function
-		// of the sim, keeping sharded real-crypto runs worker-count
-		// independent. These splits exist only in the sharded+ECDSA mode
-		// (previously rejected by Validate), so no historical stream moves.
+		// Spent splits, as in ecdsaScheme: they once seeded per-shard
+		// signing nonces, and the attacker splits made later follow them.
 		for i := 0; i < shard.Shards(); i++ {
-			shardSchemes = append(shardSchemes, pki.ECDSA{Rand: rng.Split(fmt.Sprintf("crypto-shard-%d", i)).Reader()})
+			rng.Split(fmt.Sprintf("crypto-shard-%d", i))
 		}
 	}
 	env := core.Env{
@@ -266,19 +268,18 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 		env.Port = ports[0]
 	}
 	w := &World{
-		Cfg:          cfg,
-		Env:          env,
-		Sched:        sched,
-		Topo:         topo,
-		Highway:      highway,
-		mesh:         mesh,
-		Heads:        make(map[wire.ClusterID]*core.HeadAgent),
-		attackerIDs:  make(map[wire.NodeID]bool),
-		teammateIDs:  make(map[wire.NodeID]bool),
-		rng:          rng,
-		shard:        shard,
-		ports:        ports,
-		shardSchemes: shardSchemes,
+		Cfg:         cfg,
+		Env:         env,
+		Sched:       sched,
+		Topo:        topo,
+		Highway:     highway,
+		mesh:        mesh,
+		Heads:       make(map[wire.ClusterID]*core.HeadAgent),
+		attackerIDs: make(map[wire.NodeID]bool),
+		teammateIDs: make(map[wire.NodeID]bool),
+		rng:         rng,
+		shard:       shard,
+		ports:       ports,
 	}
 	if mesh != nil {
 		// Mesh clusters have more than two neighbors; the directory's
@@ -553,10 +554,6 @@ func (w *World) vehicleEnv(cid wire.ClusterID) core.Env {
 	}
 	env.Sched = w.shard.Shard(strip)
 	env.Port = w.ports[strip]
-	if w.shardSchemes != nil {
-		// Strip-homed agents sign on their shard's own nonce stream.
-		env.Scheme = w.shardSchemes[strip]
-	}
 	return env
 }
 
