@@ -160,10 +160,12 @@ type Medium struct {
 	devices []*Interface
 	index   *cellIndex // nil under WithLinearScan (or a degenerate range)
 
-	// deliver is the single scheduler callback shared by every in-flight
-	// frame copy; per-copy state travels in pooled delivery records, so the
-	// per-frame broadcast path allocates nothing once the pool is warm.
-	deliver func(any)
+	// deliverFan and deliverOne are the scheduler callbacks shared by every
+	// in-flight frame copy (bound once, so posting allocates no method
+	// value); frames travel in pooled transmission records, so the
+	// broadcast path allocates nothing once the pools are warm.
+	deliverFan func(shared, arg any)
+	deliverOne func(any)
 }
 
 // Shard is one execution context of the medium: the runtime whose events its
@@ -179,18 +181,23 @@ type Shard struct {
 	rng     *sim.RNG
 	burst   *burstState
 	stats   liveStats
-	freeDel []*delivery
+	freeTx  []*transmission
+	fan     []sim.Copy // the same-context copies of the Send in progress
 	scratch collectScratch
 	digest  hash.Hash // nil unless DigestFrames was called
 }
 
-// delivery is one frame copy in flight toward one receiver. Records are
-// pooled per shard context and reused; a record is drawn from the sender's
-// context and recycled into the receiver's, each touched only on its own
-// shard's goroutine, so plain free lists suffice.
-type delivery struct {
-	dev   *Interface
+// transmission holds one frame in flight. The copies a Send schedules on the
+// sender's own context share one record through a single fan-out post, and
+// the last of them to arrive recycles it; a copy bound for another shard
+// travels alone in a record of its own, with dev set. Records are pooled per
+// shard context: a record is drawn from the sender's context and recycled
+// into the receiver's, each touched only on its own shard's goroutine, so
+// plain free lists suffice.
+type transmission struct {
 	frame Frame
+	left  int        // copies not yet delivered or lost
+	dev   *Interface // receiver of a cross-shard copy; nil for a fan-out
 }
 
 // propagationSpeed is the signal speed in m/s.
@@ -215,7 +222,8 @@ func NewMedium(sched *sim.Scheduler, rng *sim.RNG, opts ...Option) *Medium {
 	}
 	m.serial = &Shard{m: m, rt: sched, cross: sched, rng: rng, burst: m.burst}
 	m.shards = []*Shard{m.serial}
-	m.deliver = m.deliverCopy
+	m.deliverFan = m.deliverFanout
+	m.deliverOne = m.deliverCrossShard
 	return m
 }
 
@@ -260,24 +268,23 @@ func (m *Medium) RefreshIndex(t time.Duration) {
 	}
 }
 
-// getDelivery takes a record from the context's free list (or allocates the
+// getTx takes a record from the context's free list (or allocates the
 // pool's first few).
-func (c *Shard) getDelivery(dev *Interface, frame Frame) *delivery {
-	if n := len(c.freeDel); n > 0 {
-		d := c.freeDel[n-1]
-		c.freeDel[n-1] = nil
-		c.freeDel = c.freeDel[:n-1]
-		d.dev, d.frame = dev, frame
-		return d
+func (c *Shard) getTx(frame Frame, copies int, dev *Interface) *transmission {
+	if n := len(c.freeTx); n > 0 {
+		tx := c.freeTx[n-1]
+		c.freeTx[n-1] = nil
+		c.freeTx = c.freeTx[:n-1]
+		tx.frame, tx.left, tx.dev = frame, copies, dev
+		return tx
 	}
-	return &delivery{dev: dev, frame: frame}
+	return &transmission{frame: frame, left: copies, dev: dev}
 }
 
-// putDelivery clears a record and returns it to the context's free list.
-func (c *Shard) putDelivery(d *delivery) {
-	d.dev = nil
-	d.frame = Frame{}
-	c.freeDel = append(c.freeDel, d)
+// putTx clears a record and returns it to the context's free list.
+func (c *Shard) putTx(tx *transmission) {
+	*tx = transmission{}
+	c.freeTx = append(c.freeTx, tx)
 }
 
 // Range returns the shared transmission range in metres.
@@ -392,7 +399,9 @@ func (i *Interface) active(t time.Duration) bool {
 }
 
 // Send transmits payload to the pseudonym to (wire.Broadcast for all
-// neighbours). Delivery is scheduled per in-range receiver.
+// neighbours). Delivery is scheduled per in-range receiver: the copies whose
+// receivers share the sender's runtime go out in one fan-out post, in offer
+// order, after every candidate has been considered.
 //
 // The return value models 802.11-style unicast acknowledgement: false means
 // the frame certainly did not reach the addressee (absent, out of range,
@@ -440,6 +449,10 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 			}
 		}
 	}
+	if len(c.fan) > 0 {
+		c.cross.PostFanout(m.deliverFan, c.getTx(frame, len(c.fan), nil), c.fan)
+		c.fan = c.fan[:0]
+	}
 	if !acked {
 		c.stats.unacked.count(payload, len(payload))
 	}
@@ -474,8 +487,8 @@ func (m *Medium) consider(c *Shard, sender, dev *Interface, to wire.NodeID, fram
 }
 
 // offerCopy accounts for and schedules one frame copy toward one in-range
-// receiver, reporting whether the copy survived the loss process at send
-// time. Every offered copy ends up exactly once in DeliveredFrames or
+// receiver (a same-context copy joins the Send's fan-out batch), reporting
+// whether the copy survived the loss process at send time. Every offered copy ends up exactly once in DeliveredFrames or
 // LostFrames (or is still in flight) — the conservation ledger
 // CheckConservation audits.
 func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.Duration, dist float64, now time.Duration) bool {
@@ -491,39 +504,56 @@ func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.D
 		delay += c.rng.Jitter(m.reorderMax)
 	}
 	c.stats.inFlight++
-	// Route the copy to the receiver's home shard; for a serial medium (and
-	// same-shard pairs) this is a plain AfterFunc on the shared runtime.
-	// Cross-shard delay is bounded below by txDelay, which is why a frame's
-	// minimum airtime is the sharded run's lookahead.
-	c.cross.PostTo(dev.shard.rt, now+delay, m.deliver, c.getDelivery(dev, frame))
+	if dev.shard == c {
+		// Every copy of a serial medium, and same-shard copies of a sharded
+		// one: Send posts them together.
+		c.fan = append(c.fan, sim.Copy{At: now + delay, Arg: dev})
+		return true
+	}
+	// Route the copy to the receiver's home shard. Cross-shard delay is
+	// bounded below by txDelay, which is why a frame's minimum airtime is
+	// the sharded run's lookahead.
+	c.cross.PostTo(dev.shard.rt, now+delay, m.deliverOne, c.getTx(frame, 1, dev))
 	return true
 }
 
-// deliverCopy is the shared arrival callback for every in-flight frame copy.
-// It runs on the receiver's home shard: it settles the conservation ledger
-// (delivered or lost) in the receiver shard's counters, hands the frame to
-// the receiver, and recycles the delivery record there — after recv returns,
+// deliverFanout is the arrival callback of a copy posted in a Send's fan-out
+// batch: shared is the transmission, arg the receiver.
+func (m *Medium) deliverFanout(shared, arg any) {
+	arrive(arg.(*Interface), shared.(*transmission))
+}
+
+// deliverCrossShard is the arrival callback of a copy routed to another
+// shard in a record of its own.
+func (m *Medium) deliverCrossShard(a any) {
+	tx := a.(*transmission)
+	arrive(tx.dev, tx)
+}
+
+// arrive settles one copy of tx at dev. It runs on the receiver's home
+// shard: it settles the conservation ledger (delivered or lost) in the
+// receiver shard's counters, hands the frame to the receiver, and, for the
+// transmission's last copy, recycles the record there — after recv returns,
 // so a re-entrant Send inside the receiver draws fresh records. In-flight
 // accounting may thus increment on one shard and decrement on another; the
 // per-shard counters are summed with wraparound in Stats, so the merged
 // ledger stays exact.
-func (m *Medium) deliverCopy(a any) {
-	d := a.(*delivery)
-	dev, frame := d.dev, d.frame
+func arrive(dev *Interface, tx *transmission) {
 	c := dev.shard
-	payload := frame.Payload
+	payload := tx.frame.Payload
 	c.stats.inFlight--
-	if !dev.active(c.rt.Now()) {
+	if dev.active(c.rt.Now()) {
+		c.stats.delivered.count(payload, len(payload))
+		if c.digest != nil {
+			c.digestCopy(dev.id, payload)
+		}
+		dev.recv(tx.frame)
+	} else {
 		c.stats.lost.count(payload, len(payload))
-		c.putDelivery(d)
-		return
 	}
-	c.stats.delivered.count(payload, len(payload))
-	if c.digest != nil {
-		c.digestCopy(dev.id, payload)
+	if tx.left--; tx.left == 0 {
+		c.putTx(tx)
 	}
-	dev.recv(frame)
-	c.putDelivery(d)
 }
 
 // DigestFrames makes the medium hash every delivered copy's arrival time,

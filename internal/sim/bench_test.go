@@ -88,3 +88,58 @@ func BenchmarkRNGDraws(b *testing.B) {
 		_ = g.Jitter(time.Millisecond)
 	}
 }
+
+// fanoutCopies is the Table I world's mean copies per transmission
+// (radio.fanout).
+const fanoutCopies = 17
+
+// BenchmarkScheduleFanout is the hold model with the radio's event shape:
+// holdDepth copies pending in fan-out posts of fanoutCopies copies each,
+// spread over a few milliseconds like one transmission's receivers. Every
+// Step fires one copy, and every fanoutCopies fired copies post a
+// successor, so the depth in copies stays constant.
+func BenchmarkScheduleFanout(b *testing.B) {
+	s := NewScheduler()
+	rng := NewRNG(1)
+	jitter := make([]time.Duration, 4096)
+	for i := range jitter {
+		jitter[i] = rng.Jitter(10 * time.Millisecond)
+	}
+	copies := make([]Copy, fanoutCopies)
+	k, fired := 0, 0
+	var post func()
+	fire := func(_, _ any) {
+		if fired++; fired%fanoutCopies == 0 {
+			post()
+		}
+	}
+	post = func() {
+		base := s.Now() + jitter[k%len(jitter)]
+		k++
+		for i := range copies {
+			copies[i] = Copy{At: base + jitter[k%len(jitter)]/5, Arg: i}
+			k++
+		}
+		s.PostFanout(fire, nil, copies)
+	}
+	for i := 0; i < holdDepth/fanoutCopies; i++ {
+		post()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// BenchmarkRNGFirstDraw measures a fresh stream's seeding plus its first ten
+// draws: the life of a router's Hello-jitter stream.
+func BenchmarkRNGFirstDraw(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := NewRNG(int64(i))
+		for j := 0; j < 10; j++ {
+			_ = g.Jitter(time.Millisecond)
+		}
+	}
+}

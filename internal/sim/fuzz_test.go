@@ -49,24 +49,35 @@ func (o *orderOracle) remove(id int) bool {
 	return false
 }
 
-// FuzzSchedulerOrder decodes bytes into interleaved At, AtFunc, Timer.Stop,
-// Step and RunUntil operations and checks the scheduler against a sorted-
-// slice reference: events must fire in (time, seq) order, Stop must report
-// exactly whether it cancelled a pending event (also for handles that already
-// fired, were already stopped, or whose record has been recycled), and
-// Pending, NextTime and Now must match the reference after every operation.
-// Small time deltas make equal timestamps common, so FIFO tie-breaking is
-// exercised throughout.
+// FuzzSchedulerOrder decodes bytes into interleaved At, AtFunc, PostFanout,
+// Timer.Stop, Step and RunUntil operations and checks the scheduler against
+// a sorted-slice reference: events must fire in (time, seq) order, Stop must
+// report exactly whether it cancelled a pending event (also for handles that
+// already fired, were already stopped, or whose record has been recycled),
+// and Pending, NextTime and Now must match the reference after every
+// operation. A fan-out post of k copies is k consecutive pushes to the
+// reference, and its copies have no stoppable handle. Small time deltas make
+// equal timestamps common, so FIFO tie-breaking is exercised throughout.
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 3, 3, 3})
 	f.Add([]byte{0, 1, 0, 2, 1, 1, 0, 3, 2, 1, 2, 0, 3, 2, 1, 4, 5})
 	f.Add([]byte{0, 2, 0, 2, 0, 2, 0, 2, 2, 2, 2, 0, 3, 2, 0, 2, 3, 0, 1, 4, 7, 2, 1})
+	f.Add([]byte{5, 4, 3, 1, 0, 2, 0, 1, 2, 5, 2, 0, 0, 3, 3, 3, 4, 3})
+	f.Add([]byte{5, 3, 2, 2, 2, 2, 1, 0, 4, 1, 5, 1, 3, 2, 1, 3, 1, 2, 0, 3, 0, 5, 4, 0, 1, 2, 3, 0, 5, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewScheduler()
 		var o orderOracle
-		var handles []Timer
+		var handles []Timer // the zero Timer for a fan-out copy
+		var fanned []bool   // by id: posted by PostFanout
 		var fired, want []int
 		record := func(a any) { fired = append(fired, a.(int)) }
+		shared := new(int)
+		recordCopy := func(sh, a any) {
+			if sh != shared {
+				t.Fatalf("fan-out copy %v got shared argument %v", a, sh)
+			}
+			record(a)
+		}
 		next := func(i *int) byte {
 			if *i >= len(data) {
 				return 0
@@ -76,22 +87,33 @@ func FuzzSchedulerOrder(f *testing.F) {
 			return b
 		}
 		for i := 0; i < len(data); {
-			switch op := next(&i); op % 5 {
+			switch op := next(&i); op % 6 {
 			case 0, 1: // At / AtFunc at now + a small delta
 				id := len(handles)
 				at := s.Now() + time.Duration(next(&i)%4)
-				if op%5 == 0 {
+				if op%6 == 0 {
 					handles = append(handles, s.At(at, func() { record(id) }))
 				} else {
 					handles = append(handles, s.AtFunc(at, record, id))
 				}
+				fanned = append(fanned, false)
 				o.push(at, id)
+			case 5: // PostFanout of 1..5 copies at now + small deltas
+				copies := make([]Copy, 1+next(&i)%5)
+				for k := range copies {
+					id := len(handles)
+					copies[k] = Copy{At: s.Now() + time.Duration(next(&i)%4), Arg: id}
+					handles = append(handles, Timer{})
+					fanned = append(fanned, true)
+					o.push(copies[k].At, id)
+				}
+				s.PostFanout(recordCopy, shared, copies)
 			case 2: // Stop a pending, fired, stopped or recycled handle
 				if len(handles) == 0 {
 					continue
 				}
 				id := int(next(&i)) % len(handles)
-				wantStopped := o.remove(id)
+				wantStopped := !fanned[id] && o.remove(id)
 				if got := handles[id].Stop(); got != wantStopped {
 					t.Fatalf("Stop(handle %d) = %v, want %v", id, got, wantStopped)
 				}
@@ -135,7 +157,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 				t.Fatalf("NextTime() = %v, %v; reference head %v", nt, ok, o.pending)
 			}
 			for _, e := range o.pending {
-				if !handles[e.id].Active() {
+				if !fanned[e.id] && !handles[e.id].Active() {
 					t.Fatalf("handle %d inactive while pending", e.id)
 				}
 			}

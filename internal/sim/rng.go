@@ -10,10 +10,13 @@ import (
 // protocol layers should use distinct streams (via Split) so that adding a
 // random draw in one layer does not perturb another layer's sequence.
 //
-// A stream is seeded lazily: the math/rand source (607 words of state) is
-// built on the first draw, not at construction. Many split streams of a
-// world are never drawn from — the key stream of every identity that never
-// signs, for one — so they cost one seed word instead of a seeded source.
+// A stream is seeded lazily: its source is built on the first draw, not at
+// construction. Many split streams of a world are never drawn from — the
+// key stream of every identity that never signs, for one — so they cost one
+// seed word instead of a seeded source. The source emits exactly the
+// stream of math/rand's rand.NewSource(seed), but fills its 607 words of
+// state as draws first read them (see lazySource), so a stream that draws
+// a few values, such as a router's Hello jitter, never pays for the rest.
 // A stream, like the source behind it, is not safe for concurrent use.
 type RNG struct {
 	r    *rand.Rand // nil until the first draw
@@ -28,7 +31,7 @@ func NewRNG(seed int64) *RNG {
 // rand returns the stream's source, seeding it on first use.
 func (g *RNG) rand() *rand.Rand {
 	if g.r == nil {
-		g.r = rand.New(rand.NewSource(g.seed))
+		g.r = rand.New(newLazySource(g.seed))
 	}
 	return g.r
 }

@@ -32,8 +32,13 @@ type Runtime interface {
 // Cross-shard posts are subject to the run's lookahead: at must not precede
 // the end of the window currently executing, or the conservative
 // synchronization protocol would be violated (the sharded runtime panics).
+//
+// PostFanout posts a batch of copies of one event on the poster's own
+// runtime (see Scheduler.PostFanout); the radio layer uses it for the copies
+// of one transmission whose receivers share the sender's runtime.
 type CrossPoster interface {
 	PostTo(dst Runtime, at time.Duration, fn func(any), arg any)
+	PostFanout(fn func(shared, arg any), shared any, copies []Copy)
 }
 
 var (

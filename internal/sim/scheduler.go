@@ -14,6 +14,17 @@
 // (time, seq) is a total order: any correct min-heap pops the same sequence,
 // so the heap's shape and arity cannot change a run.
 //
+// A fan-out post (PostFanout) schedules many copies of one event at once —
+// a radio transmission's per-receiver deliveries — in a single record that
+// holds one heap slot. The copies take consecutive seqs in post order, exactly
+// as that many AtFunc calls would, and the record keeps them sorted by
+// (time, seq); its slot is keyed by the earliest copy not yet fired. Firing
+// that copy re-keys the slot in place with one sift-down, and the slot leaves
+// the heap with its last copy. The smallest slot key is the smallest pending
+// copy key, so the copies fire in exactly the order separate events would:
+// fan-out changes the heap's depth, never a run. Pending, Executed, NextTime
+// and the observer count copies, not records.
+//
 // Event records are pooled: once an event fires or is stopped, its record
 // returns to a free list and backs a later schedule. Pooling is invisible to
 // simulation outcomes — ordering is decided by the (time, seq) pair assigned
@@ -37,7 +48,28 @@ type event struct {
 	gen   uint64 // incremented on recycle; fences stale Timers
 	fn    func()
 	afn   func(any) // arg-style callback (AtFunc/AfterFunc); nil for fn events
-	arg   any
+	arg   any       // afn's argument, or the shared argument of a fan-out
+
+	// Fan-out records only: ffn(arg, copy.arg) runs once per copy. copies
+	// are sorted by (time, seq) and next indexes the earliest unfired one;
+	// the slice keeps its capacity across recycles.
+	ffn    func(shared, arg any)
+	copies []fanCopy
+	next   int
+}
+
+// fanCopy is one copy of a fan-out record with its own key and argument.
+type fanCopy struct {
+	time time.Duration
+	seq  uint64
+	arg  any
+}
+
+// Copy is one copy of a fan-out post: its absolute fire time and its own
+// callback argument.
+type Copy struct {
+	At  time.Duration
+	Arg any
 }
 
 // EventPool recycles event records across schedulers. A pool may be shared
@@ -69,6 +101,9 @@ func (p *EventPool) put(ev *event) {
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
+	ev.ffn = nil
+	ev.copies = ev.copies[:0] // fired copies already dropped their args
+	ev.next = 0
 	ev.index = -1
 	p.free = append(p.free, ev)
 }
@@ -101,6 +136,7 @@ func (t *Timer) Stop() bool {
 	ev := t.ev
 	t.ev = nil
 	t.s.events.remove(ev.index)
+	t.s.pending--
 	t.s.pool.put(ev)
 	return true
 }
@@ -126,6 +162,7 @@ type Scheduler struct {
 	now       time.Duration
 	seq       uint64
 	events    eventHeap
+	pending   int // copies waiting to fire; a fan-out slot holds several
 	executed  uint64
 	running   bool
 	stopped   bool
@@ -162,8 +199,9 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // Executed returns the number of events that have fired so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return len(s.events) }
+// Pending returns the number of events waiting to fire, counting every
+// unfired copy of a fan-out post.
+func (s *Scheduler) Pending() int { return s.pending }
 
 // NextTime returns the time of the earliest pending event. ok is false when
 // the queue is empty. The sharded executor uses it to pick conservative
@@ -183,6 +221,7 @@ func (s *Scheduler) schedule(t time.Duration) *event {
 	ev := s.ensurePool().get()
 	s.events.push(heapEntry{time: t, seq: s.seq, ev: ev})
 	s.seq++
+	s.pending++
 	return ev
 }
 
@@ -224,6 +263,47 @@ func (s *Scheduler) AfterFunc(d time.Duration, fn func(any), arg any) Timer {
 	return s.AtFunc(s.now+d, fn, arg)
 }
 
+// PostFanout schedules fn(shared, c.Arg) at each copy's time c.At. The
+// copies take consecutive seqs in slice order, exactly as len(copies)
+// consecutive AtFunc calls would, so they fire in the same order, but share
+// one pooled record and one heap slot. copies is not retained. Posts are
+// fire-and-forget: no copy can be stopped. A copy in the past panics, as
+// with At.
+func (s *Scheduler) PostFanout(fn func(shared, arg any), shared any, copies []Copy) {
+	if fn == nil {
+		panic("sim: PostFanout called with nil func")
+	}
+	if len(copies) == 0 {
+		return
+	}
+	for _, c := range copies {
+		if c.At < s.now {
+			panic(fmt.Sprintf("sim: PostFanout copy at %v is in the past (now %v)", c.At, s.now))
+		}
+	}
+	ev := s.ensurePool().get()
+	ev.ffn, ev.arg = fn, shared
+	// Insertion sort by time: seqs ascend in post order, so the sort is by
+	// (time, seq) when stable, and transmissions arrive nearly sorted.
+	cs := ev.copies[:0]
+	if cap(cs) < len(copies) {
+		cs = make([]fanCopy, 0, len(copies))
+	}
+	for _, c := range copies {
+		e := fanCopy{time: c.At, seq: s.seq, arg: c.Arg}
+		s.seq++
+		cs = append(cs, e)
+		i := len(cs) - 1
+		for ; i > 0 && cs[i-1].time > e.time; i-- {
+			cs[i] = cs[i-1]
+		}
+		cs[i] = e
+	}
+	ev.copies = cs
+	s.pending += len(cs)
+	s.events.push(heapEntry{time: cs[0].time, seq: cs[0].seq, ev: ev})
+}
+
 // Stop makes the current Run/RunUntil/RunFor call return after the event in
 // progress completes. It may only be called from inside an event callback.
 func (s *Scheduler) Stop() {
@@ -246,29 +326,49 @@ func (s *Scheduler) OnIdle(fn func()) {
 	s.idleHooks = append(s.idleHooks, fn)
 }
 
-// Step fires the single earliest pending event. It reports whether an event
-// fired.
+// Step fires the single earliest pending event (or fan-out copy). It
+// reports whether one fired.
 func (s *Scheduler) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	at, ev := s.events.pop()
+	at, ev := s.events[0].time, s.events[0].ev
 	if at < s.now {
 		panic("sim: event heap yielded an event in the past")
 	}
+	// Settle the heap before running the callback, which may schedule. A
+	// fan-out record with copies left stays in its slot, re-keyed to its
+	// next copy; any other record is recycled: its next life (possibly
+	// scheduled by this very callback) is fenced from stale Timers by the
+	// generation bump, and the callback slots were copied out first.
+	fn, afn, ffn, arg := ev.fn, ev.afn, ev.ffn, ev.arg
+	var copyArg any
+	if ffn != nil {
+		c := &ev.copies[ev.next]
+		copyArg, c.arg = c.arg, nil
+		ev.next++
+		if ev.next < len(ev.copies) {
+			n := &ev.copies[ev.next]
+			s.events.down(0, heapEntry{time: n.time, seq: n.seq, ev: ev})
+			ev = nil
+		}
+	}
+	if ev != nil {
+		s.events.remove(0)
+		s.ensurePool().put(ev)
+	}
+	s.pending--
 	s.now = at
 	s.executed++
 	if s.obs.EventFired != nil {
 		s.obs.EventFired(at)
 	}
-	// Recycle before running the callback: the record's next life (possibly
-	// scheduled by this very callback) is fenced from stale Timers by the
-	// generation bump, and the callback slots were copied out first.
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	s.ensurePool().put(ev)
-	if afn != nil {
+	switch {
+	case ffn != nil:
+		ffn(arg, copyArg)
+	case afn != nil:
 		afn(arg)
-	} else {
+	default:
 		fn()
 	}
 	return true
@@ -346,13 +446,6 @@ type eventHeap []heapEntry
 func (h *eventHeap) push(e heapEntry) {
 	*h = append(*h, e)
 	h.up(len(*h)-1, e)
-}
-
-// pop removes the minimum slot and returns its time and record.
-func (h *eventHeap) pop() (time.Duration, *event) {
-	top := (*h)[0]
-	h.remove(0)
-	return top.time, top.ev
 }
 
 // remove deletes slot i, refilling it with the last slot.

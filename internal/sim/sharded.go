@@ -301,6 +301,12 @@ func (sh *ShardRuntime) ID() int { return sh.id }
 // that need its extended surface (diagnostics, idle hooks in tests).
 func (sh *ShardRuntime) Scheduler() *Scheduler { return sh.s }
 
+// PostFanout implements CrossPoster: the copies go on this shard's own
+// queue.
+func (sh *ShardRuntime) PostFanout(fn func(shared, arg any), shared any, copies []Copy) {
+	sh.s.PostFanout(fn, shared, copies)
+}
+
 // PostTo implements CrossPoster. Same-shard posts are ordinary AtFuncs;
 // cross-shard posts buffer in the outbox until the window barrier. A
 // cross-shard post at or before the current window's end is a lookahead
