@@ -3,6 +3,7 @@ package aodv
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"blackdp/internal/radio"
 	"blackdp/internal/sim"
@@ -133,12 +134,14 @@ func (r *Router) RouteTo(dest wire.NodeID) (Route, bool) {
 	return r.table.lookup(dest, r.sched.Now())
 }
 
-// Neighbors returns the pseudonyms heard from within the neighbour timeout.
+// Neighbors returns the pseudonyms heard from within the neighbour timeout,
+// in ascending ID order.
 func (r *Router) Neighbors() []wire.NodeID {
 	out := make([]wire.NodeID, 0, len(r.table.neighbors))
 	for n := range r.table.neighbors {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out
 }
 

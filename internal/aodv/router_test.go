@@ -455,3 +455,23 @@ func TestRouteTableOrdersByID(t *testing.T) {
 		}
 	}
 }
+
+// TestNeighborsOrderedByID holds Router.Neighbors to ascending ID order
+// rather than map iteration order, over twenty fresh tables.
+func TestNeighborsOrderedByID(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		r := &Router{table: newTable()}
+		for id := wire.NodeID(40); id > 30; id-- {
+			r.table.heard(id, 0)
+		}
+		got := r.Neighbors()
+		if len(got) != 10 {
+			t.Fatalf("round %d: %d neighbours, want 10", round, len(got))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i-1] >= got[i] {
+				t.Fatalf("round %d: neighbours out of order: %v", round, got)
+			}
+		}
+	}
+}

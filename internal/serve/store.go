@@ -33,11 +33,12 @@ package serve
 // so there is nothing to persist and nothing to recover.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -191,9 +192,10 @@ func (fs *FileStore) Load() ([]StoredJob, error) {
 		}
 	}
 	// Jobs are j-<n>; recover them in submission order so the registry
-	// lists them the way an uninterrupted server would.
-	sort.Slice(ids, func(i, j int) bool {
-		return jobSeq(ids[i]) < jobSeq(ids[j])
+	// lists them the way an uninterrupted server would. Any other name has
+	// sequence 0, so the id breaks ties and the order stays total.
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(jobSeq(a), jobSeq(b)), strings.Compare(a, b))
 	})
 	jobs := make([]StoredJob, 0, len(ids))
 	for _, id := range ids {
