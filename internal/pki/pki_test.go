@@ -3,9 +3,12 @@ package pki
 import (
 	"bytes"
 	"crypto/ecdsa"
+	"crypto/sha256"
+	"encoding/asn1"
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -583,6 +586,38 @@ func TestKeysAndSignaturesAreDeterministic(t *testing.T) {
 		}
 		if !(ECDSA{}).Verify(&k1.PublicKey, msg, s1) {
 			t.Errorf("seed %d: deterministic signature does not verify", seed)
+		}
+	}
+}
+
+// TestSignRFC6979Vectors pins the signer to RFC 6979 appendix A.2.5
+// (P-256, SHA-256), so signatures are the standard's, not one Go
+// release's.
+func TestSignRFC6979Vectors(t *testing.T) {
+	d, _ := new(big.Int).SetString("C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721", 16)
+	key, err := keyFromScalar(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct{ msg, r, s string }{
+		{"sample",
+			"EFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716",
+			"F7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8"},
+		{"test",
+			"F1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367",
+			"019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083"},
+	} {
+		digest := sha256.Sum256([]byte(v.msg))
+		der, err := signRFC6979(key, digest[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sig struct{ R, S *big.Int }
+		if _, err := asn1.Unmarshal(der, &sig); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%064X/%064X", sig.R, sig.S); got != v.r+"/"+v.s {
+			t.Errorf("%q: signature %s, want %s/%s", v.msg, got, v.r, v.s)
 		}
 	}
 }

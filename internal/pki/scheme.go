@@ -6,7 +6,6 @@
 package pki
 
 import (
-	"crypto"
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
@@ -43,8 +42,8 @@ const (
 
 // ECDSA is the production scheme: SHA-256 digests signed with ECDSA P-256,
 // as mandated by IEEE 1609.2. Nonces are derived from the key and digest
-// (RFC 6979), so a signature is a pure function of its inputs and every
-// frame of a seeded run is reproducible byte for byte.
+// (RFC 6979, see signRFC6979), so a signature is a pure function of its
+// inputs and every frame of a seeded run is reproducible byte for byte.
 type ECDSA struct{}
 
 var _ Scheme = ECDSA{}
@@ -58,7 +57,7 @@ func (ECDSA) Sign(priv *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
 		return nil, errors.New("pki: Sign with nil key")
 	}
 	digest := sha256.Sum256(msg)
-	asn1, err := priv.Sign(nil, digest[:], crypto.SHA256)
+	asn1, err := signRFC6979(priv, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("pki: signing: %w", err)
 	}
@@ -191,11 +190,21 @@ func GenerateKey(rand io.Reader) (*ecdsa.PrivateKey, error) {
 	}
 	d := new(big.Int).SetBytes(seed[:])
 	d.Mod(d, p256OrderMinus1).Add(d, big.NewInt(1))
+	key, err := keyFromScalar(d)
+	if err != nil {
+		return nil, fmt.Errorf("pki: generating key: %w", err)
+	}
+	return key, nil
+}
+
+// keyFromScalar returns the P-256 key pair with private scalar d, which
+// must lie in [1, n-1].
+func keyFromScalar(d *big.Int) (*ecdsa.PrivateKey, error) {
 	var scalar [p256Coord]byte
 	d.FillBytes(scalar[:])
 	ek, err := ecdh.P256().NewPrivateKey(scalar[:])
 	if err != nil {
-		return nil, fmt.Errorf("pki: generating key: %w", err)
+		return nil, err
 	}
 	pt := ek.PublicKey().Bytes() // uncompressed: 0x04 || X || Y
 	return &ecdsa.PrivateKey{
