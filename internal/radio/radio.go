@@ -159,13 +159,6 @@ type Medium struct {
 
 	devices []*Interface
 	index   *cellIndex // nil under WithLinearScan (or a degenerate range)
-
-	// deliverFan and deliverOne are the scheduler callbacks shared by every
-	// in-flight frame copy (bound once, so posting allocates no method
-	// value); frames travel in pooled transmission records, so the
-	// broadcast path allocates nothing once the pools are warm.
-	deliverFan func(shared, arg any)
-	deliverOne func(any)
 }
 
 // Shard is one execution context of the medium: the runtime whose events its
@@ -190,8 +183,9 @@ type Shard struct {
 // transmission holds one frame in flight. The copies a Send schedules on the
 // sender's own context share one record through a single fan-out post, and
 // the last of them to arrive recycles it; a copy bound for another shard
-// travels alone in a record of its own, with dev set. Records are pooled per
-// shard context: a record is drawn from the sender's context and recycled
+// travels alone in a record of its own, with dev set. Pooling the records
+// keeps the broadcast path allocation-free once the pools are warm. They are
+// pooled per shard context: a record is drawn from the sender's context and recycled
 // into the receiver's, each touched only on its own shard's goroutine, so
 // plain free lists suffice.
 type transmission struct {
@@ -222,8 +216,6 @@ func NewMedium(sched *sim.Scheduler, rng *sim.RNG, opts ...Option) *Medium {
 	}
 	m.serial = &Shard{m: m, rt: sched, cross: sched, rng: rng, burst: m.burst}
 	m.shards = []*Shard{m.serial}
-	m.deliverFan = m.deliverFanout
-	m.deliverOne = m.deliverCrossShard
 	return m
 }
 
@@ -450,7 +442,7 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 		}
 	}
 	if len(c.fan) > 0 {
-		c.cross.PostFanout(m.deliverFan, c.getTx(frame, len(c.fan), nil), c.fan)
+		c.cross.PostFanout(deliverFanout, c.getTx(frame, len(c.fan), nil), c.fan)
 		c.fan = c.fan[:0]
 	}
 	if !acked {
@@ -488,9 +480,9 @@ func (m *Medium) consider(c *Shard, sender, dev *Interface, to wire.NodeID, fram
 
 // offerCopy accounts for and schedules one frame copy toward one in-range
 // receiver (a same-context copy joins the Send's fan-out batch), reporting
-// whether the copy survived the loss process at send time. Every offered copy ends up exactly once in DeliveredFrames or
-// LostFrames (or is still in flight) — the conservation ledger
-// CheckConservation audits.
+// whether the copy survived the loss process at send time. Every offered
+// copy ends up exactly once in DeliveredFrames or LostFrames (or is still in
+// flight) — the conservation ledger CheckConservation audits.
 func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.Duration, dist float64, now time.Duration) bool {
 	payload := frame.Payload
 	c.stats.offered.count(payload, len(payload))
@@ -513,19 +505,19 @@ func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.D
 	// Route the copy to the receiver's home shard. Cross-shard delay is
 	// bounded below by txDelay, which is why a frame's minimum airtime is
 	// the sharded run's lookahead.
-	c.cross.PostTo(dev.shard.rt, now+delay, m.deliverOne, c.getTx(frame, 1, dev))
+	c.cross.PostTo(dev.shard.rt, now+delay, deliverCrossShard, c.getTx(frame, 1, dev))
 	return true
 }
 
 // deliverFanout is the arrival callback of a copy posted in a Send's fan-out
 // batch: shared is the transmission, arg the receiver.
-func (m *Medium) deliverFanout(shared, arg any) {
+func deliverFanout(shared, arg any) {
 	arrive(arg.(*Interface), shared.(*transmission))
 }
 
 // deliverCrossShard is the arrival callback of a copy routed to another
 // shard in a record of its own.
-func (m *Medium) deliverCrossShard(a any) {
+func deliverCrossShard(a any) {
 	tx := a.(*transmission)
 	arrive(tx.dev, tx)
 }

@@ -104,10 +104,10 @@ func Build(cfg Config) (*World, error) {
 	return buildPooled(cfg, nil, reference{})
 }
 
-// ecdsaScheme returns the ECDSA scheme after spending rng's "crypto" split.
-// Signatures are deterministic (RFC 6979) and draw nothing, but that split
-// once seeded their nonces and every later split of rng follows it, so the
-// draw stays: dropping it would move every seed's run.
+// ecdsaScheme spends rng's "crypto" split and returns the ECDSA scheme.
+// Signatures are deterministic (RFC 6979) and draw nothing, but every later
+// split of rng depends on this draw, so it stays: dropping it would change
+// every seed's run.
 func ecdsaScheme(rng *sim.RNG) pki.Scheme {
 	rng.Split("crypto")
 	return pki.ECDSA{}
@@ -244,8 +244,8 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 		shard.OnWindow(func(_, we time.Duration) { medium.RefreshIndex(we) })
 	}
 	if shard != nil && cfg.CryptoScheme == SchemeECDSA {
-		// Spent splits, as in ecdsaScheme: they once seeded per-shard
-		// signing nonces, and the attacker splits made later follow them.
+		// Spent splits, as in ecdsaScheme: the attacker splits made later
+		// depend on them.
 		for i := 0; i < shard.Shards(); i++ {
 			rng.Split(fmt.Sprintf("crypto-shard-%d", i))
 		}
