@@ -169,8 +169,7 @@ type Medium struct {
 // goroutine (or the orchestrator at barriers), so none of it needs locks.
 type Shard struct {
 	m       *Medium
-	rt      sim.Runtime
-	cross   sim.CrossPoster
+	rt      shardRuntime
 	rng     *sim.RNG
 	burst   *burstState
 	stats   liveStats
@@ -178,6 +177,14 @@ type Shard struct {
 	fan     []sim.Copy // the same-context copies of the Send in progress
 	scratch collectScratch
 	digest  hash.Hash // nil unless DigestFrames was called
+}
+
+// shardRuntime is what a shard context schedules on: its own runtime, which
+// also posts fan-out batches there and routes copies to other shards. The
+// serial *sim.Scheduler and a sharded run's *sim.ShardRuntime both are one.
+type shardRuntime interface {
+	sim.Runtime
+	sim.CrossPoster
 }
 
 // transmission holds one frame in flight. The copies a Send schedules on the
@@ -214,7 +221,7 @@ func NewMedium(sched *sim.Scheduler, rng *sim.RNG, opts ...Option) *Medium {
 	if !m.linearScan && m.txRange > 0 && !math.IsInf(m.txRange, 0) {
 		m.index = newCellIndex(m.txRange)
 	}
-	m.serial = &Shard{m: m, rt: sched, cross: sched, rng: rng, burst: m.burst}
+	m.serial = &Shard{m: m, rt: sched, rng: rng, burst: m.burst}
 	m.shards = []*Shard{m.serial}
 	return m
 }
@@ -224,9 +231,9 @@ func NewMedium(sched *sim.Scheduler, rng *sim.RNG, opts ...Option) *Medium {
 // context; every device must then attach through AttachOn, and the run's
 // orchestrator must call RefreshIndex at each window start. AddShard must
 // precede all attaches.
-func (m *Medium) AddShard(rt sim.Runtime, cross sim.CrossPoster, rng *sim.RNG) *Shard {
-	if rt == nil || cross == nil || rng == nil {
-		panic("radio: AddShard requires a runtime, cross-poster and RNG")
+func (m *Medium) AddShard(sh *sim.ShardRuntime, rng *sim.RNG) *Shard {
+	if sh == nil || rng == nil {
+		panic("radio: AddShard requires a shard runtime and RNG")
 	}
 	if len(m.devices) > 0 {
 		panic("radio: AddShard after devices attached")
@@ -236,7 +243,7 @@ func (m *Medium) AddShard(rt sim.Runtime, cross sim.CrossPoster, rng *sim.RNG) *
 		m.serial = nil
 		m.shards = m.shards[:0]
 	}
-	c := &Shard{m: m, rt: rt, cross: cross, rng: rng}
+	c := &Shard{m: m, rt: sh, rng: rng}
 	if m.burst != nil {
 		c.burst = m.burst.clone()
 	}
@@ -442,7 +449,7 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 		}
 	}
 	if len(c.fan) > 0 {
-		c.cross.PostFanout(deliverFanout, c.getTx(frame, len(c.fan), nil), c.fan)
+		c.rt.PostFanout(deliverFanout, c.getTx(frame, len(c.fan), nil), c.fan)
 		c.fan = c.fan[:0]
 	}
 	if !acked {
@@ -505,7 +512,7 @@ func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.D
 	// Route the copy to the receiver's home shard. Cross-shard delay is
 	// bounded below by txDelay, which is why a frame's minimum airtime is
 	// the sharded run's lookahead.
-	c.cross.PostTo(dev.shard.rt, now+delay, deliverCrossShard, c.getTx(frame, 1, dev))
+	c.rt.PostTo(dev.shard.rt, now+delay, deliverCrossShard, c.getTx(frame, 1, dev))
 	return true
 }
 

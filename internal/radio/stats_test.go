@@ -40,7 +40,7 @@ func TestStatsSnapshotShardedSums(t *testing.T) {
 	m := NewMedium(sim.NewScheduler(), sim.NewRNG(1))
 	var ports []*Shard
 	for i := 0; i < x.Shards(); i++ {
-		ports = append(ports, m.AddShard(x.Shard(i), x.Shard(i), sim.NewRNG(int64(10+i))))
+		ports = append(ports, m.AddShard(x.Shard(i), sim.NewRNG(int64(10+i))))
 	}
 	x.OnWindow(func(_, we time.Duration) { m.RefreshIndex(we) })
 	sink := func(Frame) {}

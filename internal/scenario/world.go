@@ -236,7 +236,7 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 		// are a pure function of the seed and the (fixed) shard count.
 		for i := 0; i < shard.Shards(); i++ {
 			sh := shard.Shard(i)
-			ports = append(ports, medium.AddShard(sh, sh, rng.Split(fmt.Sprintf("radio-shard-%d", i))))
+			ports = append(ports, medium.AddShard(sh, rng.Split(fmt.Sprintf("radio-shard-%d", i))))
 		}
 		// Windows read the spatial index lock-free; the barrier brings it up
 		// to the window end before any shard starts (refreshing slightly
