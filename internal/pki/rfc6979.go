@@ -18,6 +18,11 @@ import (
 // signature is a pure function of key and message: the same on every run,
 // platform and Go release. crypto/ecdsa offers that only from Go 1.24 on,
 // and its randomized signer reads a variable number of bytes.
+//
+// The signer is not hardened against timing side channels: only kG runs in
+// constant time (crypto/ecdh), while s is computed with variable-time
+// math/big arithmetic on the private scalar. It signs simulated credentials
+// only and must not be reused for real keys.
 func signRFC6979(priv *ecdsa.PrivateKey, digest []byte) ([]byte, error) {
 	params := elliptic.P256().Params()
 	n := params.N
