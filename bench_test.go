@@ -65,6 +65,30 @@ func BenchmarkFig4SingleAttack(b *testing.B) {
 	}
 }
 
+// BenchmarkFig4Sweep: one Figure 4 grid (single black hole, six
+// replications per attacker cluster) on two sweep workers, the regime the
+// figure is regenerated in. Each worker runs its replications one after
+// another on a shared event pool, so B/op shows what the pool recycles and
+// what every replication still allocates under a live collector.
+func BenchmarkFig4Sweep(b *testing.B) {
+	const reps = 6
+	cfg := blackdp.DefaultConfig()
+	worlds := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		points, err := blackdp.Fig4(context.Background(), cfg, blackdp.SingleBlackHole, reps, blackdp.WithWorkers(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(points) == 0 {
+			b.Fatal("empty Figure 4 grid")
+		}
+		worlds += len(points) * reps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(worlds), "ns/rep")
+}
+
 // BenchmarkFig4CooperativeAttack: one cooperative Figure 4 data point.
 func BenchmarkFig4CooperativeAttack(b *testing.B) {
 	for _, cluster := range []int{2, 9} {

@@ -463,18 +463,30 @@ func (r *Router) HandleFrame(f radio.Frame) {
 	if err != nil {
 		return // corrupt or foreign frame; ignore like real radios do
 	}
-	r.table.heard(f.From, r.sched.Now())
-
 	var env *wire.Secure
 	if sec, ok := pkt.(*wire.Secure); ok {
 		inner, err := wire.Decode(sec.Inner)
 		if err != nil {
+			// The sender still counts as heard.
+			r.table.heard(f.From, r.sched.Now())
 			return
 		}
 		env = sec
 		pkt = inner
 	}
+	r.HandleDecoded(pkt, env, f)
+}
 
+// HandleDecoded is HandleFrame for a frame its owner has already decoded:
+// pkt is the frame's packet, unwrapped from its Secure envelope env when
+// there was one (env is nil for a bare packet). An agent that decodes what
+// it overhears to pick out its own packets hands the rest over here rather
+// than having the router decode them again.
+func (r *Router) HandleDecoded(pkt wire.Packet, env *wire.Secure, f radio.Frame) {
+	if r.stopped {
+		return
+	}
+	r.table.heard(f.From, r.sched.Now())
 	switch p := pkt.(type) {
 	case *wire.RREQ:
 		r.handleRREQ(p, f.From)

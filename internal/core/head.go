@@ -339,8 +339,10 @@ func (h *HeadAgent) handleFrame(f radio.Frame) {
 	case *wire.RenewalReq:
 		h.relayRenewal(env, f)
 	default:
-		// RREQ/RREP/RERR/Hello/Data: ordinary AODV relay work.
-		h.router.HandleFrame(f)
+		// Secure routing packets and cluster packets the head does not
+		// handle itself go to the router, which updates its neighbour
+		// table from them.
+		h.router.HandleDecoded(inner, env, f)
 	}
 }
 

@@ -313,7 +313,7 @@ func (v *VehicleAgent) HandleFrame(f radio.Frame) {
 	case *wire.RenewalResp:
 		v.handleRenewalResp(p, env)
 	default:
-		v.router.HandleFrame(f)
+		v.router.HandleDecoded(inner, env, f)
 	}
 }
 

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,13 +33,17 @@ import (
 // device dirty via the Kinematic motion-change callback. Locators without
 // analytic motion fall into an unindexed list scanned on every query — exact,
 // just not indexed.
+//
+// Buckets hold attach seqs, not pointers: a seq is the device's index in
+// Medium.devices, which never shrinks. Merging and copying them moves plain
+// words, which the garbage collector never has to see.
 type cellIndex struct {
 	size  float64
-	cells map[cellKey][]*Interface     // bucketed devices, ascending attach seq
+	cells map[cellKey][]int32          // bucketed devices' seqs, ascending
 	byID  map[wire.NodeID][]*Interface // unicast fast path, ascending attach seq
 	heap  []crossEntry                 // pending cell-crossing times
 	dirty []*Interface                 // trajectory changed since last refresh
-	unind []*Interface                 // non-Kinematic locators, ascending attach seq
+	unind []int32                      // non-Kinematic locators' seqs, ascending
 }
 
 // collectScratch is one caller's query scratch, reused so the hot path
@@ -46,8 +51,9 @@ type cellIndex struct {
 // goroutines at once (read-only between barrier refreshes), so each shard
 // context owns its own scratch.
 type collectScratch struct {
-	lists [][]*Interface
-	cand  []*Interface
+	lists [10][]int32 // the 3×3 sweep's non-empty buckets, then unind
+	cur   [10]int     // merge cursor into each list
+	cand  []int32     // merged candidate seqs
 }
 
 type cellKey struct{ x, y int64 }
@@ -63,7 +69,7 @@ type crossEntry struct {
 func newCellIndex(size float64) *cellIndex {
 	return &cellIndex{
 		size:  size,
-		cells: make(map[cellKey][]*Interface),
+		cells: make(map[cellKey][]int32),
 		byID:  make(map[wire.NodeID][]*Interface),
 	}
 }
@@ -96,7 +102,7 @@ func (x *cellIndex) add(ifc *Interface, now time.Duration) {
 		kin.OnMotionChange(func() { x.markDirty(ifc) })
 		x.place(ifc, now)
 	} else {
-		x.unind = append(x.unind, ifc)
+		x.unind = append(x.unind, ifc.seq)
 	}
 }
 
@@ -109,7 +115,7 @@ func (x *cellIndex) remove(ifc *Interface) {
 		}
 		ifc.gen++ // invalidate pending heap entries
 	} else {
-		x.unind = removeIfc(x.unind, ifc)
+		x.unind = removeSeq(x.unind, ifc.seq)
 	}
 }
 
@@ -140,6 +146,14 @@ func removeIfc(s []*Interface, ifc *Interface) []*Interface {
 			s[len(s)-1] = nil
 			return s[:len(s)-1]
 		}
+	}
+	return s
+}
+
+// removeSeq deletes seq from an ascending bucket.
+func removeSeq(s []int32, seq int32) []int32 {
+	if k, ok := slices.BinarySearch(s, seq); ok {
+		return slices.Delete(s, k, k+1)
 	}
 	return s
 }
@@ -210,11 +224,8 @@ func (x *cellIndex) crossingTime(pos mobility.Position, vel mobility.Velocity, k
 
 func (x *cellIndex) insertIntoCell(ifc *Interface, key cellKey) {
 	s := x.cells[key]
-	pos := sort.Search(len(s), func(k int) bool { return s[k].seq > ifc.seq })
-	s = append(s, nil)
-	copy(s[pos+1:], s[pos:])
-	s[pos] = ifc
-	x.cells[key] = s
+	pos, _ := slices.BinarySearch(s, ifc.seq)
+	x.cells[key] = slices.Insert(s, pos, ifc.seq)
 	ifc.cell = key
 	ifc.inCell = true
 }
@@ -222,7 +233,7 @@ func (x *cellIndex) insertIntoCell(ifc *Interface, key cellKey) {
 func (x *cellIndex) removeFromCell(ifc *Interface) {
 	// Empty buckets stay in the map so their capacity is reused when traffic
 	// re-enters the cell.
-	x.cells[ifc.cell] = removeIfc(x.cells[ifc.cell], ifc)
+	x.cells[ifc.cell] = removeSeq(x.cells[ifc.cell], ifc.seq)
 	ifc.inCell = false
 }
 
@@ -250,41 +261,42 @@ func (x *cellIndex) refresh(now time.Duration) {
 }
 
 // collectInto returns the candidate receivers for a transmission from p: the
-// devices in the 3×3 cell sweep around p plus every unindexed device, merged
-// into ascending attach order (the linear scan's iteration order). It only
-// reads the index — bucket mutation happens in refresh — so concurrent
-// callers are safe as long as each brings its own scratch; the returned
-// slice is that scratch, valid until its next collectInto.
-func (x *cellIndex) collectInto(s *collectScratch, p mobility.Position) []*Interface {
+// seqs of the devices in the 3×3 cell sweep around p plus every unindexed
+// device, merged into ascending attach order (the linear scan's iteration
+// order). It only reads the index — bucket mutation happens in refresh — so
+// concurrent callers are safe as long as each brings its own scratch; the
+// returned slice is that scratch, valid until its next collectInto.
+func (x *cellIndex) collectInto(s *collectScratch, p mobility.Position) []int32 {
 	k := x.keyOf(p)
-	ls := s.lists[:0]
+	n := 0
 	for dy := int64(-1); dy <= 1; dy++ {
 		for dx := int64(-1); dx <= 1; dx++ {
 			if b := x.cells[cellKey{x: k.x + dx, y: k.y + dy}]; len(b) > 0 {
-				ls = append(ls, b)
+				s.lists[n], s.cur[n] = b, 0
+				n++
 			}
 		}
 	}
 	if len(x.unind) > 0 {
-		ls = append(ls, x.unind)
+		s.lists[n], s.cur[n] = x.unind, 0
+		n++
 	}
-	s.lists = ls
+	// A k-way merge on fixed cursors: the lists stay put, only the cursors
+	// advance.
+	ls, cur := s.lists[:n], s.cur[:n]
 	out := s.cand[:0]
 	for {
-		best := -1
-		for li := range ls {
-			if len(ls[li]) == 0 {
-				continue
-			}
-			if best < 0 || ls[li][0].seq < ls[best][0].seq {
-				best = li
+		best, low := -1, int32(0)
+		for li, l := range ls {
+			if c := cur[li]; c < len(l) && (best < 0 || l[c] < low) {
+				best, low = li, l[c]
 			}
 		}
 		if best < 0 {
 			break
 		}
-		out = append(out, ls[best][0])
-		ls[best] = ls[best][1:]
+		out = append(out, low)
+		cur[best]++
 	}
 	s.cand = out
 	return out

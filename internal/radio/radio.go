@@ -174,7 +174,7 @@ type Shard struct {
 	burst   *burstState
 	stats   liveStats
 	freeTx  []*transmission
-	fan     []sim.Copy // the same-context copies of the Send in progress
+	fan     []sim.Copy // the Send's same-context copies; a slot is a receiver seq
 	scratch collectScratch
 	digest  hash.Hash // nil unless DigestFrames was called
 }
@@ -196,6 +196,7 @@ type shardRuntime interface {
 // into the receiver's, each touched only on its own shard's goroutine, so
 // plain free lists suffice.
 type transmission struct {
+	m     *Medium // resolves a fan-out copy's slot to its receiver
 	frame Frame
 	left  int        // copies not yet delivered or lost
 	dev   *Interface // receiver of a cross-shard copy; nil for a fan-out
@@ -277,12 +278,12 @@ func (c *Shard) getTx(frame Frame, copies int, dev *Interface) *transmission {
 		tx.frame, tx.left, tx.dev = frame, copies, dev
 		return tx
 	}
-	return &transmission{frame: frame, left: copies, dev: dev}
+	return &transmission{m: c.m, frame: frame, left: copies, dev: dev}
 }
 
 // putTx clears a record and returns it to the context's free list.
 func (c *Shard) putTx(tx *transmission) {
-	*tx = transmission{}
+	*tx = transmission{m: tx.m}
 	c.freeTx = append(c.freeTx, tx)
 }
 
@@ -321,7 +322,7 @@ func (m *Medium) AttachOn(c *Shard, id wire.NodeID, loc mobility.Locator, recv R
 	if id == wire.Broadcast {
 		panic("radio: cannot attach with the broadcast NodeID")
 	}
-	ifc := &Interface{medium: m, shard: c, id: id, loc: loc, recv: recv, seq: len(m.devices)}
+	ifc := &Interface{medium: m, shard: c, id: id, loc: loc, recv: recv, seq: int32(len(m.devices))}
 	m.devices = append(m.devices, ifc)
 	if m.index != nil {
 		m.index.add(ifc, c.rt.Now())
@@ -340,8 +341,9 @@ type Interface struct {
 	silenced bool
 
 	// Spatial-index state (see cellIndex). seq is the attach order the
-	// linear scan iterates in and the index merges by.
-	seq    int
+	// linear scan iterates in and the index merges by, and the device's
+	// index in Medium.devices.
+	seq    int32
 	kin    mobility.Kinematic
 	cell   cellKey
 	inCell bool
@@ -442,8 +444,8 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 		if !m.windowed {
 			m.index.refresh(now)
 		}
-		for _, dev := range m.index.collectInto(&c.scratch, src) {
-			if m.consider(c, i, dev, to, frame, src, txDelay, now) {
+		for _, seq := range m.index.collectInto(&c.scratch, src) {
+			if m.consider(c, i, m.devices[seq], to, frame, src, txDelay, now) {
 				acked = true
 			}
 		}
@@ -506,7 +508,7 @@ func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.D
 	if dev.shard == c {
 		// Every copy of a serial medium, and same-shard copies of a sharded
 		// one: Send posts them together.
-		c.fan = append(c.fan, sim.Copy{At: now + delay, Arg: dev})
+		c.fan = append(c.fan, sim.Copy{At: now + delay, Slot: dev.seq})
 		return true
 	}
 	// Route the copy to the receiver's home shard. Cross-shard delay is
@@ -517,9 +519,10 @@ func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.D
 }
 
 // deliverFanout is the arrival callback of a copy posted in a Send's fan-out
-// batch: shared is the transmission, arg the receiver.
-func deliverFanout(shared, arg any) {
-	arrive(arg.(*Interface), shared.(*transmission))
+// batch: shared is the transmission, slot the receiver's seq.
+func deliverFanout(shared any, slot int32) {
+	tx := shared.(*transmission)
+	arrive(tx.m.devices[slot], tx)
 }
 
 // deliverCrossShard is the arrival callback of a copy routed to another
@@ -636,7 +639,8 @@ func (i *Interface) AppendNeighbors(dst []wire.NodeID) []wire.NodeID {
 		if !m.windowed {
 			m.index.refresh(now)
 		}
-		for _, dev := range m.index.collectInto(&c.scratch, src) {
+		for _, seq := range m.index.collectInto(&c.scratch, src) {
+			dev := m.devices[seq]
 			if dev == i || !dev.active(now) {
 				continue
 			}

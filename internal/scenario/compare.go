@@ -58,6 +58,35 @@ type compareEvidence struct {
 	outcome    metrics.Outcome
 }
 
+// discoverEvidence builds cfg's world on pool and records the raw discovery
+// view the sequence-number heuristics score: the replies the source
+// collects for one route discovery. The world's pending events go back to
+// pool when it is done.
+func discoverEvidence(cfg Config, pool *sim.EventPool, ref reference) (compareEvidence, error) {
+	w, err := buildPooled(cfg, pool, ref)
+	if err != nil {
+		return compareEvidence{}, err
+	}
+	defer w.Sched.Release()
+	ev := compareEvidence{}
+	if w.Attacker != nil {
+		ev.attackerID = w.Attacker.NodeID()
+	}
+	w.Sched.RunFor(1500 * time.Millisecond) // joins settle
+	var got *aodv.DiscoverResult
+	err = w.Source.Router().Discover(w.Destination.NodeID(),
+		func(res aodv.DiscoverResult) { got = &res })
+	if err != nil {
+		return compareEvidence{}, err
+	}
+	w.Sched.RunFor(5 * time.Second)
+	if got == nil {
+		return compareEvidence{}, fmt.Errorf("scenario: discovery never completed (seed %d)", cfg.Seed)
+	}
+	ev.candidates = got.Candidates
+	return ev, nil
+}
+
 // CompareDetectorsSweep is CompareDetectors with cancellation and sweep
 // options. The expensive part — building and running two worlds per
 // replication — fans out across the pool; the detector evaluation then
@@ -71,42 +100,20 @@ func CompareDetectorsSweep(ctx context.Context, cfg Config, reps int, opt SweepO
 		Workers:  opt.Workers,
 		SeedOf:   seedOf,
 		Progress: opt.Progress,
-	}, func(int) *sim.EventPool {
-		return sim.NewEventPool()
-	}, func(ctx context.Context, rep int, pool *sim.EventPool) (compareEvidence, error) {
+	}, opt.workerPool, func(ctx context.Context, rep int, pool *sim.EventPool) (compareEvidence, error) {
 		runCfg := cfg
 		runCfg.Seed = seedOf(rep)
 
-		// Raw discovery view for the sequence-number heuristics. The two
-		// worlds of one replication run back to back on this worker, so they
-		// share its event pool.
-		w, err := buildPooled(runCfg, pool, opt.ref)
+		// The two worlds of one replication run back to back on this
+		// worker, so they share its event pool.
+		ev, err := discoverEvidence(runCfg, pool, opt.ref)
 		if err != nil {
 			return compareEvidence{}, err
 		}
-		ev := compareEvidence{}
-		if w.Attacker != nil {
-			ev.attackerID = w.Attacker.NodeID()
-		}
-		w.Sched.RunFor(1500 * time.Millisecond) // joins settle
-		var got *aodv.DiscoverResult
-		err = w.Source.Router().Discover(w.Destination.NodeID(),
-			func(res aodv.DiscoverResult) { got = &res })
-		if err != nil {
-			return compareEvidence{}, err
-		}
-		w.Sched.RunFor(5 * time.Second)
-		if got == nil {
-			return compareEvidence{}, fmt.Errorf("scenario: discovery never completed (seed %d)", runCfg.Seed)
-		}
-		ev.candidates = got.Candidates
-
 		// BlackDP's verdict on an identical world.
-		o, err := runPooled(ctx, runCfg, pool, opt.ref)
-		if err != nil {
+		if ev.outcome, err = runPooled(ctx, runCfg, pool, opt.ref); err != nil {
 			return compareEvidence{}, err
 		}
-		ev.outcome = o
 		return ev, nil
 	})
 	if err != nil {

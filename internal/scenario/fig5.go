@@ -369,9 +369,7 @@ func RunFig4Sweep(ctx context.Context, base Config, kind AttackKind, reps int, o
 		Workers:  opt.Workers,
 		SeedOf:   func(i int) int64 { return cfgs[i].Seed },
 		Progress: opt.Progress,
-	}, func(int) *sim.EventPool {
-		return sim.NewEventPool()
-	}, func(ctx context.Context, i int, pool *sim.EventPool) (metrics.Outcome, error) {
+	}, opt.workerPool, func(ctx context.Context, i int, pool *sim.EventPool) (metrics.Outcome, error) {
 		return runPooled(ctx, cfgs[i], pool, opt.ref)
 	})
 	if err != nil {

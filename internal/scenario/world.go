@@ -166,7 +166,8 @@ func buildTopology(cfg Config) (mobility.Topology, *mobility.Highway, *mobility.
 // consecutive replications reuse one warmed free list; a nil pool gives the
 // scheduler a private pool, which is exactly Build. Pooling must stay
 // invisible to outcomes — the differential and golden-hash tests in this
-// package enforce that.
+// package enforce that. A build that fails releases what it scheduled; a
+// caller done with the world it returns calls w.Sched.Release.
 func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -300,9 +301,11 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 		})
 	}
 	if err := w.buildInfrastructure(); err != nil {
+		sched.Release()
 		return nil, err
 	}
 	if err := w.buildPopulation(); err != nil {
+		sched.Release()
 		return nil, err
 	}
 	// Timed faults go on the same deterministic event queue as everything
@@ -1003,12 +1006,14 @@ func RunContext(ctx context.Context, cfg Config) (metrics.Outcome, error) {
 }
 
 // runPooled builds and executes one replication against a (possibly shared)
-// event pool. See buildPooled for the pooling and reference contracts.
+// event pool, releasing the events still pending when it ends, cancelled or
+// not. See buildPooled for the pooling and reference contracts.
 func runPooled(ctx context.Context, cfg Config, pool *sim.EventPool, ref reference) (metrics.Outcome, error) {
 	w, err := buildPooled(cfg, pool, ref)
 	if err != nil {
 		return metrics.Outcome{}, err
 	}
+	defer w.Sched.Release()
 	return w.RunContext(ctx)
 }
 
@@ -1028,6 +1033,18 @@ type SweepOptions struct {
 	// ref selects reference paths for every replication; only this
 	// package's differential tests set it.
 	ref reference
+	// pool, when non-nil, is the event pool of a one-worker sweep instead
+	// of a fresh one; only this package's pool tests set it.
+	pool *sim.EventPool
+}
+
+// workerPool returns one sweep worker's event pool, which the worker's
+// replications share one after another.
+func (o SweepOptions) workerPool(int) *sim.EventPool {
+	if o.pool != nil {
+		return o.pool
+	}
+	return sim.NewEventPool()
 }
 
 // RunMany executes reps independent runs of cfg with derived seeds and
@@ -1129,9 +1146,7 @@ func RunSweepRange(ctx context.Context, cfg Config, start, count int, opt SweepO
 		SeedOf:   func(rep int) int64 { return cfgs[rep].Seed },
 		Progress: opt.Progress,
 		OnRep:    onRep,
-	}, func(int) *sim.EventPool {
-		return sim.NewEventPool()
-	}, func(ctx context.Context, rep int, pool *sim.EventPool) (metrics.Outcome, error) {
+	}, opt.workerPool, func(ctx context.Context, rep int, pool *sim.EventPool) (metrics.Outcome, error) {
 		return runPooled(ctx, cfgs[rep], pool, opt.ref)
 	})
 }
@@ -1161,9 +1176,7 @@ func RunSweepStream(ctx context.Context, cfg Config, reps int, opt SweepOptions,
 		SeedOf:   func(rep int) int64 { return cfgs[rep].Seed },
 		Progress: opt.Progress,
 		OnRep:    opt.OnRep,
-	}, func(int) *sim.EventPool {
-		return sim.NewEventPool()
-	}, func(ctx context.Context, rep int, pool *sim.EventPool) (struct{}, error) {
+	}, opt.workerPool, func(ctx context.Context, rep int, pool *sim.EventPool) (struct{}, error) {
 		o, err := runPooled(ctx, cfgs[rep], pool, opt.ref)
 		if err != nil {
 			return struct{}{}, err

@@ -108,7 +108,7 @@ func BenchmarkScheduleFanout(b *testing.B) {
 	copies := make([]Copy, fanoutCopies)
 	k, fired := 0, 0
 	var post func()
-	fire := func(_, _ any) {
+	fire := func(any, int32) {
 		if fired++; fired%fanoutCopies == 0 {
 			post()
 		}
@@ -117,7 +117,7 @@ func BenchmarkScheduleFanout(b *testing.B) {
 		base := s.Now() + jitter[k%len(jitter)]
 		k++
 		for i := range copies {
-			copies[i] = Copy{At: base + jitter[k%len(jitter)]/5, Arg: i}
+			copies[i] = Copy{At: base + jitter[k%len(jitter)]/5, Slot: int32(i)}
 			k++
 		}
 		s.PostFanout(fire, nil, copies)

@@ -50,26 +50,32 @@ func (o *orderOracle) remove(id int) bool {
 }
 
 // FuzzSchedulerOrder decodes bytes into interleaved At, AtFunc, PostFanout,
-// Timer.Stop, Step and RunUntil operations and checks the scheduler against
+// Timer.Stop, Step, RunUntil and Release operations and checks the scheduler against
 // a sorted-slice reference: events must fire in (time, seq) order, Stop must
 // report exactly whether it cancelled a pending event (also for handles that
 // already fired, were already stopped, or whose record has been recycled),
 // and Pending, NextTime and Now must match the reference after every
 // operation. A fan-out post of k copies is k consecutive pushes to the
-// reference, and its copies have no stoppable handle. Small time deltas make
-// equal timestamps common, so FIFO tie-breaking is exercised throughout.
+// reference, and its copies have no stoppable handle. A Release empties the
+// reference: afterwards Pending is 0 and no earlier handle stops anything.
+// Small time deltas make equal timestamps common, so FIFO tie-breaking is
+// exercised throughout.
 //
-// Op bytes 0xF0 and above post a fan-out; any other byte selects one of the
-// five single-event ops by its value mod 5. The checked-in corpus predates
-// the fan-out op and is plain ASCII, so its entries replay the op sequences
-// they were found with.
+// Op bytes 0xF0 and above post a fan-out, 0xE0 to 0xEF release the queue,
+// and any other byte selects one of the five single-event ops by its value
+// mod 5. The checked-in corpus predates the fan-out and release ops and is
+// plain ASCII, so its entries replay the op sequences they were found with.
 func FuzzSchedulerOrder(f *testing.F) {
-	const fanOp = 0xF0
+	const (
+		releaseOp = 0xE0
+		fanOp     = 0xF0
+	)
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 3, 3, 3})
 	f.Add([]byte{0, 1, 0, 2, 1, 1, 0, 3, 2, 1, 2, 0, 3, 2, 1, 4, 5})
 	f.Add([]byte{0, 2, 0, 2, 0, 2, 0, 2, 2, 2, 2, 0, 3, 2, 0, 2, 3, 0, 1, 4, 7, 2, 1})
 	f.Add([]byte{fanOp, 4, 3, 1, 0, 2, 0, 1, 2, fanOp, 2, 0, 0, 3, 3, 3, 4, 3})
 	f.Add([]byte{fanOp, 3, 2, 2, 2, 2, 1, 0, 4, 1, fanOp, 1, 3, 2, 1, 3, 1, 2, 0, 3, 0, fanOp, 4, 0, 1, 2, 3, 0, fanOp, 9})
+	f.Add([]byte{0, 1, 1, 2, fanOp, 2, 0, 1, 3, releaseOp, 2, 0, 2, 1, 0, 2, fanOp, 1, 3, 3, 3, 4, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewScheduler()
 		var o orderOracle
@@ -78,11 +84,11 @@ func FuzzSchedulerOrder(f *testing.F) {
 		var fired, want []int
 		record := func(a any) { fired = append(fired, a.(int)) }
 		shared := new(int)
-		recordCopy := func(sh, a any) {
+		recordCopy := func(sh any, slot int32) {
 			if sh != shared {
-				t.Fatalf("fan-out copy %v got shared argument %v", a, sh)
+				t.Fatalf("fan-out copy %v got shared argument %v", slot, sh)
 			}
-			record(a)
+			record(int(slot))
 		}
 		next := func(i *int) byte {
 			if *i >= len(data) {
@@ -95,8 +101,11 @@ func FuzzSchedulerOrder(f *testing.F) {
 		for i := 0; i < len(data); {
 			op := next(&i)
 			kind := int(op % 5)
-			if op >= fanOp {
+			switch {
+			case op >= fanOp:
 				kind = 5
+			case op >= releaseOp:
+				kind = 6
 			}
 			switch kind {
 			case 0, 1: // At / AtFunc at now + a small delta
@@ -113,12 +122,23 @@ func FuzzSchedulerOrder(f *testing.F) {
 				copies := make([]Copy, 1+next(&i)%5)
 				for k := range copies {
 					id := len(handles)
-					copies[k] = Copy{At: s.Now() + time.Duration(next(&i)%4), Arg: id}
+					copies[k] = Copy{At: s.Now() + time.Duration(next(&i)%4), Slot: int32(id)}
 					handles = append(handles, Timer{})
 					fanned = append(fanned, true)
 					o.push(copies[k].At, id)
 				}
 				s.PostFanout(recordCopy, shared, copies)
+			case 6: // Release every pending record
+				s.Release()
+				o.pending = o.pending[:0]
+				if s.Pending() != 0 {
+					t.Fatalf("Pending() = %d after Release", s.Pending())
+				}
+				for id, h := range handles {
+					if h.Stop() {
+						t.Fatalf("Stop(handle %d) = true after Release", id)
+					}
+				}
 			case 2: // Stop a pending, fired, stopped or recycled handle
 				if len(handles) == 0 {
 					continue

@@ -14,8 +14,15 @@ import "math/rand"
 // earlier draw, so those draws fill just their two words. The 273rd draw
 // fills the 61 words still unfilled, and from then on the source runs the
 // stock recurrence. A stream that draws ten values fills twenty words.
+//
+// The 607-word state itself is allocated only when a stream outgrows its
+// first rngEarly draws. Until then the feed word draw k writes is kept in
+// early[k]; the tap word it read was never written, so building the state
+// later recomputes it. A stream that draws a few values, such as a
+// router's Hello jitter, allocates nothing beyond the source itself.
 type lazySource struct {
-	vec       [rngLen]int64
+	vec       *[rngLen]int64 // nil until draw rngEarly
+	early     [rngEarly]int64
 	seed      uint64 // normalised to [1, 2³¹−2], as math/rand does
 	tap, feed int
 	lazy      int // draws left before every word is filled
@@ -28,6 +35,7 @@ const (
 	rngMask  = 1<<63 - 1
 	int32max = 1<<31 - 1 // the Lehmer modulus
 	lehmerA  = 48271
+	rngEarly = 24 // draws served before the state is allocated; < rngTap
 )
 
 var _ rand.Source64 = (*lazySource)(nil)
@@ -53,7 +61,8 @@ func newLazySource(seed int64) *lazySource {
 }
 
 // Seed implements rand.Source: it resets the source to the stream of
-// rand.NewSource(seed).
+// rand.NewSource(seed). A state already allocated is kept and refilled
+// lazily, as the first draws fill it.
 func (s *lazySource) Seed(seed int64) {
 	seed %= int32max
 	if seed < 0 {
@@ -83,6 +92,17 @@ func (s *lazySource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
 // Uint64 implements rand.Source64.
 func (s *lazySource) Uint64() uint64 {
+	if s.vec == nil {
+		if k := rngTap - s.lazy; k < rngEarly {
+			// Draw k reads words 333−k (feed) and 606−k (tap), both
+			// untouched by earlier draws.
+			s.lazy--
+			x := s.word(rngLen-rngTap-1-k) + s.word(rngLen-1-k)
+			s.early[k] = x
+			return uint64(x)
+		}
+		s.grow()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -104,4 +124,16 @@ func (s *lazySource) Uint64() uint64 {
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// grow allocates the state after the first rngEarly draws: their feed
+// words as they wrote them, their tap words as seeded, and the cursors
+// where those draws left them. The lazy fill takes over from there.
+func (s *lazySource) grow() {
+	s.vec = new([rngLen]int64)
+	for k, x := range s.early {
+		s.vec[rngLen-rngTap-1-k] = x
+		s.vec[rngLen-1-k] = s.word(rngLen - 1 - k)
+	}
+	s.tap, s.feed = rngLen-rngEarly, rngLen-rngTap-rngEarly
 }

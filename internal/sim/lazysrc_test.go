@@ -27,11 +27,11 @@ func lazySourceSeeds() []int64 {
 }
 
 // TestLazySourceMatchesMathRand pins sim.RNG's source to math/rand: after a
-// prefix of draws on both sides of the lazy-to-eager switch (draw 273), every
-// rand.Rand method a stream uses must return what a stock rand.NewSource
-// stream returns.
+// prefix of draws on both sides of the state's allocation (draw rngEarly)
+// and of the lazy-to-eager switch (draw 273), every rand.Rand method a
+// stream uses must return what a stock rand.NewSource stream returns.
 func TestLazySourceMatchesMathRand(t *testing.T) {
-	counts := []int{0, 1, 272, 273, 274, 607, 1300}
+	counts := []int{0, 1, rngEarly - 1, rngEarly, rngEarly + 1, 272, 273, 274, 607, 1300}
 	for _, seed := range lazySourceSeeds() {
 		for _, k := range counts {
 			g := NewRNG(seed)
@@ -109,5 +109,42 @@ func TestLazySourceReseed(t *testing.T) {
 	}
 	if got, want := s.Int63(), ref.Int63(); got != want {
 		t.Fatalf("Int63 = %d, want %d", got, want)
+	}
+}
+
+// TestLazySourceEarlyDraws pins the inline early buffer: a stream that stops
+// short of rngEarly draws never allocates its state, the next draw does,
+// and reseeding before or after that point restarts the stock stream.
+func TestLazySourceEarlyDraws(t *testing.T) {
+	for _, seed := range lazySourceSeeds()[:64] {
+		s := newLazySource(seed)
+		ref := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < rngEarly; i++ {
+			if got, want := s.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d: early draw %d = %#x, want %#x", seed, i, got, want)
+			}
+		}
+		if s.vec != nil {
+			t.Fatalf("seed %d: state allocated within the first %d draws", seed, rngEarly)
+		}
+		if got, want := s.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("seed %d: draw %d = %#x, want %#x", seed, rngEarly, got, want)
+		}
+		if s.vec == nil {
+			t.Fatalf("seed %d: state not allocated by draw %d", seed, rngEarly)
+		}
+	}
+	for _, at := range []int{0, 3, rngEarly, rngEarly + 1, 300} {
+		s := newLazySource(11)
+		for i := 0; i < at; i++ {
+			s.Uint64()
+		}
+		s.Seed(12)
+		ref := rand.NewSource(12).(rand.Source64)
+		for i := 0; i < 700; i++ {
+			if got, want := s.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("reseed after %d draws: draw %d = %#x, want %#x", at, i, got, want)
+			}
+		}
 	}
 }

@@ -38,7 +38,7 @@ type Runtime interface {
 // of one transmission whose receivers share the sender's runtime.
 type CrossPoster interface {
 	PostTo(dst Runtime, at time.Duration, fn func(any), arg any)
-	PostFanout(fn func(shared, arg any), shared any, copies []Copy)
+	PostFanout(fn func(shared any, slot int32), shared any, copies []Copy)
 }
 
 var (

@@ -32,7 +32,15 @@
 // fenced off by a per-record generation counter. A shared EventPool can be
 // threaded through consecutive schedulers (one replication after another on
 // the same worker) so a warmed-up free list keeps amortising allocations
-// across runs.
+// across runs; a scheduler done with a shared pool calls Release, which
+// hands back the records still pending so no run leaks them.
+//
+// Records live in fixed-size pages of the pool and are addressed by an
+// int32 id. Pages never move, so growing the pool copies no record and a
+// held *event stays valid. Heap slots and fan-out copies carry record ids
+// and per-copy slots instead of pointers, and a Timer names its record by
+// id: sifting the heap and sorting a fan-out move plain words, which the
+// garbage collector never has to see.
 package sim
 
 import (
@@ -44,68 +52,101 @@ import (
 // counter invalidates Timer handles left over from a previous life. The
 // record's (time, seq) key lives in its heap slot, not here.
 type event struct {
-	index int    // heap index, -1 once popped or cancelled
+	index int32  // heap index, -1 once popped or cancelled
+	next  int32  // fan-out records: index of the earliest unfired copy
 	gen   uint64 // incremented on recycle; fences stale Timers
 	fn    func()
 	afn   func(any) // arg-style callback (AtFunc/AfterFunc); nil for fn events
 	arg   any       // afn's argument, or the shared argument of a fan-out
 
-	// Fan-out records only: ffn(arg, copy.arg) runs once per copy. copies
-	// are sorted by (time, seq) and next indexes the earliest unfired one;
-	// the slice keeps its capacity across recycles.
-	ffn    func(shared, arg any)
+	// Fan-out records only: ffn(arg, copy.slot) runs once per copy. copies
+	// are sorted by (time, seq); the slice keeps its capacity across
+	// recycles.
+	ffn    func(shared any, slot int32)
 	copies []fanCopy
-	next   int
 }
 
-// fanCopy is one copy of a fan-out record with its own key and argument.
+// fanCopy is one copy of a fan-out record with its own key and slot.
 type fanCopy struct {
 	time time.Duration
 	seq  uint64
-	arg  any
+	slot int32
 }
 
-// Copy is one copy of a fan-out post: its absolute fire time and its own
-// callback argument.
+// Copy is one copy of a fan-out post: its absolute fire time and the slot
+// its callback receives. A slot is the poster's own index (the radio passes
+// a receiver's attach index), so a copy holds no pointer.
 type Copy struct {
-	At  time.Duration
-	Arg any
+	At   time.Duration
+	Slot int32
 }
+
+// Records are allocated a page at a time.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
 
 // EventPool recycles event records across schedulers. A pool may be shared
 // by any number of schedulers used one after another on the same goroutine
 // (e.g. consecutive replications on one sweep worker); it is not safe for
 // concurrent use. The zero value is ready to use.
 type EventPool struct {
-	free []*event
+	pages []*[pageSize]event
+	n     int32   // records allocated: ids 0..n-1
+	free  []int32 // ids of recycled records
 }
 
 // NewEventPool returns an empty pool.
 func NewEventPool() *EventPool { return &EventPool{} }
 
-func (p *EventPool) get() *event {
-	if n := len(p.free); n > 0 {
-		ev := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return ev
-	}
-	return &event{}
+// Records returns how many event records the pool has allocated, pending
+// and free alike. A pool whose schedulers all Release stops growing once
+// it covers the largest queue they held.
+func (p *EventPool) Records() int { return int(p.n) }
+
+// at returns record id. The pointer stays valid for the pool's life.
+func (p *EventPool) at(id int32) *event {
+	return &p.pages[id>>pageBits][id&(pageSize-1)]
 }
 
-// put recycles a record: the generation bump invalidates outstanding Timer
+func (p *EventPool) get() int32 {
+	if n := len(p.free); n > 0 {
+		id := p.free[n-1]
+		p.free = p.free[:n-1]
+		return id
+	}
+	id := p.n
+	if id&(pageSize-1) == 0 {
+		p.pages = append(p.pages, new([pageSize]event))
+	}
+	p.n++
+	return id
+}
+
+// put recycles record id: the generation bump invalidates outstanding Timer
 // handles and the callback slots are cleared so pooled records retain
-// nothing.
-func (p *EventPool) put(ev *event) {
+// nothing. A record uses one or two of the slots; the others are already
+// nil, and skipping their stores skips their write barriers.
+func (p *EventPool) put(id int32) {
+	ev := p.at(id)
 	ev.gen++
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
-	ev.ffn = nil
-	ev.copies = ev.copies[:0] // fired copies already dropped their args
+	if ev.fn != nil {
+		ev.fn = nil
+	}
+	if ev.afn != nil {
+		ev.afn = nil
+	}
+	if ev.arg != nil {
+		ev.arg = nil
+	}
+	if ev.ffn != nil {
+		ev.ffn = nil
+	}
+	ev.copies = ev.copies[:0]
 	ev.next = 0
 	ev.index = -1
-	p.free = append(p.free, ev)
+	p.free = append(p.free, id)
 }
 
 // Timer is a handle to a scheduled event that can be cancelled before it
@@ -113,14 +154,18 @@ func (p *EventPool) put(ev *event) {
 // an inert, already-stopped timer.
 type Timer struct {
 	s   *Scheduler
-	ev  *event
 	gen uint64
+	id  int32
 }
 
 // live reports whether the handle still refers to the scheduled event it was
 // created for (the record may since have been recycled for another event).
 func (t *Timer) live() bool {
-	return t != nil && t.s != nil && t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
+	if t == nil || t.s == nil {
+		return false
+	}
+	ev := t.s.pool.at(t.id)
+	return ev.gen == t.gen && ev.index >= 0
 }
 
 // Stop cancels the timer. It reports whether the call prevented the event
@@ -129,15 +174,15 @@ func (t *Timer) live() bool {
 func (t *Timer) Stop() bool {
 	if !t.live() {
 		if t != nil {
-			t.ev = nil
+			t.s = nil
 		}
 		return false
 	}
-	ev := t.ev
-	t.ev = nil
-	t.s.events.remove(ev.index)
-	t.s.pending--
-	t.s.pool.put(ev)
+	s := t.s
+	t.s = nil
+	s.events.remove(s.pool, int(s.pool.at(t.id).index))
+	s.pending--
+	s.pool.put(t.id)
 	return true
 }
 
@@ -214,15 +259,16 @@ func (s *Scheduler) NextTime() (t time.Duration, ok bool) {
 }
 
 // schedule allocates (or recycles) a record for time t and pushes it.
-func (s *Scheduler) schedule(t time.Duration) *event {
+func (s *Scheduler) schedule(t time.Duration) (int32, *event) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now %v)", t, s.now))
 	}
-	ev := s.ensurePool().get()
-	s.events.push(heapEntry{time: t, seq: s.seq, ev: ev})
+	p := s.ensurePool()
+	id := p.get()
+	s.events.push(p, heapEntry{time: t, seq: s.seq, id: id})
 	s.seq++
 	s.pending++
-	return ev
+	return id, p.at(id)
 }
 
 // At schedules fn to run at absolute virtual time t and returns a cancellable
@@ -232,9 +278,9 @@ func (s *Scheduler) At(t time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil func")
 	}
-	ev := s.schedule(t)
+	id, ev := s.schedule(t)
 	ev.fn = fn
-	return Timer{s: s, ev: ev, gen: ev.gen}
+	return Timer{s: s, id: id, gen: ev.gen}
 }
 
 // After schedules fn to run d from now. Negative d panics, as with At.
@@ -251,10 +297,10 @@ func (s *Scheduler) AtFunc(t time.Duration, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: AtFunc called with nil func")
 	}
-	ev := s.schedule(t)
+	id, ev := s.schedule(t)
 	ev.afn = fn
 	ev.arg = arg
-	return Timer{s: s, ev: ev, gen: ev.gen}
+	return Timer{s: s, id: id, gen: ev.gen}
 }
 
 // AfterFunc schedules fn(arg) to run d from now. Negative d panics, as with
@@ -263,13 +309,13 @@ func (s *Scheduler) AfterFunc(d time.Duration, fn func(any), arg any) Timer {
 	return s.AtFunc(s.now+d, fn, arg)
 }
 
-// PostFanout schedules fn(shared, c.Arg) at each copy's time c.At. The
+// PostFanout schedules fn(shared, c.Slot) at each copy's time c.At. The
 // copies take consecutive seqs in slice order, exactly as len(copies)
 // consecutive AtFunc calls would, so they fire in the same order, but share
 // one pooled record and one heap slot. copies is not retained. Posts are
 // fire-and-forget: no copy can be stopped. A copy in the past panics, as
 // with At.
-func (s *Scheduler) PostFanout(fn func(shared, arg any), shared any, copies []Copy) {
+func (s *Scheduler) PostFanout(fn func(shared any, slot int32), shared any, copies []Copy) {
 	if fn == nil {
 		panic("sim: PostFanout called with nil func")
 	}
@@ -281,7 +327,9 @@ func (s *Scheduler) PostFanout(fn func(shared, arg any), shared any, copies []Co
 			panic(fmt.Sprintf("sim: PostFanout copy at %v is in the past (now %v)", c.At, s.now))
 		}
 	}
-	ev := s.ensurePool().get()
+	p := s.ensurePool()
+	id := p.get()
+	ev := p.at(id)
 	ev.ffn, ev.arg = fn, shared
 	// Insertion sort by time: seqs ascend in post order, so the sort is by
 	// (time, seq) when stable, and transmissions arrive nearly sorted.
@@ -290,7 +338,7 @@ func (s *Scheduler) PostFanout(fn func(shared, arg any), shared any, copies []Co
 		cs = make([]fanCopy, 0, len(copies))
 	}
 	for _, c := range copies {
-		e := fanCopy{time: c.At, seq: s.seq, arg: c.Arg}
+		e := fanCopy{time: c.At, seq: s.seq, slot: c.Slot}
 		s.seq++
 		cs = append(cs, e)
 		i := len(cs) - 1
@@ -301,7 +349,21 @@ func (s *Scheduler) PostFanout(fn func(shared, arg any), shared any, copies []Co
 	}
 	ev.copies = cs
 	s.pending += len(cs)
-	s.events.push(heapEntry{time: cs[0].time, seq: cs[0].seq, ev: ev})
+	s.events.push(p, heapEntry{time: cs[0].time, seq: cs[0].seq, id: id})
+}
+
+// Release returns every pending record, fan-out copies included, to the
+// pool and empties the queue: Pending becomes 0 and every outstanding Timer
+// goes inert. The clock, the seq counter and the idle hooks are kept, so
+// later schedules still fire in (time, seq) order. A world built on a shared
+// pool calls it when it is done, so the events it abandons back the next
+// world's schedules instead of staying out of the pool for good.
+func (s *Scheduler) Release() {
+	for _, e := range s.events {
+		s.pool.put(e.id)
+	}
+	s.events = s.events[:0]
+	s.pending = 0
 }
 
 // Stop makes the current Run/RunUntil/RunFor call return after the event in
@@ -332,7 +394,7 @@ func (s *Scheduler) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	at, ev := s.events[0].time, s.events[0].ev
+	at, id := s.events[0].time, s.events[0].id
 	if at < s.now {
 		panic("sim: event heap yielded an event in the past")
 	}
@@ -341,21 +403,23 @@ func (s *Scheduler) Step() bool {
 	// next copy; any other record is recycled: its next life (possibly
 	// scheduled by this very callback) is fenced from stale Timers by the
 	// generation bump, and the callback slots were copied out first.
+	p := s.pool
+	ev := p.at(id)
 	fn, afn, ffn, arg := ev.fn, ev.afn, ev.ffn, ev.arg
-	var copyArg any
+	var slot int32
+	done := true
 	if ffn != nil {
-		c := &ev.copies[ev.next]
-		copyArg, c.arg = c.arg, nil
+		slot = ev.copies[ev.next].slot
 		ev.next++
-		if ev.next < len(ev.copies) {
+		if int(ev.next) < len(ev.copies) {
 			n := &ev.copies[ev.next]
-			s.events.down(0, heapEntry{time: n.time, seq: n.seq, ev: ev})
-			ev = nil
+			s.events.down(p, 0, heapEntry{time: n.time, seq: n.seq, id: id})
+			done = false
 		}
 	}
-	if ev != nil {
-		s.events.remove(0)
-		s.ensurePool().put(ev)
+	if done {
+		s.events.remove(p, 0)
+		p.put(id)
 	}
 	s.pending--
 	s.now = at
@@ -365,7 +429,7 @@ func (s *Scheduler) Step() bool {
 	}
 	switch {
 	case ffn != nil:
-		ffn(arg, copyArg)
+		ffn(arg, slot)
 	case afn != nil:
 		afn(arg)
 	default:
@@ -422,11 +486,12 @@ func (s *Scheduler) RunFor(d time.Duration) {
 }
 
 // heapEntry is one heap slot: the event's (time, seq) key stored inline next
-// to its record, so sifting compares slots without touching the records.
+// to its record's id, so sifting compares slots without touching the
+// records and moves no pointer.
 type heapEntry struct {
 	time time.Duration
 	seq  uint64 // tie-breaker: FIFO among equal times
-	ev   *event
+	id   int32
 }
 
 // before reports whether a orders ahead of b.
@@ -438,51 +503,50 @@ func (a *heapEntry) before(b *heapEntry) bool {
 // i are slots 4i+1..4i+4. A wider node halves the depth of a binary heap, so
 // a pop's sift-down touches half as many levels, and its four children sit in
 // adjacent slots. Sifts move a hole rather than swapping, and each moved
-// record's index is kept current so Timer.Stop removes eagerly by index and
-// Pending stays exact.
+// record's index in pool is kept current so Timer.Stop removes eagerly by
+// index and Pending stays exact.
 type eventHeap []heapEntry
 
 // push adds e to the heap.
-func (h *eventHeap) push(e heapEntry) {
+func (h *eventHeap) push(pool *EventPool, e heapEntry) {
 	*h = append(*h, e)
-	h.up(len(*h)-1, e)
+	h.up(pool, len(*h)-1, e)
 }
 
 // remove deletes slot i, refilling it with the last slot.
-func (h *eventHeap) remove(i int) {
+func (h *eventHeap) remove(pool *EventPool, i int) {
 	old := *h
 	n := len(old) - 1
-	old[i].ev.index = -1
+	pool.at(old[i].id).index = -1
 	last := old[n]
-	old[n] = heapEntry{}
-	*h = old[:n]
+	*h = (*h)[:n] // a self-reslice stores only the length
 	if i == n {
 		return
 	}
 	if i > 0 && last.before(&old[(i-1)/4]) {
-		h.up(i, last)
+		h.up(pool, i, last)
 	} else {
-		h.down(i, last)
+		h.down(pool, i, last)
 	}
 }
 
 // up places e by moving the hole at slot i toward the root.
-func (h eventHeap) up(i int, e heapEntry) {
+func (h eventHeap) up(pool *EventPool, i int, e heapEntry) {
 	for i > 0 {
 		p := (i - 1) / 4
 		if !e.before(&h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].ev.index = i
+		pool.at(h[i].id).index = int32(i)
 		i = p
 	}
 	h[i] = e
-	e.ev.index = i
+	pool.at(e.id).index = int32(i)
 }
 
 // down places e by moving the hole at slot i toward the leaves.
-func (h eventHeap) down(i int, e heapEntry) {
+func (h eventHeap) down(pool *EventPool, i int, e heapEntry) {
 	n := len(h)
 	for {
 		c := 4*i + 1
@@ -500,9 +564,9 @@ func (h eventHeap) down(i int, e heapEntry) {
 			break
 		}
 		h[i] = h[m]
-		h[i].ev.index = i
+		pool.at(h[i].id).index = int32(i)
 		i = m
 	}
 	h[i] = e
-	e.ev.index = i
+	pool.at(e.id).index = int32(i)
 }

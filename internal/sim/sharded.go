@@ -303,7 +303,7 @@ func (sh *ShardRuntime) Scheduler() *Scheduler { return sh.s }
 
 // PostFanout implements CrossPoster: the copies go on this shard's own
 // queue.
-func (sh *ShardRuntime) PostFanout(fn func(shared, arg any), shared any, copies []Copy) {
+func (sh *ShardRuntime) PostFanout(fn func(shared any, slot int32), shared any, copies []Copy) {
 	sh.s.PostFanout(fn, shared, copies)
 }
 
