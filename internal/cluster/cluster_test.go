@@ -51,15 +51,6 @@ func TestDirectory(t *testing.T) {
 		t.Error("AuthorityOf(9) unexpectedly found")
 	}
 
-	adj := d.AdjacentHeads(1)
-	if len(adj) != 1 || adj[0] != 1002 {
-		t.Errorf("AdjacentHeads(1) = %v, want [1002]", adj)
-	}
-	adj = d.AdjacentHeads(5)
-	if len(adj) != 2 || adj[0] != 1004 || adj[1] != 1006 {
-		t.Errorf("AdjacentHeads(5) = %v, want [1004 1006]", adj)
-	}
-
 	if err := d.AddHead(3, 9999); err == nil {
 		t.Error("conflicting AddHead accepted")
 	}
@@ -304,7 +295,7 @@ func newClientHarness(t *testing.T, startX float64, speed float64, dir mobility.
 		ch.heads[c] = head
 	}
 
-	mob, err := mobility.NewMobile(hw, mobility.Position{X: startX, Y: 50}, dir, speed, 0)
+	mob, err := mobility.NewMobileOnRoad(hw, hw.Roads()[0], mobility.Position{X: startX, Y: 50}, dir, speed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

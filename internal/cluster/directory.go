@@ -21,11 +21,6 @@ type Directory struct {
 	clusters    map[wire.NodeID]wire.ClusterID
 	authorities map[wire.ClusterID]wire.NodeID // cluster -> TA node id
 	taIDs       map[wire.NodeID]wire.AuthorityID
-
-	// neighbors, when set, supplies topology-aware cluster adjacency for
-	// AdjacentHeads (2D meshes have more neighbors than c±1). Unset, the
-	// directory keeps the highway's consecutive-cluster default.
-	neighbors func(c wire.ClusterID) []wire.ClusterID
 }
 
 // NewDirectory returns an empty directory.
@@ -88,35 +83,6 @@ func (d *Directory) IsHead(id wire.NodeID) bool {
 
 // Heads returns the number of registered heads.
 func (d *Directory) Heads() int { return len(d.heads) }
-
-// SetNeighbors installs a topology-aware adjacency source for AdjacentHeads.
-// The function must return neighbor clusters in ascending order so failover
-// probing stays deterministic.
-func (d *Directory) SetNeighbors(fn func(c wire.ClusterID) []wire.ClusterID) {
-	d.neighbors = fn
-}
-
-// AdjacentHeads returns the head nodes of the clusters adjacent to c: by
-// default the consecutive clusters c-1, c+1 (one or two, at the highway
-// ends), or whatever SetNeighbors supplies for mesh topologies.
-func (d *Directory) AdjacentHeads(c wire.ClusterID) []wire.NodeID {
-	var out []wire.NodeID
-	if d.neighbors != nil {
-		for _, n := range d.neighbors(c) {
-			if h, ok := d.heads[n]; ok {
-				out = append(out, h)
-			}
-		}
-		return out
-	}
-	if h, ok := d.heads[c-1]; ok {
-		out = append(out, h)
-	}
-	if h, ok := d.heads[c+1]; ok {
-		out = append(out, h)
-	}
-	return out
-}
 
 // AuthorityNodes returns every distinct TA node in the directory.
 func (d *Directory) AuthorityNodes() []wire.NodeID {

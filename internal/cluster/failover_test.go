@@ -35,7 +35,7 @@ func silentClient(t *testing.T) (*Client, *sim.Scheduler, *[]wire.JoinReq) {
 	t.Helper()
 	hw := testHighway(t)
 	sched := sim.NewScheduler()
-	mob, err := mobility.NewMobile(hw, mobility.Position{X: 1500, Y: 50}, mobility.Eastbound, 20, 0)
+	mob, err := mobility.NewMobileOnRoad(hw, hw.Roads()[0], mobility.Position{X: 1500, Y: 50}, mobility.Eastbound, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,11 @@ func TestClientJoinsFromOverlapZone(t *testing.T) {
 func TestOverlappedFlagSetAtBoundary(t *testing.T) {
 	hw := testHighway(t)
 	// x=1000 is equidistant (500 m) from the heads of clusters 1 and 2.
-	if !hw.OverlapZone(1000, 1000) {
+	if len(hw.ClustersInRange(1000, 1000)) < 2 {
 		t.Fatal("boundary not an overlap zone")
 	}
 	// Deep inside a cluster only one head is reachable.
-	if hw.OverlapZone(450, 1000) {
+	if len(hw.ClustersInRange(450, 1000)) > 1 {
 		t.Error("cluster interior flagged as overlap zone")
 	}
 }

@@ -86,7 +86,7 @@ func (w *world) addVehicle(x, speedMS float64, dir mobility.Direction, cfg Vehic
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	mob, err := mobility.NewMobile(w.highway, mobility.Position{X: x, Y: 100}, dir, speedMS, w.sched.Now())
+	mob, err := mobility.NewMobileOnRoad(w.highway, w.highway.Roads()[0], mobility.Position{X: x, Y: 100}, dir, speedMS, w.sched.Now())
 	if err != nil {
 		w.t.Fatal(err)
 	}

@@ -906,7 +906,11 @@ func (h *HeadAgent) isolate(attacker wire.NodeID, serial uint64, expiry time.Dur
 	if err != nil {
 		panic("core: marshalling RevocationNotice: " + err.Error())
 	}
-	for _, adj := range h.env.Dir.AdjacentHeads(h.cluster) {
+	for _, c := range h.env.Highway.Neighbors(int(h.cluster)) {
+		adj, ok := h.env.Dir.HeadOf(wire.ClusterID(c))
+		if !ok {
+			continue
+		}
 		if err := h.ep.Send(adj, nb); err == nil {
 			ct.addIsolation(1)
 		}

@@ -68,6 +68,7 @@ type Highway struct {
 	width      float64 // metres along Y
 	clusterLen float64 // metres per cluster
 	clusters   int
+	roads      [1]Road // the one road; Roads shares it with every caller
 }
 
 // NewHighway builds a highway of the given dimensions divided into clusters
@@ -87,7 +88,10 @@ func NewHighway(length, width, clusterLen float64) (*Highway, error) {
 	if rounded < 1 || math.Abs(n-rounded) > 1e-9 {
 		return nil, fmt.Errorf("mobility: highway length %vm is not a whole multiple of cluster length %vm", length, clusterLen)
 	}
-	return &Highway{length: length, width: width, clusterLen: clusterLen, clusters: int(rounded)}, nil
+	return &Highway{
+		length: length, width: width, clusterLen: clusterLen, clusters: int(rounded),
+		roads: [1]Road{{Axis: AxisX, Lo: 0, Hi: length, CLo: 0, CHi: width}},
+	}, nil
 }
 
 // Length returns the highway length in metres.
@@ -141,16 +145,11 @@ func (h *Highway) checkCluster(c int) {
 	}
 }
 
-// OverlapZone reports whether a node at longitudinal position x is within
-// radio range of more than one cluster head, given the common transmission
-// range. Vehicles joining from such a zone must broadcast their join request
-// to every reachable cluster head (paper SIII-A).
-func (h *Highway) OverlapZone(x float64, txRange float64) bool {
-	return len(h.ClustersInRange(x, txRange)) > 1
-}
-
 // ClustersInRange returns the 1-based indices of all clusters whose head is
-// within txRange (longitudinally) of position x, in ascending order.
+// within txRange (longitudinally) of position x, in ascending order. More
+// than one means x is in an overlap zone, from which a joining vehicle
+// broadcasts its join request to every reachable cluster head (paper
+// SIII-A).
 func (h *Highway) ClustersInRange(x float64, txRange float64) []int {
 	var out []int
 	for c := 1; c <= h.clusters; c++ {
@@ -196,8 +195,7 @@ func (s Static) OnMotionChange(func()) {}
 
 // Mobile is a vehicle trajectory: piecewise-constant speed along one road's
 // travel axis at a fixed lateral offset. The zero value is unusable;
-// construct with NewMobile (the paper's highway) or NewMobileOnRoad (mesh
-// topologies).
+// construct with NewMobileOnRoad.
 type Mobile struct {
 	topo Topology
 	axis Axis
@@ -215,31 +213,10 @@ type Mobile struct {
 	onChange []func()
 }
 
-// NewMobile creates a vehicle at start, travelling in dir at speed m/s from
-// virtual time t0.
-func NewMobile(h *Highway, start Position, dir Direction, speed float64, t0 time.Duration) (*Mobile, error) {
-	if h == nil {
-		return nil, fmt.Errorf("mobility: NewMobile requires a highway")
-	}
-	if !h.Contains(start) {
-		return nil, fmt.Errorf("mobility: start %v is off the highway", start)
-	}
-	if speed < 0 {
-		return nil, fmt.Errorf("mobility: speed %v must be non-negative", speed)
-	}
-	if dir != Eastbound && dir != Westbound {
-		return nil, fmt.Errorf("mobility: invalid direction %v", dir)
-	}
-	return &Mobile{
-		topo: h, axis: AxisX, lo: 0, hi: h.length, cross: start.Y,
-		base: t0, along: start.X, speed: speed, dir: dir,
-	}, nil
-}
-
 // NewMobileOnRoad creates a vehicle on one road strip of topo, starting at
 // start (which must lie on the road), travelling in dir along the road's
 // travel axis at speed m/s from virtual time t0. Positions clamp to the
-// road's extent, exactly as on the single highway.
+// road's extent. On the paper's highway the road is h.Roads()[0].
 func NewMobileOnRoad(topo Topology, road Road, start Position, dir Direction, speed float64, t0 time.Duration) (*Mobile, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("mobility: NewMobileOnRoad requires a topology")
@@ -407,10 +384,6 @@ func (m *Mobile) TimeToReach(coord float64) (time.Duration, bool) {
 	}
 	return m.base + time.Duration(dx/v*float64(time.Second)), true
 }
-
-// TimeToReachX is TimeToReach under its historical, highway-era name (the
-// travel axis was always X).
-func (m *Mobile) TimeToReachX(x float64) (time.Duration, bool) { return m.TimeToReach(x) }
 
 // DepartureTime returns the virtual time at which the vehicle leaves the
 // road by travelling past an end, and whether it ever does.

@@ -112,11 +112,11 @@ func TestOverlapZone(t *testing.T) {
 	// With a 1000 m range and RSUs at 500, 1500, ...: x=500 reaches only
 	// RSU1 (distance to RSU2 is 1000 -> inclusive boundary reaches it too).
 	// Use strict interior points.
-	if h.OverlapZone(400, 1000) {
+	if len(h.ClustersInRange(400, 1000)) > 1 {
 		// RSU1 at 500 (100m), RSU2 at 1500 (1100m) -> single zone
 		t.Error("x=400 should be a single zone with 1000m range")
 	}
-	if !h.OverlapZone(1000, 1000) {
+	if len(h.ClustersInRange(1000, 1000)) < 2 {
 		// RSU1 at 500 (500m), RSU2 at 1500 (500m) -> overlapped
 		t.Error("x=1000 (cluster boundary) should be an overlapped zone")
 	}
@@ -155,7 +155,7 @@ func TestStaticLocator(t *testing.T) {
 
 func TestMobileKinematics(t *testing.T) {
 	h := tableIHighway(t)
-	m, err := NewMobile(h, Position{X: 1000, Y: 50}, Eastbound, 25, 0)
+	m, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: 1000, Y: 50}, Eastbound, 25, 0)
 	if err != nil {
 		t.Fatalf("NewMobile: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestMobileKinematics(t *testing.T) {
 
 func TestMobileWestbound(t *testing.T) {
 	h := tableIHighway(t)
-	m, err := NewMobile(h, Position{X: 500, Y: 150}, Westbound, 20, 0)
+	m, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: 500, Y: 150}, Westbound, 20, 0)
 	if err != nil {
 		t.Fatalf("NewMobile: %v", err)
 	}
@@ -201,23 +201,23 @@ func TestMobileWestbound(t *testing.T) {
 
 func TestMobileValidation(t *testing.T) {
 	h := tableIHighway(t)
-	if _, err := NewMobile(nil, Position{}, Eastbound, 10, 0); err == nil {
-		t.Error("nil highway accepted")
+	if _, err := NewMobileOnRoad(nil, h.Roads()[0], Position{}, Eastbound, 10, 0); err == nil {
+		t.Error("nil topology accepted")
 	}
-	if _, err := NewMobile(h, Position{X: -1, Y: 0}, Eastbound, 10, 0); err == nil {
+	if _, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: -1, Y: 0}, Eastbound, 10, 0); err == nil {
 		t.Error("off-highway start accepted")
 	}
-	if _, err := NewMobile(h, Position{X: 0, Y: 0}, Eastbound, -1, 0); err == nil {
+	if _, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: 0, Y: 0}, Eastbound, -1, 0); err == nil {
 		t.Error("negative speed accepted")
 	}
-	if _, err := NewMobile(h, Position{X: 0, Y: 0}, Direction(0), 10, 0); err == nil {
+	if _, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: 0, Y: 0}, Direction(0), 10, 0); err == nil {
 		t.Error("invalid direction accepted")
 	}
 }
 
 func TestMobileSetSpeedContinuity(t *testing.T) {
 	h := tableIHighway(t)
-	m, _ := NewMobile(h, Position{X: 0, Y: 10}, Eastbound, 10, 0)
+	m, _ := NewMobileOnRoad(h, h.Roads()[0], Position{X: 0, Y: 10}, Eastbound, 10, 0)
 	before := m.PositionAt(100 * time.Second) // 1000m
 	if err := m.SetSpeed(100*time.Second, 30); err != nil {
 		t.Fatalf("SetSpeed: %v", err)
@@ -237,7 +237,7 @@ func TestMobileSetSpeedContinuity(t *testing.T) {
 
 func TestMobileExit(t *testing.T) {
 	h := tableIHighway(t)
-	m, _ := NewMobile(h, Position{X: 5000, Y: 10}, Eastbound, 20, 0)
+	m, _ := NewMobileOnRoad(h, h.Roads()[0], Position{X: 5000, Y: 10}, Eastbound, 20, 0)
 	m.Exit(50 * time.Second) // at 6000m
 	if !m.Exited() {
 		t.Error("Exited() = false after Exit")
@@ -248,7 +248,7 @@ func TestMobileExit(t *testing.T) {
 	if p := m.PositionAt(time.Hour); math.Abs(p.X-6000) > 1e-9 {
 		t.Errorf("position after exit = %v, want frozen at 6000", p)
 	}
-	if _, ok := m.TimeToReachX(9000); ok {
+	if _, ok := m.TimeToReach(9000); ok {
 		t.Error("exited vehicle claims it will reach 9000m")
 	}
 	if dep, ok := m.DepartureTime(); !ok || dep != 50*time.Second {
@@ -256,22 +256,22 @@ func TestMobileExit(t *testing.T) {
 	}
 }
 
-func TestTimeToReachX(t *testing.T) {
+func TestTimeToReach(t *testing.T) {
 	h := tableIHighway(t)
-	m, _ := NewMobile(h, Position{X: 1000, Y: 10}, Eastbound, 25, 0)
-	at, ok := m.TimeToReachX(2000)
+	m, _ := NewMobileOnRoad(h, h.Roads()[0], Position{X: 1000, Y: 10}, Eastbound, 25, 0)
+	at, ok := m.TimeToReach(2000)
 	if !ok || at != 40*time.Second {
-		t.Errorf("TimeToReachX(2000) = (%v, %v), want (40s, true)", at, ok)
+		t.Errorf("TimeToReach(2000) = (%v, %v), want (40s, true)", at, ok)
 	}
-	if _, ok := m.TimeToReachX(500); ok {
+	if _, ok := m.TimeToReach(500); ok {
 		t.Error("eastbound vehicle claims it will reach a point behind it")
 	}
-	stopped, _ := NewMobile(h, Position{X: 1000, Y: 10}, Eastbound, 0, 0)
-	if _, ok := stopped.TimeToReachX(2000); ok {
+	stopped, _ := NewMobileOnRoad(h, h.Roads()[0], Position{X: 1000, Y: 10}, Eastbound, 0, 0)
+	if _, ok := stopped.TimeToReach(2000); ok {
 		t.Error("stationary vehicle claims it will reach 2000m")
 	}
-	if at, ok := stopped.TimeToReachX(1000); !ok || at != 0 {
-		t.Errorf("TimeToReachX(current) = (%v, %v), want (0, true)", at, ok)
+	if at, ok := stopped.TimeToReach(1000); !ok || at != 0 {
+		t.Errorf("TimeToReach(current) = (%v, %v), want (0, true)", at, ok)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestMobileMonotonicProperty(t *testing.T) {
 			dir = Westbound
 			start.X = h.Length()
 		}
-		m, err := NewMobile(h, start, dir, speed, 0)
+		m, err := NewMobileOnRoad(h, h.Roads()[0], start, dir, speed, 0)
 		if err != nil {
 			return false
 		}
@@ -308,8 +308,8 @@ func TestMobileMonotonicProperty(t *testing.T) {
 }
 
 // TestOverlapZoneSymmetryProperty: with full RSU coverage, every on-road
-// point is in range of at least one cluster head, and overlap zones are
-// exactly the points within range of two or more.
+// point is in range of at least one cluster head, its own cluster's among
+// them.
 func TestOverlapZoneSymmetryProperty(t *testing.T) {
 	h := tableIHighway(t)
 	prop := func(raw uint32) bool {
@@ -317,9 +317,6 @@ func TestOverlapZoneSymmetryProperty(t *testing.T) {
 		reach := h.ClustersInRange(x, 1000)
 		if len(reach) == 0 {
 			return false // coverage hole
-		}
-		if h.OverlapZone(x, 1000) != (len(reach) >= 2) {
-			return false
 		}
 		// The covering cluster's own head is always reachable.
 		own := h.ClusterAt(x)
@@ -346,7 +343,7 @@ func TestDepartureConsistentProperty(t *testing.T) {
 		if west {
 			dir = Westbound
 		}
-		m, err := NewMobile(h, Position{X: start, Y: 100}, dir, speed, 0)
+		m, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: start, Y: 100}, dir, speed, 0)
 		if err != nil {
 			return false
 		}

@@ -123,6 +123,9 @@ type Topology interface {
 	// Roads returns the road strips making up the topology. The returned
 	// slice is shared; callers must not modify it.
 	Roads() []Road
+	// ClusterRoad returns the 0-based index into Roads of the road owning
+	// cluster c.
+	ClusterRoad(c int) int
 }
 
 // Kinematic extends Locator with an analytic motion description, letting a
@@ -186,8 +189,12 @@ func (h *Highway) ClustersNear(p Position, txRange float64) []int {
 func (h *Highway) Bounds() Rect { return Rect{X0: 0, Y0: 0, X1: h.length, Y1: h.width} }
 
 // Roads implements Topology.
-func (h *Highway) Roads() []Road {
-	return []Road{{Axis: AxisX, Lo: 0, Hi: h.length, CLo: 0, CHi: h.width}}
+func (h *Highway) Roads() []Road { return h.roads[:] }
+
+// ClusterRoad implements Topology: every cluster lies on the one road.
+func (h *Highway) ClusterRoad(c int) int {
+	h.checkCluster(c)
+	return 0
 }
 
 // --- RoadMesh ------------------------------------------------------------
@@ -476,7 +483,7 @@ func (m *RoadMesh) ClusterRect(c int) Rect {
 	return m.segs[c-1]
 }
 
-// ClusterRoad returns the 0-based index of the road owning cluster c.
+// ClusterRoad implements Topology.
 func (m *RoadMesh) ClusterRoad(c int) int {
 	m.checkCluster(c)
 	return m.segRoad[c-1]

@@ -25,6 +25,14 @@ func checkTopologyInvariants(t *testing.T, topo Topology) {
 		if rect.X1 < rect.X0 || rect.Y1 < rect.Y0 {
 			t.Fatalf("cluster %d: inverted rect %+v", c, rect)
 		}
+		// The owning road covers the whole cluster.
+		ri := topo.ClusterRoad(c)
+		if ri < 0 || ri >= len(topo.Roads()) {
+			t.Fatalf("ClusterRoad(%d) = %d out of [0, %d)", c, ri, len(topo.Roads()))
+		}
+		if road := topo.Roads()[ri].Rect(); !road.Contains(Position{X: rect.X0, Y: rect.Y0}) || !road.Contains(Position{X: rect.X1, Y: rect.Y1}) {
+			t.Fatalf("cluster %d: rect %+v not on its road %d %+v", c, rect, ri, road)
+		}
 		center := topo.ClusterCenter(c)
 		if !rect.Contains(center) {
 			t.Fatalf("cluster %d: center %+v outside own rect %+v", c, center, rect)
@@ -209,6 +217,8 @@ func TestInterchangeCrossAdjacency(t *testing.T) {
 	}
 }
 
+var roadsSink []Road
+
 func TestHighwayTopologyConformance(t *testing.T) {
 	h, err := NewHighway(8000, 200, 1000)
 	if err != nil {
@@ -216,6 +226,10 @@ func TestHighwayTopologyConformance(t *testing.T) {
 	}
 	checkTopologyInvariants(t, h)
 	checkTopologyProbe(t, h, Position{X: 2500, Y: 100}, 1000)
+	// Roads is read once per placed vehicle: it shares one slice.
+	if n := testing.AllocsPerRun(10, func() { roadsSink = h.Roads() }); n != 0 {
+		t.Errorf("Highway.Roads allocates %v times per call", n)
+	}
 }
 
 // FuzzTopology builds arbitrary meshes and probes them at arbitrary

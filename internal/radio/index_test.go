@@ -106,7 +106,7 @@ func TestCellIndexUnderMotion(t *testing.T) {
 			dir = mobility.Westbound
 		}
 		start := mobility.Position{X: rng.Float64() * 10_000, Y: 20 + 40*float64(rng.Intn(4))}
-		mob, err := mobility.NewMobile(h, start, dir, 10+rng.Float64()*30, s.Now())
+		mob, err := mobility.NewMobileOnRoad(h, h.Roads()[0], start, dir, 10+rng.Float64()*30, s.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestGridMatchesLinearScanScripted(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				dir = mobility.Westbound
 			}
-			mob, err := mobility.NewMobile(h, start, dir, 5+rng.Float64()*35, s.Now())
+			mob, err := mobility.NewMobileOnRoad(h, h.Roads()[0], start, dir, 5+rng.Float64()*35, s.Now())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -155,7 +155,7 @@ func TestMovingReceiverUsesSendTimePositions(t *testing.T) {
 	h := testHighway(t)
 	s := sim.NewScheduler()
 	m := NewMedium(s, sim.NewRNG(1))
-	veh, err := mobility.NewMobile(h, mobility.Position{X: 900, Y: 100}, mobility.Eastbound, 25, 0)
+	veh, err := mobility.NewMobileOnRoad(h, h.Roads()[0], mobility.Position{X: 900, Y: 100}, mobility.Eastbound, 25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,9 @@ import (
 	"blackdp/internal/aodv"
 	"blackdp/internal/attack"
 	"blackdp/internal/baseline"
-	"blackdp/internal/cluster"
 	"blackdp/internal/core"
 	"blackdp/internal/exp"
 	"blackdp/internal/metrics"
-	"blackdp/internal/mobility"
-	"blackdp/internal/pki"
-	"blackdp/internal/radio"
 	"blackdp/internal/sim"
 	"blackdp/internal/wire"
 )
@@ -170,99 +166,42 @@ type ConnectorResult struct {
 // inflation and compares every detector. Low inflation (e.g. 30) defeats
 // all magnitude-based baselines; BlackDP's probing is magnitude-blind.
 func RunConnector(seed int64, seqBonus wire.SeqNum) (ConnectorResult, error) {
-	highway, err := mobility.NewHighway(10_000, 200, 1000)
+	w, err := newMiniWorld(seed)
 	if err != nil {
 		return ConnectorResult{}, err
 	}
-	rng := sim.NewRNG(seed)
-	sched := sim.NewScheduler()
-	env := core.Env{
-		Sched:    sched,
-		RNG:      rng.Split("core"),
-		Trust:    pki.NewTrustStore(),
-		Scheme:   ecdsaScheme(rng),
-		Dir:      cluster.NewDirectory(),
-		Highway:  highway,
-		Medium:   radio.NewMedium(sched, rng.Split("radio")),
-		Backbone: radio.NewBackbone(sched, time.Millisecond),
-		Tally:    core.NewTally(),
-	}
-	served := make([]wire.ClusterID, highway.Clusters())
-	for i := range served {
-		served[i] = wire.ClusterID(i + 1)
-	}
-	ta, err := core.NewAuthorityAgent(env, 1, 1, served, time.Hour)
-	if err != nil {
-		return ConnectorResult{}, err
-	}
+	sched := w.sched
 	// Only clusters 1 and 2 are RSU-equipped — the paper notes the highway
 	// need not be fully covered. The destination sits in the uncovered
 	// stretch, so no RSU can relay to it and the attacker really is the
 	// sole bridge.
 	for _, c := range []wire.ClusterID{1, 2} {
-		cred, err := ta.IssueHeadCredential(c)
-		if err != nil {
+		if _, err := w.head(c, core.HeadConfig{}); err != nil {
 			return ConnectorResult{}, err
 		}
-		h, err := core.NewHeadAgent(env, core.HeadConfig{}, cred, c)
-		if err != nil {
-			return ConnectorResult{}, err
-		}
-		h.Start()
 	}
 
-	mk := func(lineage string, x float64) (*core.VehicleAgent, error) {
-		cred, err := ta.IssueVehicleCredential(lineage)
-		if err != nil {
-			return nil, err
-		}
-		mob, err := mobility.NewMobile(highway, mobility.Position{X: x, Y: 100}, mobility.Eastbound, 14, 0)
-		if err != nil {
-			return nil, err
-		}
-		v, err := core.NewVehicleAgent(env, core.VehicleConfig{Verify: true}, cred, mob)
-		if err != nil {
-			return nil, err
-		}
-		v.Start()
-		return v, nil
-	}
 	// Source at 800, attacker at 1700, destination at 2600: adjacent pairs
 	// are in range (900 m); source-destination is not (1800 m); and neither
 	// equipped RSU (at 500 and 1500) can reach the destination. The
 	// attacker bridges the partition and its forged reply is the only one
 	// the source ever receives.
-	source, err := mk("source", 800)
+	source, err := w.vehicle("source", 800, 14)
 	if err != nil {
 		return ConnectorResult{}, err
 	}
-	attacker, err := mk("attacker", 1700)
+	attacker, err := w.vehicle("attacker", 1700, 14)
 	if err != nil {
 		return ConnectorResult{}, err
 	}
-	dest, err := mk("dest", 2600)
+	dest, err := w.vehicle("dest", 2600, 14)
 	if err != nil {
 		return ConnectorResult{}, err
 	}
 
 	profile := attack.DefaultProfile()
 	profile.SeqBonus = seqBonus
-	bh := attack.NewBlackhole(profile, attack.Env{
-		Sched:   sched,
-		RNG:     rng.Split("attacker"),
-		Send:    attacker.Interface().Send,
-		Self:    attacker.Interface().NodeID,
-		Cluster: attacker.Client().Cluster,
-		Seal: func(p wire.Packet) ([]byte, error) {
-			sec, err := pki.Seal(p, attacker.Credential(), env.Scheme)
-			if err != nil {
-				return nil, err
-			}
-			return sec.MarshalBinary()
-		},
-		Inner: attacker.HandleFrame,
-	})
-	attacker.Interface().SetReceiver(bh.HandleFrame)
+	armBlackhole(attacker, profile, attackEnv(w.env, attacker, w.rng.Split("attacker")))
 
 	sched.RunFor(1500 * time.Millisecond)
 

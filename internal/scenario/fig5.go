@@ -6,13 +6,9 @@ import (
 	"time"
 
 	"blackdp/internal/attack"
-	"blackdp/internal/cluster"
 	"blackdp/internal/core"
 	"blackdp/internal/exp"
 	"blackdp/internal/metrics"
-	"blackdp/internal/mobility"
-	"blackdp/internal/pki"
-	"blackdp/internal/radio"
 	"blackdp/internal/sim"
 	"blackdp/internal/wire"
 )
@@ -144,9 +140,8 @@ func RunFig5(cat Fig5Category, seed int64) (Fig5Result, error) {
 // one reporter, one suspect (honest or hostile, optionally with an
 // accomplice), full infrastructure, no filler traffic.
 type fig5World struct {
-	cat   Fig5Category
-	env   core.Env
-	sched *sim.Scheduler
+	*miniWorld
+	cat Fig5Category
 
 	reporter *core.VehicleAgent
 	suspect  *core.VehicleAgent
@@ -154,70 +149,26 @@ type fig5World struct {
 }
 
 func newFig5World(cat Fig5Category, seed int64) (*fig5World, error) {
-	highway, err := mobility.NewHighway(10_000, 200, 1000)
+	mw, err := newMiniWorld(seed)
 	if err != nil {
 		return nil, err
 	}
-	rng := sim.NewRNG(seed)
-	sched := sim.NewScheduler()
-	env := core.Env{
-		Sched:    sched,
-		RNG:      rng.Split("core"),
-		Trust:    pki.NewTrustStore(),
-		Scheme:   ecdsaScheme(rng),
-		Dir:      cluster.NewDirectory(),
-		Highway:  highway,
-		Medium:   radio.NewMedium(sched, rng.Split("radio")),
-		Backbone: radio.NewBackbone(sched, time.Millisecond),
-		Tally:    core.NewTally(),
-	}
-	w := &fig5World{cat: cat, env: env, sched: sched}
+	w := &fig5World{miniWorld: mw, cat: cat}
 
-	served := make([]wire.ClusterID, highway.Clusters())
-	for i := range served {
-		served[i] = wire.ClusterID(i + 1)
-	}
-	ta, err := core.NewAuthorityAgent(env, 1, 1, served, time.Hour)
-	if err != nil {
-		return nil, err
-	}
 	headCfg := core.HeadConfig{}
 	if cat.moved() {
 		// The verification-table processing interval during which the
 		// suspect crosses into the next cluster.
 		headCfg.StageDelay = 2500 * time.Millisecond
 	}
-	for c := wire.ClusterID(1); int(c) <= highway.Clusters(); c++ {
-		cred, err := ta.IssueHeadCredential(c)
-		if err != nil {
+	for c := 1; c <= w.env.Highway.Clusters(); c++ {
+		if _, err := w.head(wire.ClusterID(c), headCfg); err != nil {
 			return nil, err
 		}
-		h, err := core.NewHeadAgent(env, headCfg, cred, c)
-		if err != nil {
-			return nil, err
-		}
-		h.Start()
-	}
-
-	mkVehicle := func(lineage string, x, speed float64) (*core.VehicleAgent, error) {
-		cred, err := ta.IssueVehicleCredential(lineage)
-		if err != nil {
-			return nil, err
-		}
-		mob, err := mobility.NewMobile(highway, mobility.Position{X: x, Y: 100}, mobility.Eastbound, speed, 0)
-		if err != nil {
-			return nil, err
-		}
-		v, err := core.NewVehicleAgent(env, core.VehicleConfig{Verify: true}, cred, mob)
-		if err != nil {
-			return nil, err
-		}
-		v.Start()
-		return v, nil
 	}
 
 	// Reporter near the start of cluster 1, dawdling.
-	if w.reporter, err = mkVehicle("reporter", 200, 14); err != nil {
+	if w.reporter, err = w.vehicle("reporter", 200, 14); err != nil {
 		return nil, err
 	}
 
@@ -237,13 +188,13 @@ func newFig5World(cat Fig5Category, seed int64) (*fig5World, error) {
 	default:
 		suspectX = 700
 	}
-	if w.suspect, err = mkVehicle("suspect", suspectX, speed); err != nil {
+	if w.suspect, err = w.vehicle("suspect", suspectX, speed); err != nil {
 		return nil, err
 	}
 
 	if cat.attacker() {
 		if cat.cooperative() {
-			if w.teammate, err = mkVehicle("teammate", suspectX+250, speed); err != nil {
+			if w.teammate, err = w.vehicle("teammate", suspectX+250, speed); err != nil {
 				return nil, err
 			}
 			tp := attack.DefaultProfile()
@@ -259,23 +210,9 @@ func newFig5World(cat Fig5Category, seed int64) (*fig5World, error) {
 	return w, nil
 }
 
+// arm makes v a black hole drawing from a split of the core stream.
 func (w *fig5World) arm(v *core.VehicleAgent, profile attack.Profile) {
-	bh := attack.NewBlackhole(profile, attack.Env{
-		Sched:   w.sched,
-		RNG:     w.env.RNG.Split("attacker-" + v.NodeID().String()),
-		Send:    v.Interface().Send,
-		Self:    v.Interface().NodeID,
-		Cluster: v.Client().Cluster,
-		Seal: func(p wire.Packet) ([]byte, error) {
-			sec, err := pki.Seal(p, v.Credential(), w.env.Scheme)
-			if err != nil {
-				return nil, err
-			}
-			return sec.MarshalBinary()
-		},
-		Inner: v.HandleFrame,
-	})
-	v.Interface().SetReceiver(bh.HandleFrame)
+	armBlackhole(v, profile, attackEnv(w.env, v, w.env.RNG.Split("attacker-"+v.NodeID().String())))
 }
 
 func (w *fig5World) run() (Fig5Result, error) {

@@ -4,13 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"blackdp/internal/cluster"
 	"blackdp/internal/core"
-	"blackdp/internal/mobility"
-	"blackdp/internal/pki"
-	"blackdp/internal/radio"
-	"blackdp/internal/sim"
-	"blackdp/internal/wire"
 )
 
 // FogResult measures the paper's SIII-C bottleneck experiment: a burst of
@@ -32,62 +26,24 @@ func RunFogAblation(seed int64, reporters int, authCost time.Duration, fogNodes 
 	if reporters < 1 {
 		return FogResult{}, fmt.Errorf("scenario: need at least one reporter")
 	}
-	highway, err := mobility.NewHighway(10_000, 200, 1000)
+	w, err := newMiniWorld(seed)
 	if err != nil {
 		return FogResult{}, err
 	}
-	rng := sim.NewRNG(seed)
-	sched := sim.NewScheduler()
-	env := core.Env{
-		Sched:    sched,
-		RNG:      rng.Split("core"),
-		Trust:    pki.NewTrustStore(),
-		Scheme:   ecdsaScheme(rng),
-		Dir:      cluster.NewDirectory(),
-		Highway:  highway,
-		Medium:   radio.NewMedium(sched, rng.Split("radio")),
-		Backbone: radio.NewBackbone(sched, time.Millisecond),
-		Tally:    core.NewTally(),
-	}
-	ta, err := core.NewAuthorityAgent(env, 1, 1, []wire.ClusterID{1}, time.Hour)
+	sched := w.sched
+	head, err := w.head(1, core.HeadConfig{AuthProcessing: authCost, FogNodes: fogNodes})
 	if err != nil {
 		return FogResult{}, err
-	}
-	headCred, err := ta.IssueHeadCredential(1)
-	if err != nil {
-		return FogResult{}, err
-	}
-	head, err := core.NewHeadAgent(env, core.HeadConfig{AuthProcessing: authCost, FogNodes: fogNodes}, headCred, 1)
-	if err != nil {
-		return FogResult{}, err
-	}
-	head.Start()
-
-	mk := func(lineage string, x float64) (*core.VehicleAgent, error) {
-		cred, err := ta.IssueVehicleCredential(lineage)
-		if err != nil {
-			return nil, err
-		}
-		mob, err := mobility.NewMobile(highway, mobility.Position{X: x, Y: 100}, mobility.Eastbound, 14, 0)
-		if err != nil {
-			return nil, err
-		}
-		v, err := core.NewVehicleAgent(env, core.VehicleConfig{Verify: true}, cred, mob)
-		if err != nil {
-			return nil, err
-		}
-		v.Start()
-		return v, nil
 	}
 
 	reps := make([]*core.VehicleAgent, reporters)
 	suspects := make([]*core.VehicleAgent, reporters)
 	for i := range reps {
 		x := 100 + float64(i%40)*10
-		if reps[i], err = mk(fmt.Sprintf("rep-%d", i), x); err != nil {
+		if reps[i], err = w.vehicle(fmt.Sprintf("rep-%d", i), x, 14); err != nil {
 			return FogResult{}, err
 		}
-		if suspects[i], err = mk(fmt.Sprintf("sus-%d", i), x+400); err != nil {
+		if suspects[i], err = w.vehicle(fmt.Sprintf("sus-%d", i), x+400, 14); err != nil {
 			return FogResult{}, err
 		}
 	}

@@ -398,7 +398,7 @@ func TestBuildExposesRoles(t *testing.T) {
 	}
 	// Attacker placed in its cluster, destination out of its radio range.
 	ax := w.Attacker.Mobile().PositionAt(0)
-	if w.Highway.ClusterAt(ax.X) != 4 {
+	if w.Topo.ClusterOf(ax) != 4 {
 		t.Errorf("attacker at %v, want cluster 4", ax)
 	}
 	dx := w.Destination.Mobile().PositionAt(0)
@@ -409,5 +409,32 @@ func TestBuildExposesRoles(t *testing.T) {
 	tx := w.Teammate.Mobile().PositionAt(0)
 	if ax.DistanceTo(tx) > cfg.TxRangeM {
 		t.Errorf("teammate out of the primary's range: %v vs %v", ax, tx)
+	}
+}
+
+// TestNarrowHighwayBuilds: lanes sit at fixed fractions of the road's width,
+// so a highway narrower than the paper's 200 m builds and runs, with every
+// vehicle starting on the road.
+func TestNarrowHighwayBuilds(t *testing.T) {
+	for _, width := range []float64{100, 120, 139} {
+		cfg := diffConfig()
+		cfg.HighwayWidthM = width
+		cfg.CryptoScheme = SchemePlaceholder
+		w, err := Build(cfg)
+		if err != nil {
+			t.Fatalf("width %v: %v", width, err)
+		}
+		for _, v := range w.Vehicles {
+			if p := v.Mobile().PositionAt(0); !w.Topo.Contains(p) {
+				t.Errorf("width %v: vehicle starts off the road at %v", width, p)
+			}
+		}
+		if o := w.Run(); o.EstablishStatus == "" {
+			t.Errorf("width %v: the run never settled a route: %+v", width, o)
+		}
+		if err := w.CheckConservation(); err != nil {
+			t.Errorf("width %v: %v", width, err)
+		}
+		w.Sched.Release()
 	}
 }

@@ -44,11 +44,9 @@ type World struct {
 	Cfg   Config
 	Env   core.Env
 	Sched *sim.Scheduler
-	// Topo is the road layout; always set. Highway is the same object when
-	// Cfg.Topology is "highway" (nil for mesh topologies) — kept for callers
-	// that need the highway's coordinate helpers.
+	// Topo is the road layout: a *mobility.Highway for "highway", a
+	// *mobility.RoadMesh otherwise.
 	Topo        mobility.Topology
-	Highway     *mobility.Highway
 	Authorities []*core.AuthorityAgent
 	Heads       map[wire.ClusterID]*core.HeadAgent
 	Vehicles    []*core.VehicleAgent
@@ -66,7 +64,6 @@ type World struct {
 	attackerIDs map[wire.NodeID]bool // every pseudonym the primary attacker held
 	teammateIDs map[wire.NodeID]bool
 
-	mesh   *mobility.RoadMesh // non-nil for "grid"/"multi"/"interchange"
 	rng    *sim.RNG
 	vehSeq int
 
@@ -127,37 +124,19 @@ type reference struct {
 	noVerifyCache bool
 }
 
-// buildTopology constructs the road layout cfg selects. The highway return
-// is non-nil only for "highway", the mesh only for the 2D layouts; exactly
-// one of the two backs the Topology.
-func buildTopology(cfg Config) (mobility.Topology, *mobility.Highway, *mobility.RoadMesh, error) {
+// buildTopology constructs the road layout cfg selects.
+func buildTopology(cfg Config) (mobility.Topology, error) {
 	switch cfg.Topology {
 	case "", "highway":
-		hw, err := mobility.NewHighway(cfg.HighwayLengthM, cfg.HighwayWidthM, cfg.ClusterLengthM)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return hw, hw, nil, nil
+		return mobility.NewHighway(cfg.HighwayLengthM, cfg.HighwayWidthM, cfg.ClusterLengthM)
 	case "grid":
-		m, err := mobility.NewGridCity(cfg.GridRows, cfg.GridCols, cfg.ClusterLengthM, cfg.HighwayWidthM)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return m, nil, m, nil
+		return mobility.NewGridCity(cfg.GridRows, cfg.GridCols, cfg.ClusterLengthM, cfg.HighwayWidthM)
 	case "multi":
-		m, err := mobility.NewMultiHighway(cfg.HighwayCount, cfg.HighwayLengthM, cfg.HighwayWidthM, cfg.HighwayGapM, cfg.ClusterLengthM)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return m, nil, m, nil
+		return mobility.NewMultiHighway(cfg.HighwayCount, cfg.HighwayLengthM, cfg.HighwayWidthM, cfg.HighwayGapM, cfg.ClusterLengthM)
 	case "interchange":
-		m, err := mobility.NewInterchange(cfg.HighwayLengthM, cfg.HighwayWidthM, cfg.ClusterLengthM)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return m, nil, m, nil
+		return mobility.NewInterchange(cfg.HighwayLengthM, cfg.HighwayWidthM, cfg.ClusterLengthM)
 	default:
-		return nil, nil, nil, fmt.Errorf("scenario: unknown topology %q", cfg.Topology)
+		return nil, fmt.Errorf("scenario: unknown topology %q", cfg.Topology)
 	}
 }
 
@@ -176,7 +155,7 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 	if ref.linearScan && cfg.RunWorkers >= 2 {
 		return nil, fmt.Errorf("scenario: RunWorkers=%d requires the spatial index, not the linear scan", cfg.RunWorkers)
 	}
-	topo, highway, mesh, err := buildTopology(cfg)
+	topo, err := buildTopology(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -273,32 +252,12 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 		Env:         env,
 		Sched:       sched,
 		Topo:        topo,
-		Highway:     highway,
-		mesh:        mesh,
 		Heads:       make(map[wire.ClusterID]*core.HeadAgent),
 		attackerIDs: make(map[wire.NodeID]bool),
 		teammateIDs: make(map[wire.NodeID]bool),
 		rng:         rng,
 		shard:       shard,
 		ports:       ports,
-	}
-	if mesh != nil {
-		// Mesh clusters have more than two neighbors; the directory's
-		// consecutive-cluster default only fits the single highway. The hook
-		// is not installed for "highway": the default already matches
-		// Highway.Neighbors, and leaving the seed path untouched keeps the
-		// golden hashes trivially safe.
-		env.Dir.SetNeighbors(func(c wire.ClusterID) []wire.ClusterID {
-			if int(c) < 1 || int(c) > mesh.Clusters() {
-				return nil
-			}
-			ns := mesh.Neighbors(int(c))
-			out := make([]wire.ClusterID, len(ns))
-			for i, n := range ns {
-				out[i] = wire.ClusterID(n)
-			}
-			return out
-		})
 	}
 	if err := w.buildInfrastructure(); err != nil {
 		sched.Release()
@@ -388,34 +347,36 @@ func (w *World) authorityFor(c wire.ClusterID) *core.AuthorityAgent {
 }
 
 // buildPopulation places the source, destination, attacker(s) and filler
-// vehicles per the paper's experiment setup, dispatching on the topology.
-// The highway path is kept verbatim — its RNG draw sequence is pinned by the
-// golden-hash tests — and the mesh path generalises the same placement rules
-// to 2D road layouts.
+// vehicles per the paper's experiment setup, in per-road travel coordinates:
+// one routine serves every topology, the paper's highway being a one-road
+// Topology.
 func (w *World) buildPopulation() error {
-	if w.mesh != nil {
-		return w.buildPopulationMesh()
-	}
-	return w.buildPopulationHighway()
-}
-
-func (w *World) buildPopulationHighway() error {
-	clusters := w.Highway.Clusters()
+	clusters := w.Topo.Clusters()
+	roads := w.Topo.Roads()
 	attackCluster := w.Cfg.AttackerCluster
 	if attackCluster == 0 {
 		attackCluster = w.rng.IntN(clusters) + 1
 	}
 	w.Cfg.AttackerCluster = attackCluster
 
-	// Source at the beginning of the highway (paper SIV-A).
-	src, err := w.addVehicle(w.rng.Range(50, 450), w.randomSpeed(), mobility.Eastbound)
+	// Source near the start of the first road: the beginning of the highway
+	// (paper SIV-A).
+	r0 := roads[0]
+	sLo, sHi := r0.Lo+50, r0.Lo+450
+	if sHi > r0.Hi-10 {
+		sHi = r0.Hi - 10
+	}
+	if sHi < sLo {
+		sLo, sHi = r0.Lo, r0.Hi
+	}
+	src, err := w.addVehicle(0, w.rng.Range(sLo, sHi), w.randomSpeed(), mobility.Eastbound)
 	if err != nil {
 		return err
 	}
 	w.Source = src
 
-	// Destination at least two clusters away from the attacker, never in
-	// its radio range at placement.
+	// Destination several clusters away from the attacker (in strip-major
+	// numbering on a mesh), never in its radio range at placement.
 	destCluster := attackCluster + 3
 	if destCluster > clusters {
 		destCluster = attackCluster - 3
@@ -423,8 +384,8 @@ func (w *World) buildPopulationHighway() error {
 	if destCluster < 1 {
 		destCluster = 1
 	}
-	lo, hi := w.Highway.ClusterBounds(destCluster)
-	dest, err := w.addVehicle(w.rng.Range(lo+100, hi-100), w.randomSpeed(), mobility.Eastbound)
+	dri, da := w.spawnAlong(destCluster, 100, 100)
+	dest, err := w.addVehicle(dri, da, w.randomSpeed(), mobility.Eastbound)
 	if err != nil {
 		return err
 	}
@@ -439,14 +400,21 @@ func (w *World) buildPopulationHighway() error {
 		}
 	}
 
-	// Filler traffic, both directions, uniform over the highway.
+	// Filler traffic, both directions, uniform over the roads.
 	w.fillers = true
 	for len(w.Vehicles) < w.Cfg.Vehicles {
 		dir := mobility.Eastbound
 		if w.rng.Bool(0.5) {
 			dir = mobility.Westbound
 		}
-		if _, err := w.addVehicle(w.rng.Range(10, w.Highway.Length()-10), w.randomSpeed(), dir); err != nil {
+		// A one-road topology draws no road index: IntN(1) still consumes
+		// a draw and would shift every later one on the paper's highway.
+		ri := 0
+		if len(roads) > 1 {
+			ri = w.rng.IntN(len(roads))
+		}
+		r := roads[ri]
+		if _, err := w.addVehicle(ri, w.rng.Range(r.Lo+10, r.Hi-10), w.randomSpeed(), dir); err != nil {
 			return err
 		}
 	}
@@ -459,80 +427,6 @@ func (w *World) buildPopulationHighway() error {
 
 func (w *World) randomSpeed() float64 {
 	return mobility.KmhToMs(w.rng.Range(w.Cfg.SpeedMinKmh, w.Cfg.SpeedMaxKmh))
-}
-
-// buildPopulationMesh is buildPopulationHighway generalised to 2D road
-// meshes: same placement rules (source near a road start, destination well
-// away from the attacker, attacker mid-cluster, filler uniform over the
-// roads), expressed in per-road travel coordinates.
-func (w *World) buildPopulationMesh() error {
-	clusters := w.Topo.Clusters()
-	roads := w.Topo.Roads()
-	attackCluster := w.Cfg.AttackerCluster
-	if attackCluster == 0 {
-		attackCluster = w.rng.IntN(clusters) + 1
-	}
-	w.Cfg.AttackerCluster = attackCluster
-
-	// Source near the start of the first road — the mesh analogue of "the
-	// beginning of the highway".
-	r0 := roads[0]
-	sLo, sHi := r0.Lo+50, r0.Lo+450
-	if sHi > r0.Hi-10 {
-		sHi = r0.Hi - 10
-	}
-	if sHi < sLo {
-		sLo, sHi = r0.Lo, r0.Hi
-	}
-	src, err := w.addVehicleOnRoad(0, w.rng.Range(sLo, sHi), w.randomSpeed(), mobility.Eastbound)
-	if err != nil {
-		return err
-	}
-	w.Source = src
-
-	// Destination several clusters away from the attacker in strip-major
-	// numbering, never in its radio range at placement.
-	destCluster := attackCluster + 3
-	if destCluster > clusters {
-		destCluster = attackCluster - 3
-	}
-	if destCluster < 1 {
-		destCluster = 1
-	}
-	dri, da := w.spawnAlong(destCluster, 100, 100)
-	dest, err := w.addVehicleOnRoad(dri, da, w.randomSpeed(), mobility.Eastbound)
-	if err != nil {
-		return err
-	}
-	w.Destination = dest
-
-	if w.Cfg.Attack != NoAttack {
-		if err := w.placeAttackersMesh(attackCluster); err != nil {
-			return err
-		}
-		if err := w.placeExtraAttackersMesh(destCluster); err != nil {
-			return err
-		}
-	}
-
-	// Filler traffic, both directions, uniform over the road mesh.
-	w.fillers = true
-	for len(w.Vehicles) < w.Cfg.Vehicles {
-		dir := mobility.Eastbound
-		if w.rng.Bool(0.5) {
-			dir = mobility.Westbound
-		}
-		ri := w.rng.IntN(len(roads))
-		r := roads[ri]
-		if _, err := w.addVehicleOnRoad(ri, w.rng.Range(r.Lo+10, r.Hi-10), w.randomSpeed(), dir); err != nil {
-			return err
-		}
-	}
-
-	for _, v := range w.Vehicles {
-		v.Start()
-	}
-	return nil
 }
 
 // vehicleEnv returns the Env a new vehicle starting in cluster cid is built
@@ -572,7 +466,7 @@ func (w *World) runFor(d time.Duration) {
 }
 
 // hostileProfile builds the attack profile the config describes. It draws no
-// RNG, so sharing it across topology paths cannot shift draw order.
+// RNG.
 func (w *World) hostileProfile() attack.Profile {
 	profile := attack.DefaultProfile()
 	if w.Cfg.SeqBonus != 0 {
@@ -585,9 +479,9 @@ func (w *World) hostileProfile() attack.Profile {
 }
 
 // clusterAlong returns cluster c's owning road and its travel extent along
-// that road's axis (mesh topologies only).
+// that road's axis.
 func (w *World) clusterAlong(c int) (ri int, lo, hi float64) {
-	ri = w.mesh.ClusterRoad(c)
+	ri = w.Topo.ClusterRoad(c)
 	rect := w.Topo.ClusterRect(c)
 	if w.Topo.Roads()[ri].Axis == mobility.AxisY {
 		return ri, rect.Y0, rect.Y1
@@ -606,14 +500,14 @@ func (w *World) spawnAlong(c int, loMargin, hiMargin float64) (int, float64) {
 	return ri, w.rng.Range(a, b)
 }
 
-// addVehicleOnRoad is addVehicle for mesh topologies: the vehicle travels
-// along road ri from the given coordinate, in one of four lanes across the
-// road's width.
-func (w *World) addVehicleOnRoad(ri int, along, speedMS float64, dir mobility.Direction) (*core.VehicleAgent, error) {
+// addVehicle provisions a credential from the region's TA and constructs a
+// legitimate vehicle agent (not yet started) travelling along road ri from
+// the given coordinate. It drives in one of four lanes at 10, 30, 50 or 70%
+// of the road's width: 20, 60, 100 or 140 m on the paper's 200 m highway.
+func (w *World) addVehicle(ri int, along, speedMS float64, dir mobility.Direction) (*core.VehicleAgent, error) {
 	w.vehSeq++
 	road := w.Topo.Roads()[ri]
-	span := road.CHi - road.CLo
-	lane := road.CLo + span*(0.1+0.2*float64(w.rng.IntN(4)))
+	lane := road.CLo + (road.CHi-road.CLo)*float64(2*w.rng.IntN(4)+1)/10
 	pos := road.At(along, lane)
 	cid := wire.ClusterID(w.Topo.ClusterOf(pos))
 	cred, err := w.authorityFor(cid).IssueVehicleCredential(fmt.Sprintf("veh-%d", w.vehSeq))
@@ -632,10 +526,11 @@ func (w *World) addVehicleOnRoad(ri int, along, speedMS float64, dir mobility.Di
 	return v, nil
 }
 
-// placeAttackersMesh is placeAttackers on a road mesh.
-func (w *World) placeAttackersMesh(attackCluster int) error {
+// placeAttackers creates the black hole (and accomplice) in the configured
+// cluster, per the paper's placement rules.
+func (w *World) placeAttackers(attackCluster int) error {
 	ri, ax := w.spawnAlong(attackCluster, 100, 200)
-	attacker, err := w.addVehicleOnRoad(ri, ax, w.randomSpeed(), mobility.Eastbound)
+	attacker, err := w.addVehicle(ri, ax, w.randomSpeed(), mobility.Eastbound)
 	if err != nil {
 		return err
 	}
@@ -644,102 +539,19 @@ func (w *World) placeAttackersMesh(attackCluster int) error {
 	attacker.OnRenewed(func(old, new wire.NodeID) { w.attackerIDs[new] = true })
 
 	profile := w.hostileProfile()
-	road := w.Topo.Roads()[ri]
-	if _, _, segHi := w.clusterAlong(attackCluster); segHi >= road.Hi {
-		// The attacker starts in its road's last cluster and can flee the map.
+	if attackCluster == w.Topo.Clusters() || w.Topo.ClusterRoad(attackCluster+1) != ri {
+		// The paper's fleeing attackers escape from the last cluster (of
+		// their road, on a mesh).
 		profile.FleeProb = w.Cfg.FleeProb
 	}
 
 	if w.Cfg.Attack == CooperativeBlackHole {
+		road := w.Topo.Roads()[ri]
 		tx := ax + w.rng.Range(200, 400)
 		if tx > road.Hi-10 {
 			tx = road.Hi - 10
 		}
-		teammate, err := w.addVehicleOnRoad(ri, tx, w.randomSpeed(), mobility.Eastbound)
-		if err != nil {
-			return err
-		}
-		w.Teammate = teammate
-		w.teammateIDs[teammate.NodeID()] = true
-		teammate.OnRenewed(func(old, new wire.NodeID) { w.teammateIDs[new] = true })
-		tp := profile
-		tp.SupportOnly = true
-		tp.Teammate = 0
-		w.TeammateBH = w.arm(teammate, tp)
-		profile.Teammate = teammate.NodeID()
-	}
-	w.AttackerBH = w.arm(attacker, profile)
-	return nil
-}
-
-// placeExtraAttackersMesh is placeExtraAttackers on a road mesh.
-func (w *World) placeExtraAttackersMesh(destCluster int) error {
-	clusters := w.Topo.Clusters()
-	for i := 0; i < w.Cfg.ExtraAttackers; i++ {
-		c := w.rng.IntN(clusters) + 1
-		if c == destCluster {
-			c = c%clusters + 1
-		}
-		ri, ax := w.spawnAlong(c, 100, 100)
-		v, err := w.addVehicleOnRoad(ri, ax, w.randomSpeed(), mobility.Eastbound)
-		if err != nil {
-			return err
-		}
-		h := &Hostile{Agent: v, ids: map[wire.NodeID]bool{v.NodeID(): true}}
-		v.OnRenewed(func(old, new wire.NodeID) { h.ids[new] = true })
-		h.BH = w.arm(v, w.hostileProfile())
-		w.Extras = append(w.Extras, h)
-	}
-	return nil
-}
-
-// addVehicle provisions a credential from the region's TA and constructs a
-// legitimate vehicle agent (not yet started).
-func (w *World) addVehicle(x, speedMS float64, dir mobility.Direction) (*core.VehicleAgent, error) {
-	w.vehSeq++
-	cid := wire.ClusterID(w.Highway.ClusterAt(x))
-	cred, err := w.authorityFor(cid).IssueVehicleCredential(fmt.Sprintf("veh-%d", w.vehSeq))
-	if err != nil {
-		return nil, err
-	}
-	lane := 20 + 40*float64(w.rng.IntN(4))
-	mob, err := mobility.NewMobile(w.Highway, mobility.Position{X: x, Y: lane}, dir, speedMS, w.Sched.Now())
-	if err != nil {
-		return nil, err
-	}
-	v, err := core.NewVehicleAgent(w.vehicleEnv(cid), w.Cfg.Vehicle, cred, mob)
-	if err != nil {
-		return nil, err
-	}
-	w.Vehicles = append(w.Vehicles, v)
-	return v, nil
-}
-
-// placeAttackers creates the black hole (and accomplice) in the configured
-// cluster, per the paper's placement rules.
-func (w *World) placeAttackers(attackCluster int) error {
-	lo, hi := w.Highway.ClusterBounds(attackCluster)
-	ax := w.rng.Range(lo+100, hi-200)
-	attacker, err := w.addVehicle(ax, w.randomSpeed(), mobility.Eastbound)
-	if err != nil {
-		return err
-	}
-	w.Attacker = attacker
-	w.attackerIDs[attacker.NodeID()] = true
-	attacker.OnRenewed(func(old, new wire.NodeID) { w.attackerIDs[new] = true })
-
-	profile := w.hostileProfile()
-	if attackCluster == w.Highway.Clusters() {
-		// The paper's fleeing attackers escape from the last cluster.
-		profile.FleeProb = w.Cfg.FleeProb
-	}
-
-	if w.Cfg.Attack == CooperativeBlackHole {
-		tx := ax + w.rng.Range(200, 400)
-		if tx > w.Highway.Length()-10 {
-			tx = w.Highway.Length() - 10
-		}
-		teammate, err := w.addVehicle(tx, w.randomSpeed(), mobility.Eastbound)
+		teammate, err := w.addVehicle(ri, tx, w.randomSpeed(), mobility.Eastbound)
 		if err != nil {
 			return err
 		}
@@ -759,14 +571,14 @@ func (w *World) placeAttackers(attackCluster int) error {
 // placeExtraAttackers adds independent single black holes in random
 // clusters away from the destination.
 func (w *World) placeExtraAttackers(destCluster int) error {
-	clusters := w.Highway.Clusters()
+	clusters := w.Topo.Clusters()
 	for i := 0; i < w.Cfg.ExtraAttackers; i++ {
 		c := w.rng.IntN(clusters) + 1
 		if c == destCluster {
 			c = c%clusters + 1
 		}
-		lo, hi := w.Highway.ClusterBounds(c)
-		v, err := w.addVehicle(w.rng.Range(lo+100, hi-100), w.randomSpeed(), mobility.Eastbound)
+		ri, ax := w.spawnAlong(c, 100, 100)
+		v, err := w.addVehicle(ri, ax, w.randomSpeed(), mobility.Eastbound)
 		if err != nil {
 			return err
 		}
@@ -794,24 +606,10 @@ func (w *World) arm(v *core.VehicleAgent, profile attack.Profile) *attack.Blackh
 		}
 		return evasive[v.Mobile().ClusterAt(w.Sched.Now())]
 	}
-	bh = attack.NewBlackhole(profile, attack.Env{
-		Sched:   w.Sched,
-		RNG:     w.rng.Split("attacker-" + v.NodeID().String()),
-		Send:    v.Interface().Send,
-		Self:    v.Interface().NodeID,
-		Cluster: v.Client().Cluster,
-		Seal: func(p wire.Packet) ([]byte, error) {
-			sec, err := pki.Seal(p, v.Credential(), w.Env.Scheme)
-			if err != nil {
-				return nil, err
-			}
-			return sec.MarshalBinary()
-		},
-		Inner: v.HandleFrame,
-		Flee:  func() { v.Mobile().Exit(w.Sched.Now()) },
-		Renew: func() { _ = v.RenewCertificate() },
-	})
-	v.Interface().SetReceiver(bh.HandleFrame)
+	env := attackEnv(w.Env, v, w.rng.Split("attacker-"+v.NodeID().String()))
+	env.Flee = func() { v.Mobile().Exit(w.Sched.Now()) }
+	env.Renew = func() { _ = v.RenewCertificate() }
+	bh = armBlackhole(v, profile, env)
 	return bh
 }
 
