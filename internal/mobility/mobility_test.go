@@ -157,7 +157,7 @@ func TestMobileKinematics(t *testing.T) {
 	h := tableIHighway(t)
 	m, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: 1000, Y: 50}, Eastbound, 25, 0)
 	if err != nil {
-		t.Fatalf("NewMobile: %v", err)
+		t.Fatalf("NewMobileOnRoad: %v", err)
 	}
 	p := m.PositionAt(10 * time.Second)
 	if math.Abs(p.X-1250) > 1e-9 || p.Y != 50 {
@@ -187,7 +187,7 @@ func TestMobileWestbound(t *testing.T) {
 	h := tableIHighway(t)
 	m, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: 500, Y: 150}, Westbound, 20, 0)
 	if err != nil {
-		t.Fatalf("NewMobile: %v", err)
+		t.Fatalf("NewMobileOnRoad: %v", err)
 	}
 	p := m.PositionAt(10 * time.Second)
 	if math.Abs(p.X-300) > 1e-9 {
