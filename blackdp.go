@@ -227,7 +227,7 @@ func WithMutate(fn func(rep int, c *Config)) Option {
 // not apply to a single run and are ignored.
 func Run(ctx context.Context, cfg Config, opts ...Option) (Outcome, error) {
 	o := buildOptions(opts)
-	return scenario.RunContext(ctx, o.applyRunWorkers(cfg))
+	return scenario.Run(ctx, o.applyRunWorkers(cfg))
 }
 
 // Canonical returns the deterministic serialized form of a config:
@@ -259,7 +259,7 @@ func BurstPlan(lossBad, goodToBad, badToGood float64) FaultPlan {
 // worker count yields identical results.
 func Sweep(ctx context.Context, cfg Config, reps int, opts ...Option) ([]Outcome, error) {
 	o := buildOptions(opts)
-	return scenario.RunSweep(ctx, o.applyRunWorkers(cfg), reps, o.sweepOptions(), o.mutate)
+	return scenario.RunSweep(ctx, o.applyRunWorkers(cfg), 0, reps, o.sweepOptions(), o.mutate)
 }
 
 // SweepStream executes reps runs like [Sweep] but folds every outcome into a
@@ -299,13 +299,13 @@ func ByCluster(outcomes []Outcome) map[int]Summary { return metrics.ByCluster(ou
 // as one flat parallel sweep.
 func Fig4(ctx context.Context, base Config, kind AttackKind, reps int, opts ...Option) ([]Fig4Point, error) {
 	o := buildOptions(opts)
-	return scenario.RunFig4Sweep(ctx, o.applyRunWorkers(base), kind, reps, o.sweepOptions())
+	return scenario.RunFig4(ctx, o.applyRunWorkers(base), kind, reps, o.sweepOptions())
 }
 
 // Fig5 measures the detection-packet count of every Figure 5 scenario
 // class (one category per worker).
 func Fig5(ctx context.Context, seed int64, opts ...Option) ([]Fig5Result, error) {
-	return scenario.Fig5SeriesSweep(ctx, seed, buildOptions(opts).sweepOptions())
+	return scenario.Fig5Series(ctx, seed, buildOptions(opts).sweepOptions())
 }
 
 // Fig5Categories lists the Figure 5 classes in presentation order.
@@ -321,7 +321,7 @@ func RunFig5(cat Fig5Category, seed int64) (Fig5Result, error) {
 // detector scoring folds in replication order.
 func CompareDetectors(ctx context.Context, cfg Config, reps int, opts ...Option) ([]DetectorScore, error) {
 	o := buildOptions(opts)
-	return scenario.CompareDetectorsSweep(ctx, o.applyRunWorkers(cfg), reps, o.sweepOptions())
+	return scenario.CompareDetectors(ctx, o.applyRunWorkers(cfg), reps, o.sweepOptions())
 }
 
 // RunConnector reproduces the paper's connector argument: the attacker

@@ -2,6 +2,7 @@ package blackdp_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"blackdp"
@@ -76,8 +77,10 @@ func TestPublicAPIBuildWorld(t *testing.T) {
 	}
 }
 
-// TestPublicAPISweepOptions checks the functional options drive the sweep:
-// progress/onRep/mutate all fire, and any worker count is byte-identical.
+// TestPublicAPISweepOptions checks the functional options drive every
+// sweep: progress and onRep fire once per replication, mutate fires for
+// Sweep (the only call that takes it), and any worker count is
+// byte-identical.
 func TestPublicAPISweepOptions(t *testing.T) {
 	cfg := blackdp.DefaultConfig()
 	cfg.HighwayLengthM = 4000
@@ -86,30 +89,57 @@ func TestPublicAPISweepOptions(t *testing.T) {
 	cfg.DataPackets = 5
 	ctx := context.Background()
 
-	var progress, reps, mutated []int
-	serial, err := blackdp.Sweep(ctx, cfg, 3,
-		blackdp.WithWorkers(1),
-		blackdp.WithProgress(func(done, total int) { progress = append(progress, done) }),
-		blackdp.WithOnRep(func(rep int, err error) {
-			if err == nil {
-				reps = append(reps, rep)
+	cases := []struct {
+		name    string
+		reps    int // replications the call runs
+		mutated int // mutate calls it makes
+		run     func(opts ...blackdp.Option) (any, error)
+	}{
+		{"Sweep", 3, 3, func(opts ...blackdp.Option) (any, error) {
+			return blackdp.Sweep(ctx, cfg, 3, opts...)
+		}},
+		{"Fig4", 4, 0, func(opts ...blackdp.Option) (any, error) {
+			return blackdp.Fig4(ctx, cfg, blackdp.SingleBlackHole, 1, opts...)
+		}},
+		{"Fig5", len(blackdp.Fig5Categories()), 0, func(opts ...blackdp.Option) (any, error) {
+			return blackdp.Fig5(ctx, cfg.Seed, opts...)
+		}},
+		{"CompareDetectors", 2, 0, func(opts ...blackdp.Option) (any, error) {
+			return blackdp.CompareDetectors(ctx, cfg, 2, opts...)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var progress, reps, mutated []int
+			serial, err := tc.run(
+				blackdp.WithWorkers(1),
+				blackdp.WithProgress(func(done, total int) { progress = append(progress, done) }),
+				blackdp.WithOnRep(func(rep int, err error) {
+					if err == nil {
+						reps = append(reps, rep)
+					}
+				}),
+				blackdp.WithMutate(func(rep int, c *blackdp.Config) { mutated = append(mutated, rep) }))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}),
-		blackdp.WithMutate(func(rep int, c *blackdp.Config) { mutated = append(mutated, rep) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(progress) != 3 || len(reps) != 3 || len(mutated) != 3 {
-		t.Errorf("callbacks fired progress=%v reps=%v mutated=%v, want 3 each", progress, reps, mutated)
-	}
+			if len(progress) != tc.reps || len(reps) != tc.reps || len(mutated) != tc.mutated {
+				t.Errorf("callbacks fired progress=%v reps=%v mutated=%v, want %d, %d and %d",
+					progress, reps, mutated, tc.reps, tc.reps, tc.mutated)
+			}
+			for i, rep := range reps {
+				if rep != i {
+					t.Fatalf("serial onRep saw replications %v, want 0..%d in order", reps, tc.reps-1)
+				}
+			}
 
-	parallel, err := blackdp.Sweep(ctx, cfg, 3, blackdp.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("rep %d: outcomes diverged across worker counts", i)
-		}
+			parallel, err := tc.run(blackdp.WithWorkers(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Fatal("results diverged across worker counts")
+			}
+		})
 	}
 }

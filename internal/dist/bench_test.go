@@ -22,7 +22,7 @@ func BenchmarkDistDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.coord.Sweep(ctx, fastCfg(int64(i)), 1, nil); err != nil {
+		if _, err := f.coord.SweepRange(ctx, fastCfg(int64(i)), 0, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,13 +36,13 @@ func BenchmarkDistDispatchCached(b *testing.B) {
 	f := newFleet(b, 1, Config{ChunkReps: 1})
 	ctx := context.Background()
 	cfg := fastCfg(1)
-	if _, err := f.coord.Sweep(ctx, cfg, 1, nil); err != nil {
+	if _, err := f.coord.SweepRange(ctx, cfg, 0, 1, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.coord.Sweep(ctx, cfg, 1, nil); err != nil {
+		if _, err := f.coord.SweepRange(ctx, cfg, 0, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func BenchmarkDistSweepWorkers(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := cfg
 			c.Seed = int64(1000 + i) // new world each iteration: no cache anywhere
-			if _, err := scenario.RunSweep(ctx, c, reps, scenario.SweepOptions{}, nil); err != nil {
+			if _, err := scenario.RunSweep(ctx, c, 0, reps, scenario.SweepOptions{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,7 +104,7 @@ func BenchmarkDistSweepWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cfg
 				c.Seed = int64(1000 + i)
-				if _, err := f.coord.Sweep(ctx, c, reps, nil); err != nil {
+				if _, err := f.coord.SweepRange(ctx, c, 0, reps, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -107,7 +107,7 @@ type Coordinator struct {
 
 // New builds a coordinator over cfg.Workers (zero fields take defaults).
 // Workers start unknown-dead and go live on their first successful health
-// probe — Start the health loop, or let the first Sweep probe on demand.
+// probe — Start the health loop, or let the first SweepRange probe on demand.
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -264,13 +264,6 @@ func (st *sweepState) fail(start int, err error) {
 		st.failStart, st.failErr = start, err
 	}
 	st.mu.Unlock()
-}
-
-// Sweep executes reps replications of cfg across the fleet and returns the
-// outcomes in replication order, byte-identical to scenario.RunSweep on
-// one node (the differential suite holds it to that).
-func (c *Coordinator) Sweep(ctx context.Context, cfg scenario.Config, reps int, onRep func(rep int, err error)) ([]metrics.Outcome, error) {
-	return c.SweepRange(ctx, cfg, 0, reps, onRep)
 }
 
 // SweepRange executes count replications of cfg starting at GLOBAL

@@ -5,7 +5,7 @@
 // config) submitted through serve/client, so the workers' result cache,
 // admission, 429/503 envelopes, drain, health and metrics are the serve
 // layer's own. Replication seeds are a pure function of the global index
-// (scenario.RunSweepRange), which makes a chunk's outcomes byte-identical
+// (scenario.RunSweep), which makes a chunk's outcomes byte-identical
 // to the same replications of a single-node sweep.
 //
 // The coordinator keeps the fleet invisible in the results: chunks merge in

@@ -44,9 +44,15 @@ type fleet struct {
 
 func newFleet(t testing.TB, n int, cfg Config) *fleet {
 	t.Helper()
+	return newFleetOf(t, n, cfg, serve.Config{Workers: 4})
+}
+
+// newFleetOf is newFleet with every worker built from workerCfg.
+func newFleetOf(t testing.TB, n int, cfg Config, workerCfg serve.Config) *fleet {
+	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
-		w := mustServe(t, serve.Config{Workers: 4})
+		w := mustServe(t, workerCfg)
 		srv := httptest.NewServer(w.Handler())
 		t.Cleanup(srv.Close)
 		f.workers = append(f.workers, w)
@@ -102,12 +108,12 @@ func TestWorkerExecutesChunkAndCachesIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scenario.RunSweepRange(context.Background(), fastCfg(1), 2, 3, scenario.SweepOptions{Workers: 1}, nil)
+	want, err := scenario.RunSweep(context.Background(), fastCfg(1), 2, 3, scenario.SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(outs, want) {
-		t.Error("worker chunk outcomes diverge from local RunSweepRange")
+		t.Error("worker chunk outcomes diverge from a local range RunSweep")
 	}
 	for i, rep := range []int{2, 3, 4} {
 		if l := lines[1+i]; l.Type != "progress" || l.Rep != rep {
@@ -148,7 +154,7 @@ func TestCoordinatorSweepMatchesLocal(t *testing.T) {
 
 	var mu []int
 	var muErr int
-	outs, err := f.coord.Sweep(context.Background(), cfg, reps, func(rep int, err error) {
+	outs, err := f.coord.SweepRange(context.Background(), cfg, 0, reps, func(rep int, err error) {
 		mu = append(mu, rep)
 		if err != nil {
 			muErr++
@@ -157,7 +163,7 @@ func TestCoordinatorSweepMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scenario.RunSweep(context.Background(), cfg, reps, scenario.SweepOptions{Workers: 1}, nil)
+	want, err := scenario.RunSweep(context.Background(), cfg, 0, reps, scenario.SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +186,11 @@ func TestCoordinatorSharesChunksAcrossJobs(t *testing.T) {
 	cfg := fastCfg(11)
 	ctx := context.Background()
 
-	first, err := f.coord.Sweep(ctx, cfg, 8, nil)
+	first, err := f.coord.SweepRange(ctx, cfg, 0, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := f.coord.Sweep(ctx, cfg, 16, nil)
+	second, err := f.coord.SweepRange(ctx, cfg, 0, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +200,7 @@ func TestCoordinatorSharesChunksAcrossJobs(t *testing.T) {
 	if shared := f.coord.cacheShared.Load(); shared < 2 {
 		t.Errorf("chunk cache shared %d chunks, want >= 2 (the first sweep's two chunks)", shared)
 	}
-	want, err := scenario.RunSweep(ctx, cfg, 16, scenario.SweepOptions{Workers: 1}, nil)
+	want, err := scenario.RunSweep(ctx, cfg, 0, 16, scenario.SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +232,11 @@ func TestCoordinatorHonorsBackpressure(t *testing.T) {
 	coord := New(Config{Workers: []string{proxy.URL}, ChunkReps: 4, HealthInterval: 50 * time.Millisecond})
 	t.Cleanup(coord.Stop)
 	cfg := fastCfg(3)
-	outs, err := coord.Sweep(context.Background(), cfg, 4, nil)
+	outs, err := coord.SweepRange(context.Background(), cfg, 0, 4, nil)
 	if err != nil {
 		t.Fatalf("sweep failed despite backpressure being retryable: %v", err)
 	}
-	want, _ := scenario.RunSweep(context.Background(), cfg, 4, scenario.SweepOptions{Workers: 1}, nil)
+	want, _ := scenario.RunSweep(context.Background(), cfg, 0, 4, scenario.SweepOptions{Workers: 1}, nil)
 	if !reflect.DeepEqual(outs, want) {
 		t.Error("outcomes diverge after backpressure retries")
 	}
@@ -257,7 +263,7 @@ func TestCoordinatorSurfacesWorkerEnvelope(t *testing.T) {
 
 	coord := New(Config{Workers: []string{srv.URL}, ChunkReps: 4, BackpressureRetries: 1, HealthInterval: 50 * time.Millisecond})
 	t.Cleanup(coord.Stop)
-	_, err := coord.Sweep(context.Background(), fastCfg(1), 4, nil)
+	_, err := coord.SweepRange(context.Background(), fastCfg(1), 0, 4, nil)
 	if err == nil {
 		t.Fatal("sweep succeeded against an always-429 worker")
 	}
@@ -277,14 +283,14 @@ func TestCoordinatorNoWorkersIsTyped(t *testing.T) {
 	// Empty fleet.
 	empty := New(Config{})
 	t.Cleanup(empty.Stop)
-	if _, err := empty.Sweep(context.Background(), fastCfg(1), 4, nil); !errors.Is(err, serve.ErrNoWorkers) {
+	if _, err := empty.SweepRange(context.Background(), fastCfg(1), 0, 4, nil); !errors.Is(err, serve.ErrNoWorkers) {
 		t.Errorf("empty fleet error = %v, want ErrNoWorkers", err)
 	}
 	// Configured but unreachable fleet: the on-demand probe fails and the
 	// typed sentinel tells the serve layer to fall back to local execution.
 	dead := New(Config{Workers: []string{"http://127.0.0.1:1"}, HealthInterval: 50 * time.Millisecond})
 	t.Cleanup(dead.Stop)
-	if _, err := dead.Sweep(context.Background(), fastCfg(1), 4, nil); !errors.Is(err, serve.ErrNoWorkers) {
+	if _, err := dead.SweepRange(context.Background(), fastCfg(1), 0, 4, nil); !errors.Is(err, serve.ErrNoWorkers) {
 		t.Errorf("dead fleet error = %v, want ErrNoWorkers", err)
 	}
 }

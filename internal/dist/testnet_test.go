@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"blackdp/internal/metrics"
 	"blackdp/internal/scenario"
 	"blackdp/internal/serve"
 	"blackdp/serve/client"
@@ -30,7 +31,7 @@ func TestDistTestnetDifferential(t *testing.T) {
 	// Single-node baselines, one per seed.
 	baselines := make([][]byte, 20)
 	for seed := 0; seed < 20; seed++ {
-		outs, err := scenario.RunSweep(ctx, fastCfg(int64(seed)), reps, scenario.SweepOptions{Workers: 2}, nil)
+		outs, err := scenario.RunSweep(ctx, fastCfg(int64(seed)), 0, reps, scenario.SweepOptions{Workers: 2}, nil)
 		if err != nil {
 			t.Fatalf("seed %d local: %v", seed, err)
 		}
@@ -46,7 +47,7 @@ func TestDistTestnetDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", nw), func(t *testing.T) {
 			f := newFleet(t, nw, Config{ChunkReps: 3})
 			for seed := 0; seed < 20; seed++ {
-				outs, err := f.coord.Sweep(ctx, fastCfg(int64(seed)), reps, nil)
+				outs, err := f.coord.SweepRange(ctx, fastCfg(int64(seed)), 0, reps, nil)
 				if err != nil {
 					t.Fatalf("seed %d on %d workers: %v", seed, nw, err)
 				}
@@ -106,12 +107,12 @@ func TestDistTestnetWorkerKilledMidSweep(t *testing.T) {
 		victimSrv.Close()
 	}()
 
-	outs, err := coord.Sweep(context.Background(), cfg, reps, nil)
+	outs, err := coord.SweepRange(context.Background(), cfg, 0, reps, nil)
 	<-killDone
 	if err != nil {
 		t.Fatalf("sweep did not survive the worker kill: %v", err)
 	}
-	want, err := scenario.RunSweep(context.Background(), cfg, reps, scenario.SweepOptions{Workers: 2}, nil)
+	want, err := scenario.RunSweep(context.Background(), cfg, 0, reps, scenario.SweepOptions{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,15 +241,28 @@ func TestDistCancelLeavesNoOrphans(t *testing.T) {
 	})
 }
 
+// heldOpen is a serve.Distributor whose sweeps end only when their job is
+// canceled, so a worker built on it holds every chunk job open until the
+// job is DELETEd.
+type heldOpen struct{}
+
+func (heldOpen) SweepRange(ctx context.Context, _ scenario.Config, _, _ int, _ func(int, error)) ([]metrics.Outcome, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+func (heldOpen) Width() int { return 1 }
+
 // TestCanceledSweepDeletesWorkerJobs cancels a fleet sweep mid-chunk. A
 // worker job runs detached from the coordinator's connection, so the
-// coordinator must DELETE it: the worker job ends canceled, not done.
+// coordinator must DELETE it: the worker job ends canceled, not done. The
+// worker's chunk is held open, so only that DELETE can end it.
 func TestCanceledSweepDeletesWorkerJobs(t *testing.T) {
-	f := newFleet(t, 1, Config{ChunkReps: 64})
+	f := newFleetOf(t, 1, Config{ChunkReps: 64}, serve.Config{Distributor: heldOpen{}})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := f.coord.Sweep(ctx, scenario.DefaultConfig(), 64, nil)
+		_, err := f.coord.SweepRange(ctx, scenario.DefaultConfig(), 0, 64, nil)
 		errc <- err
 	}()
 	waitUntil(t, 10*time.Second, "the worker to start the chunk", func() bool { return f.workers[0].Running() > 0 })

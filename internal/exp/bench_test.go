@@ -27,7 +27,7 @@ func benchSweep(b *testing.B, workers int) {
 	b.Helper()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		outcomes, err := scenario.RunSweep(context.Background(), cfg, 8,
+		outcomes, err := scenario.RunSweep(context.Background(), cfg, 0, 8,
 			scenario.SweepOptions{Workers: workers}, nil)
 		if err != nil {
 			b.Fatal(err)

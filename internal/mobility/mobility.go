@@ -69,6 +69,7 @@ type Highway struct {
 	clusterLen float64 // metres per cluster
 	clusters   int
 	roads      [1]Road // the one road; Roads shares it with every caller
+	adj        [][]int // adj[c-1] = cluster c's neighbours; Neighbors shares it
 }
 
 // NewHighway builds a highway of the given dimensions divided into clusters
@@ -88,9 +89,19 @@ func NewHighway(length, width, clusterLen float64) (*Highway, error) {
 	if rounded < 1 || math.Abs(n-rounded) > 1e-9 {
 		return nil, fmt.Errorf("mobility: highway length %vm is not a whole multiple of cluster length %vm", length, clusterLen)
 	}
+	clusters := int(rounded)
+	adj := make([][]int, clusters) // consecutive clusters border each other
+	for c := 1; c <= clusters; c++ {
+		for _, n := range [2]int{c - 1, c + 1} {
+			if n >= 1 && n <= clusters {
+				adj[c-1] = append(adj[c-1], n)
+			}
+		}
+	}
 	return &Highway{
-		length: length, width: width, clusterLen: clusterLen, clusters: int(rounded),
+		length: length, width: width, clusterLen: clusterLen, clusters: clusters,
 		roads: [1]Road{{Axis: AxisX, Lo: 0, Hi: length, CLo: 0, CHi: width}},
+		adj:   adj,
 	}, nil
 }
 

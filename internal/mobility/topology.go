@@ -166,16 +166,12 @@ func (h *Highway) Adjacent(a, b int) bool {
 	return a-b == 1 || b-a == 1
 }
 
-// Neighbors implements Topology.
+// Neighbors implements Topology. An out-of-range cluster has none.
 func (h *Highway) Neighbors(c int) []int {
-	var out []int
-	if c-1 >= 1 && c-1 <= h.clusters {
-		out = append(out, c-1)
+	if c < 1 || c > h.clusters {
+		return nil
 	}
-	if c+1 >= 1 && c+1 <= h.clusters {
-		out = append(out, c+1)
-	}
-	return out
+	return h.adj[c-1]
 }
 
 // ClustersNear implements Topology. It keeps the highway's historical

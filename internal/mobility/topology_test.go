@@ -217,7 +217,10 @@ func TestInterchangeCrossAdjacency(t *testing.T) {
 	}
 }
 
-var roadsSink []Road
+var (
+	roadsSink     []Road
+	neighborsSink []int
+)
 
 func TestHighwayTopologyConformance(t *testing.T) {
 	h, err := NewHighway(8000, 200, 1000)
@@ -229,6 +232,10 @@ func TestHighwayTopologyConformance(t *testing.T) {
 	// Roads is read once per placed vehicle: it shares one slice.
 	if n := testing.AllocsPerRun(10, func() { roadsSink = h.Roads() }); n != 0 {
 		t.Errorf("Highway.Roads allocates %v times per call", n)
+	}
+	// Neighbors is read once per isolation: it shares the stored lists.
+	if n := testing.AllocsPerRun(10, func() { neighborsSink = h.Neighbors(4) }); n != 0 {
+		t.Errorf("Highway.Neighbors allocates %v times per call", n)
 	}
 }
 

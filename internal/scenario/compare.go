@@ -38,13 +38,6 @@ func (s DetectorScore) String() string {
 		s.Name, s.Hits, s.Runs, s.FalsePos, s.NoDecision)
 }
 
-// CompareDetectors runs reps Table-I scenarios and scores the related-work
-// sequence-number detectors on the source's raw discovery replies, alongside
-// BlackDP's behavioural detection on the same worlds.
-func CompareDetectors(cfg Config, reps int) ([]DetectorScore, error) {
-	return CompareDetectorsSweep(context.Background(), cfg, reps, SweepOptions{})
-}
-
 // compareEvidence is one replication's raw material for detector scoring:
 // the discovery replies the source collected (for the sequence-number
 // heuristics) and BlackDP's outcome on an identical world.
@@ -83,19 +76,21 @@ func discoverEvidence(cfg Config, pool *sim.EventPool, ref reference) (compareEv
 	return ev, nil
 }
 
-// CompareDetectorsSweep is CompareDetectors with cancellation and sweep
-// options. The expensive part — building and running two worlds per
-// replication — fans out across the pool; the detector evaluation then
-// folds serially in replication order, because the dynamic-peak baseline
-// is deliberately stateful across discoveries and must see them in the
-// same order as the serial path.
-func CompareDetectorsSweep(ctx context.Context, cfg Config, reps int, opt SweepOptions) ([]DetectorScore, error) {
+// CompareDetectors runs reps Table-I scenarios and scores the related-work
+// sequence-number detectors on the source's raw discovery replies, alongside
+// BlackDP's behavioural detection on the same worlds. The expensive part —
+// building and running two worlds per replication — fans out across the
+// pool; the detector evaluation then folds serially in replication order,
+// because the dynamic-peak baseline is deliberately stateful across
+// discoveries and must see them in the same order as the serial path.
+func CompareDetectors(ctx context.Context, cfg Config, reps int, opt SweepOptions) ([]DetectorScore, error) {
 	cfg = cfg.withDefaults()
 	seedOf := func(rep int) int64 { return cfg.Seed + int64(rep)*104729 }
 	evidence, err := exp.MapScratch(ctx, reps, exp.Options{
 		Workers:  opt.Workers,
 		SeedOf:   seedOf,
 		Progress: opt.Progress,
+		OnRep:    opt.OnRep,
 	}, opt.workerPool, func(ctx context.Context, rep int, pool *sim.EventPool) (compareEvidence, error) {
 		runCfg := cfg
 		runCfg.Seed = seedOf(rep)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,11 +87,11 @@ func TestLoadedConfigRunsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(cfg)
+	a, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(loaded)
+	b, err := Run(context.Background(), loaded)
 	if err != nil {
 		t.Fatal(err)
 	}

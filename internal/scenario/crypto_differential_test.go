@@ -71,7 +71,7 @@ func TestCryptoCachedMatchesUncached(t *testing.T) {
 	outcomes := make([]metrics.Outcome, 0, cryptoDiffSeeds)
 	for seed := int64(1); seed <= cryptoDiffSeeds; seed++ {
 		cfg := cryptoDiffConfig(seed)
-		want, err := Run(cfg)
+		want, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d cached: %v", seed, err)
 		}
@@ -98,7 +98,7 @@ func TestCryptoSessionGoldenStream(t *testing.T) {
 	for seed := int64(1); seed <= cryptoDiffSeeds; seed++ {
 		cfg := cryptoDiffConfig(seed)
 		cfg.CryptoScheme = SchemeSession
-		out, err := Run(cfg)
+		out, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -111,11 +111,11 @@ func TestCryptoSessionGoldenStream(t *testing.T) {
 	// leave no residue between runs.
 	cfg := cryptoDiffConfig(7)
 	cfg.CryptoScheme = SchemeSession
-	first, err := Run(cfg)
+	first, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(cfg)
+	again, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCryptoSchemeVerdictParity(t *testing.T) {
 	for seed := int64(1); seed <= cryptoDiffSeeds; seed++ {
 		base := cryptoDiffConfig(seed)
 		base.CryptoScheme = SchemeECDSA
-		ref, err := Run(base)
+		ref, err := Run(context.Background(), base)
 		if err != nil {
 			t.Fatalf("seed %d ecdsa: %v", seed, err)
 		}
@@ -166,7 +166,7 @@ func TestCryptoSchemeVerdictParity(t *testing.T) {
 		for _, scheme := range []string{SchemeSession, SchemePlaceholder} {
 			cfg := cryptoDiffConfig(seed)
 			cfg.CryptoScheme = scheme
-			out, err := Run(cfg)
+			out, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, scheme, err)
 			}
@@ -187,21 +187,21 @@ func TestCryptoShardedDeterminism(t *testing.T) {
 			base := cryptoDiffConfig(seed)
 			base.CryptoScheme = scheme
 			base.RunWorkers = 2
-			want, err := Run(base)
+			want, err := Run(context.Background(), base)
 			if err != nil {
 				t.Fatalf("%s seed %d workers=2: %v", scheme, seed, err)
 			}
 			cfg := cryptoDiffConfig(seed)
 			cfg.CryptoScheme = scheme
 			cfg.RunWorkers = 4
-			got, err := Run(cfg)
+			got, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("%s seed %d workers=4: %v", scheme, seed, err)
 			}
 			if got != want {
 				t.Errorf("%s seed %d: workers=4 diverged from workers=2:\n got  %+v\n want %+v", scheme, seed, got, want)
 			}
-			again, err := Run(base)
+			again, err := Run(context.Background(), base)
 			if err != nil {
 				t.Fatalf("%s seed %d replay: %v", scheme, seed, err)
 			}

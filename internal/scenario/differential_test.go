@@ -33,11 +33,11 @@ func diffConfig() Config {
 func TestRunSweepParallelMatchesSerial(t *testing.T) {
 	cfg := diffConfig()
 	const reps = 4
-	serial, err := RunSweep(context.Background(), cfg, reps, SweepOptions{Workers: 1}, nil)
+	serial, err := RunSweep(context.Background(), cfg, 0, reps, SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSweep(context.Background(), cfg, reps, SweepOptions{Workers: 8}, nil)
+	parallel, err := RunSweep(context.Background(), cfg, 0, reps, SweepOptions{Workers: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestRunFig4SweepParallelMatchesSerial(t *testing.T) {
 	for _, kind := range []AttackKind{SingleBlackHole, CooperativeBlackHole} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			serial, err := RunFig4Sweep(context.Background(), base, kind, 2, SweepOptions{Workers: 1})
+			serial, err := RunFig4(context.Background(), base, kind, 2, SweepOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := RunFig4Sweep(context.Background(), base, kind, 2, SweepOptions{Workers: 8})
+			parallel, err := RunFig4(context.Background(), base, kind, 2, SweepOptions{Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestFig4SweepGoldenHash(t *testing.T) {
 func assertFig4GoldenHash(t *testing.T, base Config, ref reference) {
 	t.Helper()
 	for _, workers := range []int{1, 4} {
-		points, err := RunFig4Sweep(context.Background(), base, SingleBlackHole, 2, SweepOptions{Workers: workers, ref: ref})
+		points, err := RunFig4(context.Background(), base, SingleBlackHole, 2, SweepOptions{Workers: workers, ref: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,11 +109,11 @@ func assertFig4GoldenHash(t *testing.T, base Config, ref reference) {
 
 func TestCompareDetectorsSweepParallelMatchesSerial(t *testing.T) {
 	cfg := diffConfig()
-	serial, err := CompareDetectorsSweep(context.Background(), cfg, 3, SweepOptions{Workers: 1})
+	serial, err := CompareDetectors(context.Background(), cfg, 3, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CompareDetectorsSweep(context.Background(), cfg, 3, SweepOptions{Workers: 8})
+	parallel, err := CompareDetectors(context.Background(), cfg, 3, SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestCompareDetectorsSweepParallelMatchesSerial(t *testing.T) {
 }
 
 func TestFig5SeriesSweepParallelMatchesSerial(t *testing.T) {
-	serial, err := Fig5SeriesSweep(context.Background(), 3, SweepOptions{Workers: 1})
+	serial, err := Fig5Series(context.Background(), 3, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Fig5SeriesSweep(context.Background(), 3, SweepOptions{Workers: 8})
+	parallel, err := Fig5Series(context.Background(), 3, SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestFig5SeriesSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunSweepMutateOrder pins the RunMany contract the parallel engine
+// TestRunSweepMutateOrder pins the mutate contract the parallel engine
 // must preserve: mutate hooks run serially in replication order, before
 // any world executes, so they may touch caller state without locking.
 func TestRunSweepMutateOrder(t *testing.T) {
 	cfg := diffConfig()
 	var order []int
-	_, err := RunSweep(context.Background(), cfg, 3, SweepOptions{Workers: 8},
+	_, err := RunSweep(context.Background(), cfg, 0, 3, SweepOptions{Workers: 8},
 		func(rep int, c *Config) { order = append(order, rep) })
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestSweepPanicIdentifiesReplication(t *testing.T) {
 func TestRunSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSweep(ctx, diffConfig(), 4, SweepOptions{Workers: 2}, nil)
+	_, err := RunSweep(ctx, diffConfig(), 0, 4, SweepOptions{Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}

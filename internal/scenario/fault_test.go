@@ -149,11 +149,11 @@ func TestFaultSweepParallelMatchesSerial(t *testing.T) {
 		ReorderMax:    2 * time.Millisecond,
 	}
 	const reps = 4
-	serial, err := RunSweep(context.Background(), cfg, reps, SweepOptions{Workers: 1}, nil)
+	serial, err := RunSweep(context.Background(), cfg, 0, reps, SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSweep(context.Background(), cfg, reps, SweepOptions{Workers: 8}, nil)
+	parallel, err := RunSweep(context.Background(), cfg, 0, reps, SweepOptions{Workers: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestLossySweepParallelMatchesSerial(t *testing.T) {
 	cfg := diffConfig()
 	cfg.LossRate = 0.05
 	const reps = 3
-	serial, err := RunSweep(context.Background(), cfg, reps, SweepOptions{Workers: 1}, nil)
+	serial, err := RunSweep(context.Background(), cfg, 0, reps, SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSweep(context.Background(), cfg, reps, SweepOptions{Workers: 8}, nil)
+	parallel, err := RunSweep(context.Background(), cfg, 0, reps, SweepOptions{Workers: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

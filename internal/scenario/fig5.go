@@ -9,7 +9,6 @@ import (
 	"blackdp/internal/core"
 	"blackdp/internal/exp"
 	"blackdp/internal/metrics"
-	"blackdp/internal/sim"
 	"blackdp/internal/wire"
 )
 
@@ -244,20 +243,16 @@ func (w *fig5World) run() (Fig5Result, error) {
 }
 
 // Fig5Series runs every category and returns the measured packet counts in
-// presentation order, one category per worker.
-func Fig5Series(seed int64) ([]Fig5Result, error) {
-	return Fig5SeriesSweep(context.Background(), seed, SweepOptions{})
-}
-
-// Fig5SeriesSweep is Fig5Series with cancellation and sweep options. Each
-// category builds its own miniature world from the same seed, so results
-// match the serial path for any worker count.
-func Fig5SeriesSweep(ctx context.Context, seed int64, opt SweepOptions) ([]Fig5Result, error) {
+// presentation order, one category per worker. Each category builds its own
+// miniature world from the same seed, so results match the serial path for
+// any worker count.
+func Fig5Series(ctx context.Context, seed int64, opt SweepOptions) ([]Fig5Result, error) {
 	cats := Fig5Categories()
 	return exp.Map(ctx, len(cats), exp.Options{
 		Workers:  opt.Workers,
 		SeedOf:   func(int) int64 { return seed },
 		Progress: opt.Progress,
+		OnRep:    opt.OnRep,
 	}, func(_ context.Context, i int) (Fig5Result, error) {
 		return RunFig5(cats[i], seed)
 	})
@@ -273,16 +268,12 @@ type Fig4Point struct {
 
 // RunFig4 sweeps attacker clusters 1..N for the given attack kind with reps
 // repetitions each, enabling the paper's evasive behaviours in clusters
-// 8-10 (generalised: the last three clusters).
-func RunFig4(base Config, kind AttackKind, reps int) ([]Fig4Point, error) {
-	return RunFig4Sweep(context.Background(), base, kind, reps, SweepOptions{})
-}
-
-// RunFig4Sweep is RunFig4 with cancellation and sweep options. The full
-// clusters x reps grid is one flat sweep, so the pool stays saturated
-// across cluster boundaries; points still come back in cluster order with
-// replications aggregated in replication order.
-func RunFig4Sweep(ctx context.Context, base Config, kind AttackKind, reps int, opt SweepOptions) ([]Fig4Point, error) {
+// 8-10 (generalised: the last three clusters). The full clusters x reps
+// grid is one flat sweep, so the pool stays saturated across cluster
+// boundaries; points still come back in cluster order with replications
+// aggregated in replication order. OnRep reports the grid index
+// (cluster-1)*reps + rep.
+func RunFig4(ctx context.Context, base Config, kind AttackKind, reps int, opt SweepOptions) ([]Fig4Point, error) {
 	base = base.withDefaults()
 	clusters := int(base.HighwayLengthM / base.ClusterLengthM)
 	evasive := []int{}
@@ -291,24 +282,15 @@ func RunFig4Sweep(ctx context.Context, base Config, kind AttackKind, reps int, o
 			evasive = append(evasive, c)
 		}
 	}
-	cfgs := make([]Config, clusters*reps)
+	cfgs := make([]Config, 0, clusters*reps)
 	for c := 1; c <= clusters; c++ {
-		for rep := 0; rep < reps; rep++ {
-			cfg := base
-			cfg.Attack = kind
-			cfg.AttackerCluster = c
-			cfg.EvasiveClusters = evasive
-			cfg.Seed = base.Seed + int64(rep)*7919
-			cfgs[(c-1)*reps+rep] = cfg
-		}
+		cfg := base
+		cfg.Attack = kind
+		cfg.AttackerCluster = c
+		cfg.EvasiveClusters = evasive
+		cfgs = append(cfgs, replicate(cfg, 0, reps, nil)...)
 	}
-	outcomes, err := exp.MapScratch(ctx, len(cfgs), exp.Options{
-		Workers:  opt.Workers,
-		SeedOf:   func(i int) int64 { return cfgs[i].Seed },
-		Progress: opt.Progress,
-	}, opt.workerPool, func(ctx context.Context, i int, pool *sim.EventPool) (metrics.Outcome, error) {
-		return runPooled(ctx, cfgs[i], pool, opt.ref)
-	})
+	outcomes, err := sweep(ctx, cfgs, 0, opt, keepOutcome)
 	if err != nil {
 		return nil, err
 	}

@@ -33,11 +33,11 @@ func TestGridIndexDifferential(t *testing.T) {
 	base.AttackerCluster = 0
 	for s := 0; s < seeds; s++ {
 		base.Seed = int64(1000 + 37*s)
-		gp, err := RunFig4Sweep(context.Background(), base, SingleBlackHole, 1, SweepOptions{Workers: 4})
+		gp, err := RunFig4(context.Background(), base, SingleBlackHole, 1, SweepOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := RunFig4Sweep(context.Background(), base, SingleBlackHole, 1,
+		lp, err := RunFig4(context.Background(), base, SingleBlackHole, 1,
 			SweepOptions{Workers: 4, ref: reference{linearScan: true}})
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestLinearScanGoldenHash(t *testing.T) {
 func TestRunSweepStreamMatchesRetained(t *testing.T) {
 	cfg := indexDiffConfig()
 	const reps = 6
-	outcomes, err := RunSweep(context.Background(), cfg, reps, SweepOptions{Workers: 1}, nil)
+	outcomes, err := RunSweep(context.Background(), cfg, 0, reps, SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

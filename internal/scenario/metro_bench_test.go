@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 )
 
@@ -28,7 +29,7 @@ func benchmarkMetroRun(b *testing.B, vehicles, rowsCols, runWorkers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		if _, err := Run(cfg); err != nil {
+		if _, err := Run(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

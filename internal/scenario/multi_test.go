@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ func TestMultipleAttackersDetectedSequentially(t *testing.T) {
 	cfg.Seed = 31
 	cfg.AttackerCluster = 2
 	cfg.ExtraAttackers = 2
-	o, err := Run(cfg)
+	o, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -107,7 +108,7 @@ func TestPlacementGoldenDigest(t *testing.T) {
 func TestFig5GoldenDigest(t *testing.T) {
 	h := sha256.New()
 	for _, seed := range []int64{1, 7} {
-		series, err := Fig5Series(seed)
+		series, err := Fig5Series(context.Background(), seed, SweepOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestPoolBoundAcrossReplications(t *testing.T) {
 	opt := SweepOptions{Workers: 1, pool: pool}
 	sweep := func() {
 		t.Helper()
-		if _, err := RunSweep(ctx, cfg, reps, opt, nil); err != nil {
+		if _, err := RunSweep(ctx, cfg, 0, reps, opt, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestPoolBoundAcrossReplications(t *testing.T) {
 	opt.pool = pool
 	compare := func() {
 		t.Helper()
-		if _, err := CompareDetectorsSweep(ctx, cfg, reps, opt); err != nil {
+		if _, err := CompareDetectors(ctx, cfg, reps, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -81,7 +82,7 @@ func TestProvisioningCountsTableI(t *testing.T) {
 		{"evasive-renewal", evasive, 112, 11, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := Run(tc.cfg)
+			want, err := Run(context.Background(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +152,7 @@ func TestCryptoShardedStripMintsFirst(t *testing.T) {
 			cfg := cryptoDiffConfig(3)
 			cfg.CryptoScheme = scheme
 			cfg.RunWorkers = 4
-			want, err := Run(cfg)
+			want, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,15 +26,15 @@ func rangeTestConfig(seed int64) Config {
 
 // TestRunSweepRangeMatchesFull is the chunking correctness proof the
 // distributed fabric builds on: concatenating the outcomes of contiguous
-// RunSweepRange calls — any chunk size, any worker count — reproduces one
-// full RunSweep exactly, because seeds derive from global replication
+// range RunSweep calls — any chunk size, any worker count — reproduces one
+// full-range RunSweep exactly, because seeds derive from global replication
 // indexes alone.
 func TestRunSweepRangeMatchesFull(t *testing.T) {
 	ctx := context.Background()
 	const reps = 13
 	for _, seed := range []int64{1, 42, 90210} {
 		cfg := rangeTestConfig(seed)
-		full, err := RunSweep(ctx, cfg, reps, SweepOptions{Workers: 1}, nil)
+		full, err := RunSweep(ctx, cfg, 0, reps, SweepOptions{Workers: 1}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: full sweep: %v", seed, err)
 		}
@@ -45,7 +45,7 @@ func TestRunSweepRangeMatchesFull(t *testing.T) {
 				if start+count > reps {
 					count = reps - start
 				}
-				part, err := RunSweepRange(ctx, cfg, start, count, SweepOptions{Workers: 2}, nil)
+				part, err := RunSweep(ctx, cfg, start, count, SweepOptions{Workers: 2}, nil)
 				if err != nil {
 					t.Fatalf("seed %d size %d start %d: %v", seed, size, start, err)
 				}
@@ -64,7 +64,7 @@ func TestRunSweepRangeGlobalIndexes(t *testing.T) {
 	cfg := rangeTestConfig(7)
 	seenMutate := map[int]bool{}
 	var seenOnRep []int
-	_, err := RunSweepRange(context.Background(), cfg, 10, 4, SweepOptions{
+	_, err := RunSweep(context.Background(), cfg, 10, 4, SweepOptions{
 		Workers: 1,
 		OnRep:   func(rep int, err error) { seenOnRep = append(seenOnRep, rep) },
 	}, func(rep int, c *Config) { seenMutate[rep] = true })
@@ -84,7 +84,7 @@ func TestRunSweepRangeGlobalIndexes(t *testing.T) {
 
 // TestRunSweepRangeRejectsNegativeStart pins the validation edge.
 func TestRunSweepRangeRejectsNegativeStart(t *testing.T) {
-	if _, err := RunSweepRange(context.Background(), rangeTestConfig(1), -1, 4, SweepOptions{}, nil); err == nil {
+	if _, err := RunSweep(context.Background(), rangeTestConfig(1), -1, 4, SweepOptions{}, nil); err == nil {
 		t.Fatal("negative start accepted")
 	}
 }

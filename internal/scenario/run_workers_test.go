@@ -33,14 +33,14 @@ func TestRunWorkersCountIndependence(t *testing.T) {
 	for _, seed := range seeds {
 		base := shardedConfig(seed)
 		base.RunWorkers = 2
-		want, err := Run(base)
+		want, err := Run(context.Background(), base)
 		if err != nil {
 			t.Fatalf("seed %d workers=2: %v", seed, err)
 		}
 		for _, workers := range []int{4, 8} {
 			cfg := shardedConfig(seed)
 			cfg.RunWorkers = workers
-			got, err := Run(cfg)
+			got, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
@@ -55,11 +55,11 @@ func TestRunWorkersReplayDeterminism(t *testing.T) {
 	for _, seed := range []int64{3, 11, 17} {
 		cfg := shardedConfig(seed)
 		cfg.RunWorkers = 4
-		first, err := Run(cfg)
+		first, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		again, err := Run(cfg)
+		again, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d replay: %v", seed, err)
 		}
@@ -88,7 +88,7 @@ func TestRunWorkersGridTopology(t *testing.T) {
 		}
 		cfg := base
 		cfg.RunWorkers = 8
-		got, err := Run(cfg)
+		got, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d workers=8: %v", seed, err)
 		}
@@ -103,13 +103,13 @@ func TestRunWorkersGridTopology(t *testing.T) {
 func TestRunWorkersSerialEquivalence(t *testing.T) {
 	for _, seed := range []int64{2, 9} {
 		zero := shardedConfig(seed)
-		want, err := Run(zero)
+		want, err := Run(context.Background(), zero)
 		if err != nil {
 			t.Fatalf("seed %d workers=0: %v", seed, err)
 		}
 		one := shardedConfig(seed)
 		one.RunWorkers = 1
-		got, err := Run(one)
+		got, err := Run(context.Background(), one)
 		if err != nil {
 			t.Fatalf("seed %d workers=1: %v", seed, err)
 		}
@@ -240,14 +240,14 @@ func TestReconcileWorkers(t *testing.T) {
 func TestRunWorkersSweep(t *testing.T) {
 	base := shardedConfig(31)
 	base.RunWorkers = 2
-	got, err := RunSweep(context.Background(), base, 3, SweepOptions{Workers: 2}, nil)
+	got, err := RunSweep(context.Background(), base, 0, 3, SweepOptions{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep, o := range got {
 		cfg := base
 		cfg.Seed = base.Seed + int64(rep)*7919
-		want, err := Run(cfg)
+		want, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}

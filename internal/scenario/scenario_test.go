@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -55,11 +56,11 @@ func TestRunDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 	cfg.AttackerCluster = 5
-	a, err := Run(cfg)
+	a, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestSingleAttackDetectedInNonEvasiveClusters(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Seed = int64(100 + cl)
 		cfg.AttackerCluster = cl
-		o, err := Run(cfg)
+		o, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("cluster %d: %v", cl, err)
 		}
@@ -95,7 +96,7 @@ func TestCooperativeAttackDetected(t *testing.T) {
 	cfg.Seed = 11
 	cfg.Attack = CooperativeBlackHole
 	cfg.AttackerCluster = 2
-	o, err := Run(cfg)
+	o, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestEvasiveClustersProduceFalseNegativesNeverFalsePositives(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AttackerCluster = 9
 	cfg.EvasiveClusters = []int{8, 9, 10}
-	outcomes, err := RunMany(cfg, 12, nil)
+	outcomes, err := RunSweep(context.Background(), cfg, 0, 12, SweepOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestNoAttackRunIsCleanTrueNegative(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 13
 	cfg.Attack = NoAttack
-	o, err := Run(cfg)
+	o, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestPlainAODVLosesDataToBlackHole(t *testing.T) {
 	cfg.Seed = 17
 	cfg.AttackerCluster = 2
 	cfg.Vehicle.Verify = false
-	o, err := Run(cfg)
+	o, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestBlackDPRestoresDelivery(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 17 // same world as the plain-mode test
 	cfg.AttackerCluster = 2
-	o, err := Run(cfg)
+	o, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestInsecureSchemeRuns(t *testing.T) {
 	cfg.Seed = 19
 	cfg.AttackerCluster = 3
 	cfg.CryptoScheme = SchemePlaceholder
-	o, err := Run(cfg)
+	o, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestLossyChannelStillDetects(t *testing.T) {
 	cfg.Seed = 23
 	cfg.AttackerCluster = 2
 	cfg.LossRate = 0.02
-	o, err := Run(cfg)
+	o, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,15 +217,15 @@ func TestLossyChannelStillDetects(t *testing.T) {
 	}
 }
 
-func TestRunManyDistinctSeeds(t *testing.T) {
+func TestRunSweepDistinctSeeds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AttackerCluster = 2
-	outcomes, err := RunMany(cfg, 3, nil)
+	outcomes, err := RunSweep(context.Background(), cfg, 0, 3, SweepOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outcomes) != 3 {
-		t.Fatalf("RunMany returned %d outcomes", len(outcomes))
+		t.Fatalf("RunSweep returned %d outcomes", len(outcomes))
 	}
 	seen := map[int64]bool{}
 	for _, o := range outcomes {
@@ -235,11 +236,11 @@ func TestRunManyDistinctSeeds(t *testing.T) {
 	}
 }
 
-func TestRunManyMutate(t *testing.T) {
+func TestRunSweepMutate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxSimTime = 20 * time.Second
 	clusters := []int{}
-	_, err := RunMany(cfg, 2, func(rep int, c *Config) {
+	_, err := RunSweep(context.Background(), cfg, 0, 2, SweepOptions{}, func(rep int, c *Config) {
 		c.AttackerCluster = rep + 1
 		clusters = append(clusters, c.AttackerCluster)
 	})
@@ -278,7 +279,7 @@ func TestFig5AllCategoriesMatchPaper(t *testing.T) {
 }
 
 func TestFig5SeriesOrdered(t *testing.T) {
-	series, err := Fig5Series(5)
+	series, err := Fig5Series(context.Background(), 5, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestRunFig4SmallSweep(t *testing.T) {
 	cfg.HighwayLengthM = 4000 // 4 clusters keeps the sweep fast
 	cfg.Vehicles = 40
 	cfg.Authorities = 1
-	points, err := RunFig4(cfg, SingleBlackHole, 2)
+	points, err := RunFig4(context.Background(), cfg, SingleBlackHole, 2, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestConnectorAggressiveAttackerStillDetected(t *testing.T) {
 }
 
 func TestCompareDetectorsScoresAllRows(t *testing.T) {
-	scores, err := CompareDetectors(DefaultConfig(), 2)
+	scores, err := CompareDetectors(context.Background(), DefaultConfig(), 2, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

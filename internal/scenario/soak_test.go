@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ func TestSoakInvariants(t *testing.T) {
 			cfg.CryptoScheme = SchemePlaceholder
 		}
 
-		o, err := Run(cfg)
+		o, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("run %d (%+v): %v", i, cfg.Attack, err)
 		}

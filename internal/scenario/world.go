@@ -793,13 +793,9 @@ func (w *World) extractOutcome(status core.EstablishStatus, statusKnown bool, se
 	return o
 }
 
-// Run builds and executes one scenario, returning its outcome.
-func Run(cfg Config) (metrics.Outcome, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation (see World.RunContext).
-func RunContext(ctx context.Context, cfg Config) (metrics.Outcome, error) {
+// Run builds and executes one scenario, returning its outcome. The context
+// is checked between simulated slices (see World.RunContext).
+func Run(ctx context.Context, cfg Config) (metrics.Outcome, error) {
 	return runPooled(ctx, cfg, nil, reference{})
 }
 
@@ -843,14 +839,6 @@ func (o SweepOptions) workerPool(int) *sim.EventPool {
 		return o.pool
 	}
 	return sim.NewEventPool()
-}
-
-// RunMany executes reps independent runs of cfg with derived seeds and
-// returns every outcome in replication order. mutate, when non-nil, adjusts
-// the config per rep (after the seed is assigned). Replications run across
-// one worker per CPU; use RunSweep to choose the worker count.
-func RunMany(cfg Config, reps int, mutate func(rep int, c *Config)) ([]metrics.Outcome, error) {
-	return RunSweep(context.Background(), cfg, reps, SweepOptions{}, mutate)
 }
 
 // reconcileWorkers clamps the sweep pool size and the configs' intra-run
@@ -898,31 +886,13 @@ func reconcileWorkers(sweepWorkers int, cfgs []Config) int {
 	return w
 }
 
-// RunSweep is RunMany with cancellation and sweep options. Replication
-// seeds are a pure function of cfg.Seed and the replication index, worlds
-// are built privately per replication, and outcomes are collected in
-// replication order — so any worker count yields identical results. The
-// mutate hooks are invoked serially in replication order before the sweep
-// fans out, preserving RunMany's historical contract (hooks may touch
-// caller state without locking). When configs request intra-run parallelism
-// (Config.RunWorkers >= 2) the two worker budgets are reconciled so their
-// product stays within GOMAXPROCS — see reconcileWorkers.
-func RunSweep(ctx context.Context, cfg Config, reps int, opt SweepOptions, mutate func(rep int, c *Config)) ([]metrics.Outcome, error) {
-	return RunSweepRange(ctx, cfg, 0, reps, opt, mutate)
-}
-
-// RunSweepRange executes the contiguous slice [start, start+count) of a
-// sweep's replication range and returns those outcomes in replication
-// order. Replication seeds (and mutate's rep argument, and OnRep's) are the
-// GLOBAL replication indexes, so concatenating the results of
-// RunSweepRange(0, k) and RunSweepRange(k, n-k) is byte-identical to one
-// RunSweep of n replications — the property the distributed sweep fabric
-// (internal/dist) builds on when it shards a sweep across worker nodes.
-// RunSweep is RunSweepRange over the full range.
-func RunSweepRange(ctx context.Context, cfg Config, start, count int, opt SweepOptions, mutate func(rep int, c *Config)) ([]metrics.Outcome, error) {
-	if start < 0 {
-		return nil, fmt.Errorf("scenario: sweep range start %d is negative", start)
-	}
+// replicate derives the configs of global replications [start, start+count)
+// of a sweep over cfg. A replication's seed is a pure function of cfg.Seed
+// and its global index; mutate, when non-nil, then adjusts its config. The
+// mutate hooks run serially in replication order on the caller's goroutine,
+// before any replication does, so they may touch caller state without
+// locking.
+func replicate(cfg Config, start, count int, mutate func(rep int, c *Config)) []Config {
 	cfgs := make([]Config, count)
 	for i := range cfgs {
 		rep := start + i
@@ -933,56 +903,68 @@ func RunSweepRange(ctx context.Context, cfg Config, start, count int, opt SweepO
 		}
 		cfgs[i] = c
 	}
-	opt.Workers = reconcileWorkers(opt.Workers, cfgs)
+	return cfgs
+}
+
+// sweep is the one engine behind every config sweep: it runs cfgs across
+// the worker pool and returns keep of each outcome in replication order.
+// first is the global replication index of cfgs[0], so OnRep reports
+// global indexes. Worlds are built privately per replication, so any
+// worker count yields identical results; when configs request intra-run
+// parallelism the two worker budgets are reconciled first (see
+// reconcileWorkers). keep runs on the worker goroutines.
+func sweep[T any](ctx context.Context, cfgs []Config, first int, opt SweepOptions, keep func(metrics.Outcome) T) ([]T, error) {
 	onRep := opt.OnRep
-	if onRep != nil && start > 0 {
-		local := onRep
-		onRep = func(rep int, err error) { local(start+rep, err) }
+	if onRep != nil && first > 0 {
+		onRep = func(rep int, err error) { opt.OnRep(first+rep, err) }
 	}
-	return exp.MapScratch(ctx, count, exp.Options{
-		Workers:  opt.Workers,
-		SeedOf:   func(rep int) int64 { return cfgs[rep].Seed },
+	return exp.MapScratch(ctx, len(cfgs), exp.Options{
+		Workers:  reconcileWorkers(opt.Workers, cfgs),
+		SeedOf:   func(i int) int64 { return cfgs[i].Seed },
 		Progress: opt.Progress,
 		OnRep:    onRep,
-	}, opt.workerPool, func(ctx context.Context, rep int, pool *sim.EventPool) (metrics.Outcome, error) {
-		return runPooled(ctx, cfgs[rep], pool, opt.ref)
+	}, opt.workerPool, func(ctx context.Context, i int, pool *sim.EventPool) (T, error) {
+		o, err := runPooled(ctx, cfgs[i], pool, opt.ref)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return keep(o), nil
 	})
 }
 
-// RunSweepStream is RunSweep folding every outcome into a streaming
-// aggregate instead of retaining one Outcome per replication: sweep memory
-// stays constant no matter how many replications run, which is what makes
-// metro-scale sweeps fit on one machine. Every Stream counter is
-// commutative, so any worker count yields the identical report (the
-// streaming equivalence test holds it against the retained path). The
-// returned stream is meaningful only when the error is nil.
-func RunSweepStream(ctx context.Context, cfg Config, reps int, opt SweepOptions, mutate func(rep int, c *Config)) (*metrics.Stream, error) {
-	cfgs := make([]Config, reps)
-	for rep := range cfgs {
-		c := cfg
-		c.Seed = cfg.Seed + int64(rep)*7919
-		if mutate != nil {
-			mutate(rep, &c)
-		}
-		cfgs[rep] = c
+// RunSweep executes global replications [start, start+count) of a sweep
+// over cfg and returns their outcomes in replication order. Replication
+// seeds (and mutate's rep argument, and OnRep's) are GLOBAL replication
+// indexes, so concatenating RunSweep(0, k) and RunSweep(k, n-k) is
+// byte-identical to one RunSweep(0, n) — the property the distributed
+// sweep fabric (internal/dist) builds on when it shards a sweep across
+// worker nodes. See replicate for the mutate contract.
+func RunSweep(ctx context.Context, cfg Config, start, count int, opt SweepOptions, mutate func(rep int, c *Config)) ([]metrics.Outcome, error) {
+	if start < 0 {
+		return nil, fmt.Errorf("scenario: sweep range start %d is negative", start)
 	}
-	opt.Workers = reconcileWorkers(opt.Workers, cfgs)
+	return sweep(ctx, replicate(cfg, start, count, mutate), start, opt, keepOutcome)
+}
+
+// keepOutcome is the sweep sink that retains every outcome.
+func keepOutcome(o metrics.Outcome) metrics.Outcome { return o }
+
+// RunSweepStream is RunSweep over replications [0, reps), folding every
+// outcome into a streaming aggregate instead of retaining one Outcome per
+// replication: sweep memory stays constant no matter how many replications
+// run, which is what makes metro-scale sweeps fit on one machine. Every
+// Stream counter is commutative, so any worker count yields the identical
+// report (the streaming equivalence test holds it against the retained
+// path). The returned stream is meaningful only when the error is nil.
+func RunSweepStream(ctx context.Context, cfg Config, reps int, opt SweepOptions, mutate func(rep int, c *Config)) (*metrics.Stream, error) {
 	stream := metrics.NewStream()
 	var mu sync.Mutex
-	_, err := exp.MapScratch(ctx, reps, exp.Options{
-		Workers:  opt.Workers,
-		SeedOf:   func(rep int) int64 { return cfgs[rep].Seed },
-		Progress: opt.Progress,
-		OnRep:    opt.OnRep,
-	}, opt.workerPool, func(ctx context.Context, rep int, pool *sim.EventPool) (struct{}, error) {
-		o, err := runPooled(ctx, cfgs[rep], pool, opt.ref)
-		if err != nil {
-			return struct{}{}, err
-		}
+	_, err := sweep(ctx, replicate(cfg, 0, reps, mutate), 0, opt, func(o metrics.Outcome) struct{} {
 		mu.Lock()
 		stream.Add(o)
 		mu.Unlock()
-		return struct{}{}, nil
+		return struct{}{}
 	})
 	return stream, err
 }

@@ -11,7 +11,7 @@ package serve
 // at any offset is therefore byte-identical to an uninterrupted one.
 //
 // Execution is segmented: each segment of replications runs through
-// scenario.RunSweepRange (or the fleet's SweepRange), its outcomes are
+// scenario.RunSweep (or the fleet's SweepRange), its outcomes are
 // journaled, and only then do its progress lines enter the stream journal.
 // The outcomes journal is always at or ahead of the progress lines, so
 // recovery re-executes at most one segment and reconciles the stream
@@ -373,7 +373,7 @@ func (s *Server) execute(run *storedRun, start, count int, onRep func(int, error
 			return outcomes, err
 		}
 	}
-	return scenario.RunSweepRange(run.ctx, spec.cfg, start, count,
+	return scenario.RunSweep(run.ctx, spec.cfg, start, count,
 		scenario.SweepOptions{Workers: s.pool(spec), OnRep: onRep}, nil)
 }
 

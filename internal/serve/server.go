@@ -69,7 +69,7 @@ import (
 
 // Distributor executes a contiguous slice of a sweep's replication range
 // across a fleet of remote worker nodes instead of the local replication
-// pool. The contract mirrors scenario.RunSweepRange: outcomes come back in
+// pool. The contract mirrors scenario.RunSweep: outcomes come back in
 // replication order for global replications [start, start+count) and must
 // be byte-identical to a local run of the same canonical config (the
 // distributed differential suite in internal/dist holds implementations to

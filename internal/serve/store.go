@@ -14,7 +14,7 @@ package serve
 //
 // The outcomes journal is the resume frontier: a restarted server counts
 // its complete lines and continues the sweep at that replication via
-// scenario.RunSweepRange — seeds are a pure function of the global
+// scenario.RunSweep — seeds are a pure function of the global
 // replication index, so the continuation is byte-identical to the part an
 // uninterrupted run would have produced. Outcome JSON round-trips exactly
 // (the struct is ints, bools, strings and Durations — no floats), so the
