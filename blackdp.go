@@ -174,7 +174,7 @@ func buildOptions(opts []Option) options {
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithRunWorkers sets Config.RunWorkers on every run the call dispatches:
-// <= 1 executes each simulation on the serial scheduler (the legacy path,
+// <= 1 executes each simulation on the serial scheduler (the default,
 // byte-identical across releases); >= 2 executes it as a cluster-sharded
 // conservative parallel simulation on up to n goroutines. Sharded results
 // are deterministic and independent of the exact worker count, but form

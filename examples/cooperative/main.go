@@ -33,7 +33,7 @@ func main() {
 	outcome := world.Run()
 
 	fmt.Println("protocol trace (verification, detection, isolation):")
-	for _, e := range world.Env.Tracer.Filter(0, trace.CatVerify, trace.CatDetect, trace.CatIsolate, trace.CatAuthority) {
+	for _, e := range world.Env.Tracer.Snapshot().Filter(0, trace.CatVerify, trace.CatDetect, trace.CatIsolate, trace.CatAuthority) {
 		fmt.Println(" ", e)
 	}
 

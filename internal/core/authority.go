@@ -134,7 +134,6 @@ func (a *AuthorityAgent) handleBackbone(from wire.NodeID, payload []byte) {
 		// can authenticate the presenter's certificate itself.
 		inner, cert, err := a.verifier.Open(p, a.env.Sched.Now())
 		if err != nil {
-			a.env.Tracer.Logf(a.cred.NodeID(), trace.CatAuthority, "sealed request failed verification: %v", err)
 			return
 		}
 		if req, ok := inner.(*wire.RenewalReq); ok {
@@ -150,7 +149,6 @@ func (a *AuthorityAgent) handleBackbone(from wire.NodeID, payload []byte) {
 // the revoked certificate is blacklisted network-wide.
 func (a *AuthorityAgent) handleRevocationReq(p *wire.RevocationReq, from wire.NodeID) {
 	if !a.env.Dir.IsHead(from) {
-		a.env.Tracer.Logf(a.cred.NodeID(), trace.CatAuthority, "revocation request from non-head %v ignored", from)
 		return
 	}
 	rc := a.auth.Revoke(p.Suspect, p.CertSerial)
@@ -160,18 +158,17 @@ func (a *AuthorityAgent) handleRevocationReq(p *wire.RevocationReq, from wire.No
 		rc.Expiry = a.env.Sched.Now() + a.certValidity
 	}
 	a.stats.Revocations++
-	a.env.Tracer.Logf(a.cred.NodeID(), trace.CatAuthority, "revoked %v (serial %d) on report from %v", p.Suspect, p.CertSerial, from)
+	a.env.record(trace.Event{Kind: trace.Revoked, Node: a.NodeID(), Suspect: p.Suspect, Count: p.CertSerial, Peer: from})
 
 	notice := &wire.RevocationNotice{Authority: a.auth.ID(), Revoked: rc}
 	b, err := notice.MarshalBinary()
 	if err != nil {
 		panic("core: marshalling RevocationNotice: " + err.Error())
 	}
-	ct, _ := a.env.Tally.Lookup(p.Suspect)
+	sent := a.stats.NoticesSent
 	for _, peer := range a.peers {
 		if err := a.ep.Send(peer, b); err == nil {
 			a.stats.NoticesSent++
-			ct.addIsolation(1)
 		}
 	}
 	for c := wire.ClusterID(1); int(c) <= a.env.Highway.Clusters(); c++ {
@@ -181,9 +178,9 @@ func (a *AuthorityAgent) handleRevocationReq(p *wire.RevocationReq, from wire.No
 		}
 		if err := a.ep.Send(head, b); err == nil {
 			a.stats.NoticesSent++
-			ct.addIsolation(1)
 		}
 	}
+	a.env.record(trace.Event{Kind: trace.IsolationPackets, Node: a.NodeID(), Suspect: p.Suspect, Count: a.stats.NoticesSent - sent})
 }
 
 // handlePeerNotice ingests a peer TA's revocation, pausing renewals here and
@@ -191,7 +188,7 @@ func (a *AuthorityAgent) handleRevocationReq(p *wire.RevocationReq, from wire.No
 func (a *AuthorityAgent) handlePeerNotice(p *wire.RevocationNotice) {
 	a.auth.RecordPeerRevocation(p.Revoked)
 	a.stats.PeerNotices++
-	a.env.Tracer.Logf(a.cred.NodeID(), trace.CatAuthority, "renewals paused for %v per notice from authority %d", p.Revoked.Node, p.Authority)
+	a.env.record(trace.Event{Kind: trace.RenewalsPaused, Node: a.NodeID(), Suspect: p.Revoked.Node, Count: uint64(p.Authority)})
 }
 
 // handleRenewal serves a pseudonym renewal relayed by a head. The head that
@@ -202,18 +199,18 @@ func (a *AuthorityAgent) handleRenewal(p *wire.RenewalReq, presented *wire.Certi
 	if err != nil {
 		resp.Denied = true
 		a.stats.RenewalsDenied++
-		a.env.Tracer.Logf(a.cred.NodeID(), trace.CatAuthority, "renewal denied for %v: %v", p.Current, err)
+		a.env.record(trace.Event{Kind: trace.RenewalRefused, Node: a.NodeID(), Peer: p.Current, Err: err})
 	} else {
 		resp.Cert = cert
 		a.stats.RenewalsGranted++
-		a.env.Tracer.Logf(a.cred.NodeID(), trace.CatAuthority, "renewed %v -> %v", p.Current, cert.Node)
+		a.env.record(trace.Event{Kind: trace.Renewed, Node: a.NodeID(), Peer: p.Current, Dest: cert.Node})
 	}
 	b, err := resp.MarshalBinary()
 	if err != nil {
 		panic("core: marshalling RenewalResp: " + err.Error())
 	}
 	if err := a.ep.Send(from, b); err != nil {
-		a.env.Tracer.Logf(a.cred.NodeID(), trace.CatAuthority, "renewal response undeliverable: %v", err)
+		a.env.record(trace.Event{Kind: trace.RenewalRelayFailed, Node: a.NodeID(), Err: err})
 	}
 }
 

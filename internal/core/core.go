@@ -41,7 +41,7 @@ type Env struct {
 	Highway  mobility.Topology // road layout; a *mobility.Highway or any mesh
 	Medium   *radio.Medium
 	Backbone *radio.Backbone
-	Tracer   *trace.Recorder // nil disables tracing
+	Tracer   *trace.Recorder // nil disables tracing; steps still reach Tally
 	Tally    *Tally          // nil disables detection-packet accounting
 
 	// Port is the radio shard context this agent's interfaces attach to.
@@ -60,6 +60,16 @@ func (e *Env) check() {
 		e.Dir == nil || e.Highway == nil || e.Medium == nil || e.Backbone == nil {
 		panic("core: Env is missing required facilities")
 	}
+}
+
+// record is the one hook every protocol step goes through: it stamps the
+// step with the virtual time, counts it in the detection tally, and keeps it
+// in the trace when tracing is on. With either sink nil it allocates
+// nothing for that sink.
+func (e *Env) record(ev trace.Event) {
+	ev.At = e.Sched.Now()
+	e.Tally.record(ev)
+	e.Tracer.Record(ev)
 }
 
 // NewVerifier builds the agent's verification front end: per-agent cached

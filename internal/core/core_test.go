@@ -48,7 +48,7 @@ func newWorldWithHeads(t *testing.T, seed int64, headCfg HeadConfig) *world {
 		Highway:  highway,
 		Medium:   radio.NewMedium(sched, rng.Split("radio")),
 		Backbone: radio.NewBackbone(sched, time.Millisecond),
-		Tracer:   trace.NewRecorder(sched.Now, 0),
+		Tracer:   trace.NewRecorder(0),
 		Tally:    NewTally(),
 	}
 	w := &world{t: t, env: env, sched: sched, highway: highway, heads: make(map[wire.ClusterID]*HeadAgent)}
@@ -644,34 +644,58 @@ func TestPlainAODVModeTrustsAttacker(t *testing.T) {
 
 func TestTallyArithmetic(t *testing.T) {
 	tal := NewTally()
-	c := tal.Case(5)
-	c.addDReq(time.Second)
-	c.addForward()
-	c.addProbe()
-	c.addProbe()
-	c.addProbeReply()
-	c.addRespBackbone()
-	c.addRespRadio()
-	if got := c.DetectionPackets(); got != 7 {
-		t.Errorf("DetectionPackets = %d, want 7", got)
+	step := func(k trace.Kind, at time.Duration) {
+		tal.record(trace.Event{At: at, Kind: k, Suspect: 5})
 	}
-	c.addIsolation(3)
+	step(trace.DReqFiled, time.Second)
+	step(trace.DReqFiled, 2*time.Second) // a retransmission keeps the first report time
+	for _, k := range []trace.Kind{trace.DReqForwarded, trace.BaitRREQ1, trace.BaitRREQ2, trace.TeammateProbe,
+		trace.ProbeReply, trace.VerdictRelayed, trace.VerdictDelivered, trace.Examining, trace.Isolated} {
+		step(k, 3*time.Second)
+	}
+	c, ok := tal.Lookup(5)
+	if !ok {
+		t.Fatal("no case for the suspect")
+	}
+	if got := c.DetectionPackets(); got != 9 || c.ProbesSent != 3 || c.ReportedAt != time.Second {
+		t.Errorf("DetectionPackets = %d, probes %d, reported at %v; want 9, 3, 1s", got, c.ProbesSent, c.ReportedAt)
+	}
+	tal.record(trace.Event{Kind: trace.IsolationPackets, Suspect: 5, Count: 3})
+	tal.record(trace.Event{Kind: trace.IsolationPackets, Suspect: 6, Count: 4}) // no case: not charged
 	if c.IsolationPackets != 3 {
-		t.Errorf("IsolationPackets = %d", c.IsolationPackets)
+		t.Errorf("IsolationPackets = %d, want 3", c.IsolationPackets)
 	}
-	c.resolve(wire.VerdictMalicious, 7, 2*time.Second)
-	c.resolve(wire.VerdictLegitimate, 0, 3*time.Second) // later resolutions ignored
-	if c.Verdict != wire.VerdictMalicious || c.Teammate != 7 {
-		t.Errorf("resolution overwritten: %v/%v", c.Verdict, c.Teammate)
+	tal.record(trace.Event{At: 4 * time.Second, Kind: trace.CaseResolved, Suspect: 5, Verdict: wire.VerdictMalicious, Peer: 7})
+	tal.record(trace.Event{At: 5 * time.Second, Kind: trace.CaseResolved, Suspect: 5, Verdict: wire.VerdictLegitimate}) // later resolutions ignored
+	if c.Verdict != wire.VerdictMalicious || c.Teammate != 7 || c.ResolvedAt != 4*time.Second {
+		t.Errorf("resolution overwritten: %v/%v at %v", c.Verdict, c.Teammate, c.ResolvedAt)
 	}
-	if len(tal.Cases()) != 1 || tal.TotalDetectionPackets() != 7 {
+	if len(tal.Cases()) != 1 || tal.TotalDetectionPackets() != 9 {
 		t.Error("aggregate views wrong")
 	}
 
 	// Nil safety.
 	var nilT *Tally
-	nilT.Case(1).addProbe()
+	nilT.record(trace.Event{Kind: trace.BaitRREQ1, Suspect: 1})
 	if nilT.TotalDetectionPackets() != 0 {
 		t.Error("nil tally not inert")
+	}
+}
+
+// TestRecordAllocs pins the step hook's cost with tracing off: nothing, with
+// or without a tally (once the case exists).
+func TestRecordAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race runtime inflates allocation counts")
+	}
+	env := Env{Sched: sim.NewScheduler()}
+	ev := trace.Event{Kind: trace.DReqForwarded, Node: 1, Suspect: 2, Peer: 3, Err: errNoAuthority}
+	if n := testing.AllocsPerRun(100, func() { env.record(ev) }); n != 0 {
+		t.Errorf("record with no sinks: %v allocs, want 0", n)
+	}
+	env.Tally = NewTally()
+	env.record(ev)
+	if n := testing.AllocsPerRun(100, func() { env.record(ev) }); n != 0 {
+		t.Errorf("record into the tally: %v allocs, want 0", n)
 	}
 }

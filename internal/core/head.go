@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -84,20 +85,16 @@ type HeadAgentStats struct {
 	DReqDuplicates uint64
 	DReqForwarded  uint64
 	Examinations   uint64
-	Confirmed      uint64
-	ClearedLegit   uint64
 	Unreachable    uint64
-	Teammates      uint64
 	Revocations    uint64
-	AuthFailures   uint64 // sealed packets that failed verification
-	RenewalsProxy  uint64
+	AuthFailures   uint64        // sealed packets that failed verification
 	AuthQueued     uint64        // verifications that passed through the server queue
 	AuthMaxLatency time.Duration // worst queueing + processing delay observed
-
-	ForwardRetransmits uint64 // backbone hand-off retries after send failures
-	VerdictReplays     uint64 // cached verdicts re-sent for retransmitted d_reqs
-	Crashes            uint64 // injected crashes survived
 }
+
+// errNoAuthority reports a cluster no trusted authority serves, so renewals
+// cannot be relayed nor revocations filed from it.
+var errNoAuthority = errors.New("core: no authority serves this cluster")
 
 // reporterRef identifies who asked for a detection and where to send the
 // verdict.
@@ -230,7 +227,6 @@ func (h *HeadAgent) Crash() {
 		return
 	}
 	h.crashed = true
-	h.stats.Crashes++
 	h.ifc.SetSilenced(true)
 	h.ep.SetDown(true)
 	// Abort open cases in deterministic order; their disposable identities
@@ -244,7 +240,7 @@ func (h *HeadAgent) Crash() {
 		h.closeCase(h.cases[s])
 	}
 	h.pendingRenewals = make(map[wire.NodeID]bool)
-	h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "head for cluster %d crashed", h.cluster)
+	h.env.record(trace.Event{Kind: trace.HeadCrashed, Node: h.NodeID(), Cluster: h.cluster})
 }
 
 // Recover brings a crashed head back online.
@@ -255,7 +251,7 @@ func (h *HeadAgent) Recover() {
 	h.crashed = false
 	h.ifc.SetSilenced(false)
 	h.ep.SetDown(false)
-	h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "head for cluster %d recovered", h.cluster)
+	h.env.record(trace.Event{Kind: trace.HeadRecovered, Node: h.NodeID(), Cluster: h.cluster})
 }
 
 // Crashed reports whether the head is currently offline.
@@ -335,7 +331,7 @@ func (h *HeadAgent) handleFrame(f radio.Frame) {
 	case *wire.JoinReq, *wire.Leave:
 		h.memb.HandlePacket(inner, f.From)
 	case *wire.DetectReq:
-		h.handleDetectReqRadio(p, env, f.From)
+		h.handleDetectReqRadio(p, env)
 	case *wire.RenewalReq:
 		h.relayRenewal(env, f)
 	default:
@@ -378,17 +374,15 @@ func (h *HeadAgent) afterVerification(fn func()) {
 // requires heads to authenticate reporters so forged reports cannot
 // disconnect legitimate nodes; the verification itself occupies a
 // verification server for AuthProcessing.
-func (h *HeadAgent) handleDetectReqRadio(p *wire.DetectReq, env *wire.Secure, from wire.NodeID) {
+func (h *HeadAgent) handleDetectReqRadio(p *wire.DetectReq, env *wire.Secure) {
 	if env == nil {
 		h.stats.AuthFailures++
-		h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "unsigned d_req from %v ignored", from)
 		return
 	}
 	h.afterVerification(func() {
 		_, cert, err := h.verifier.Open(env, h.env.Sched.Now())
 		if err != nil || cert.Node != p.Reporter {
 			h.stats.AuthFailures++
-			h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "d_req from %v failed authentication", from)
 			return
 		}
 		h.admitDetectReq(p)
@@ -413,8 +407,7 @@ func (h *HeadAgent) handleBackbone(from wire.NodeID, payload []byte) {
 		h.deliverVerdict(p, reporterRef{node: p.Reporter, cluster: h.cluster})
 	case *wire.RevocationNotice:
 		h.addRevoked(p.Revoked)
-		ct, _ := h.env.Tally.Lookup(p.Revoked.Node)
-		ct.addIsolation(1)
+		h.env.record(trace.Event{Kind: trace.IsolationPackets, Node: h.NodeID(), Suspect: p.Revoked.Node, Count: 1})
 	case *wire.RenewalResp:
 		if !h.pendingRenewals[p.Requester] {
 			return
@@ -444,13 +437,12 @@ func (h *HeadAgent) relayRenewal(env *wire.Secure, f radio.Frame) {
 		}
 		ta, ok := h.env.Dir.AuthorityOf(h.cluster)
 		if !ok {
-			h.env.Tracer.Logf(h.NodeID(), trace.CatCluster, "no authority serves cluster %d", h.cluster)
+			h.env.record(trace.Event{Kind: trace.RenewalRelayFailed, Node: h.NodeID(), Err: errNoAuthority})
 			return
 		}
 		h.pendingRenewals[req.Current] = true
-		h.stats.RenewalsProxy++
 		if err := h.ep.Send(ta, f.Payload); err != nil {
-			h.env.Tracer.Logf(h.NodeID(), trace.CatCluster, "renewal relay failed: %v", err)
+			h.env.record(trace.Event{Kind: trace.RenewalRelayFailed, Node: h.NodeID(), Err: err})
 		}
 	})
 }
@@ -462,14 +454,12 @@ func (h *HeadAgent) admitDetectReq(p *wire.DetectReq) {
 		return // a deferred verification can land after the crash
 	}
 	h.stats.DReqReceived++
-	now := h.env.Sched.Now()
 	rep := reporterRef{node: p.Reporter, cluster: p.ReporterCluster, nonce: p.Nonce}
 
 	if rc, ok := h.resolved[p.Suspect]; ok && p.Nonce != 0 && rc.nonces[p.Nonce] {
 		// Same nonce as an already-answered report: the verdict was lost in
 		// flight. Replay it instead of re-examining the suspect.
 		h.stats.DReqDuplicates++
-		h.stats.VerdictReplays++
 		h.respondVerdict(&detectionCase{suspect: p.Suspect, reporter: []reporterRef{rep}}, rc.verdict, rc.teammate)
 		return
 	}
@@ -505,7 +495,7 @@ func (h *HeadAgent) admitDetectReq(p *wire.DetectReq) {
 	}
 
 	if h.memb.IsMember(p.Suspect) {
-		h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "examining suspect %v (reported by %v) at %v", p.Suspect, rep.node, now)
+		h.env.record(trace.Event{Kind: trace.Examining, Node: h.NodeID(), Suspect: p.Suspect, Peer: rep.node})
 		h.cases[p.Suspect] = c
 		h.stats.Examinations++
 		h.beginExamination(c)
@@ -567,8 +557,7 @@ func (h *HeadAgent) forwardCase(c *detectionCase, suspect, target wire.NodeID, b
 	}
 	if err := h.ep.Send(target, b); err == nil {
 		h.stats.DReqForwarded++
-		h.env.Tally.Case(suspect).addForward()
-		h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "d_req for %v forwarded to %v", suspect, target)
+		h.env.record(trace.Event{Kind: trace.DReqForwarded, Node: h.NodeID(), Suspect: suspect, Peer: target})
 		return
 	}
 	if h.cfg.ForwardRetries < 0 || attempt >= h.cfg.ForwardRetries {
@@ -576,12 +565,11 @@ func (h *HeadAgent) forwardCase(c *detectionCase, suspect, target wire.NodeID, b
 		h.respond(c, wire.VerdictUnreachable)
 		return
 	}
-	h.stats.ForwardRetransmits++
 	backoff := h.cfg.ForwardTimeout << uint(attempt)
 	if cap := 4 * h.cfg.ForwardTimeout; backoff > cap {
 		backoff = cap
 	}
-	h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "hand-off of %v to %v failed; retry %d in %v", suspect, target, attempt+1, backoff)
+	h.env.record(trace.Event{Kind: trace.HandoffRetry, Node: h.NodeID(), Suspect: suspect, Peer: target, Count: uint64(attempt + 1), Delay: backoff})
 	h.env.Sched.After(backoff, func() { h.forwardCase(c, suspect, target, b, attempt+1) })
 }
 
@@ -634,8 +622,7 @@ func (h *HeadAgent) sendProbe(c *detectionCase, demandSeq wire.SeqNum, wantNext 
 		target = c.teammate
 	}
 	c.disposable.Send(target, b)
-	h.env.Tally.Case(c.suspect).addProbe()
-	h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "probe stage %d -> %v (fake dest %v, demand seq %d)", c.stage, target, c.fakeDest, demandSeq)
+	h.env.record(trace.Event{Kind: trace.BaitRREQ1 + trace.Kind(c.stage-1), Node: h.NodeID(), Suspect: c.suspect, Peer: target, Dest: c.fakeDest, Seq: demandSeq})
 	// Retried probes back off exponentially (capped at 4x) so a lossy channel
 	// gets progressively longer reply windows.
 	timeout := h.cfg.ProbeTimeout << uint(c.retries)
@@ -688,7 +675,7 @@ func (h *HeadAgent) handleProbeReply(c *detectionCase, f radio.Frame) {
 		// a genuine stage-2 claim must exceed the demanded sequence.
 		return
 	}
-	h.env.Tally.Case(c.suspect).addProbeReply()
+	h.env.record(trace.Event{Kind: trace.ProbeReply, Node: h.NodeID(), Suspect: c.suspect, Peer: expected})
 	c.timer.Stop()
 
 	switch c.stage {
@@ -696,7 +683,7 @@ func (h *HeadAgent) handleProbeReply(c *detectionCase, f radio.Frame) {
 		if h.cfg.SingleProbe {
 			// Ablation: convict on the first forged reply alone. Cheaper,
 			// but the next-hop inquiry never happens, so teammates escape.
-			h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "single-probe conviction of %v (seq %d)", c.suspect, rep.DestSeq)
+			h.env.record(trace.Event{Kind: trace.SingleProbeConviction, Node: h.NodeID(), Suspect: c.suspect, Seq: rep.DestSeq})
 			h.concludeMalicious(c, false)
 			return
 		}
@@ -712,8 +699,8 @@ func (h *HeadAgent) handleProbeReply(c *detectionCase, f radio.Frame) {
 			h.sendProbe(c, c.priorSeq+1, true)
 		})
 	case 2:
-		h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "violation confirmed: %v answered demand %d with seq %d (next hop %v)",
-			c.suspect, c.priorSeq+1, rep.DestSeq, rep.NextHop)
+		h.env.record(trace.Event{Kind: trace.Violation, Node: h.NodeID(), Suspect: c.suspect,
+			Count: uint64(c.priorSeq + 1), Seq: rep.DestSeq, Peer: rep.NextHop})
 		if rep.NextHop != 0 && rep.NextHop != c.suspect {
 			c.teammate = rep.NextHop
 			c.stage = 3
@@ -743,7 +730,7 @@ func (h *HeadAgent) ensureStillMember(c *detectionCase) bool {
 	if h.memb.IsMember(c.suspect) {
 		return true
 	}
-	h.env.Tracer.Logf(h.NodeID(), trace.CatDetect, "suspect %v left mid-examination", c.suspect)
+	h.env.record(trace.Event{Kind: trace.SuspectLeft, Node: h.NodeID(), Suspect: c.suspect})
 	h.closeCase(c)
 	// Every waiting reporter travels with the case; the receiving head's
 	// verification table re-merges them, so nobody's verdict is lost in
@@ -798,7 +785,6 @@ func (h *HeadAgent) probeTimeout(c *detectionCase) {
 		}
 		// The suspect never claimed the fake route: it behaved correctly
 		// under examination.
-		h.stats.ClearedLegit++
 		h.respond(c, wire.VerdictLegitimate)
 	case 2:
 		if !h.ensureStillMember(c) {
@@ -816,13 +802,11 @@ func (h *HeadAgent) probeTimeout(c *detectionCase) {
 // concludeMalicious resolves the case, isolates the attacker(s), and
 // reports to every waiting reporter.
 func (h *HeadAgent) concludeMalicious(c *detectionCase, teammateConfirmed bool) {
-	h.stats.Confirmed++
 	teammate := wire.NodeID(0)
 	if teammateConfirmed {
 		teammate = c.teammate
-		h.stats.Teammates++
 	}
-	h.env.Tally.Case(c.suspect).resolve(wire.VerdictMalicious, teammate, h.env.Sched.Now())
+	h.env.record(trace.Event{Kind: trace.CaseResolved, Node: h.NodeID(), Suspect: c.suspect, Verdict: wire.VerdictMalicious, Peer: teammate})
 	h.isolate(c.suspect, c.serial, c.expiry, c.suspect)
 	if teammateConfirmed {
 		h.isolate(teammate, 0, 0, c.suspect)
@@ -834,7 +818,7 @@ func (h *HeadAgent) concludeMalicious(c *detectionCase, teammateConfirmed bool) 
 
 // respond resolves a case with a non-malicious verdict.
 func (h *HeadAgent) respond(c *detectionCase, v wire.Verdict) {
-	h.env.Tally.Case(c.suspect).resolve(v, 0, h.env.Sched.Now())
+	h.env.record(trace.Event{Kind: trace.CaseResolved, Node: h.NodeID(), Suspect: c.suspect, Verdict: v})
 	h.respondVerdict(c, v, 0)
 	h.closeCase(c)
 	delete(h.cases, c.suspect)
@@ -874,7 +858,7 @@ func (h *HeadAgent) respondVerdict(c *detectionCase, v wire.Verdict, teammate wi
 			panic("core: marshalling DetectResp: " + err.Error())
 		}
 		if err := h.ep.Send(head, b); err == nil {
-			h.env.Tally.Case(c.suspect).addRespBackbone()
+			h.env.record(trace.Event{Kind: trace.VerdictRelayed, Node: h.NodeID(), Suspect: c.suspect, Peer: head})
 		}
 	}
 }
@@ -882,7 +866,7 @@ func (h *HeadAgent) respondVerdict(c *detectionCase, v wire.Verdict, teammate wi
 // deliverVerdict seals and radios a verdict to a reporter in this cluster.
 func (h *HeadAgent) deliverVerdict(resp *wire.DetectResp, rep reporterRef) {
 	h.ifc.Send(resp.Reporter, h.seal(resp))
-	h.env.Tally.Case(resp.Suspect).addRespRadio()
+	h.env.record(trace.Event{Kind: trace.VerdictDelivered, Node: h.NodeID(), Suspect: resp.Suspect, Peer: resp.Reporter})
 }
 
 // isolate blacklists the attacker locally, warns adjacent heads, and files
@@ -893,12 +877,11 @@ func (h *HeadAgent) isolate(attacker wire.NodeID, serial uint64, expiry time.Dur
 		expiry = h.env.Sched.Now() + time.Hour
 	}
 	rc := wire.RevokedCert{Node: attacker, CertSerial: serial, Expiry: expiry}
-	ct := h.env.Tally.Case(caseKey)
 
 	// Local blacklist + member broadcast.
 	before := h.memb.Stats().BlacklistNotices
 	h.addRevoked(rc)
-	ct.addIsolation(int(h.memb.Stats().BlacklistNotices - before))
+	packets := h.memb.Stats().BlacklistNotices - before
 
 	// Adjacent heads ("notifies adjacent clusters").
 	notice := &wire.RevocationNotice{Authority: 0, Revoked: rc}
@@ -912,25 +895,25 @@ func (h *HeadAgent) isolate(attacker wire.NodeID, serial uint64, expiry time.Dur
 			continue
 		}
 		if err := h.ep.Send(adj, nb); err == nil {
-			ct.addIsolation(1)
+			packets++
 		}
 	}
 
 	// Certificate revocation through the TA.
-	ta, ok := h.env.Dir.AuthorityOf(h.cluster)
-	if !ok {
-		h.env.Tracer.Logf(h.NodeID(), trace.CatIsolate, "no authority to revoke %v", attacker)
-		return
+	revokeErr := errNoAuthority
+	if ta, ok := h.env.Dir.AuthorityOf(h.cluster); ok {
+		revokeErr = nil
+		req := &wire.RevocationReq{Head: h.NodeID(), Suspect: attacker, CertSerial: serial, Cluster: h.cluster}
+		rb, err := req.MarshalBinary()
+		if err != nil {
+			panic("core: marshalling RevocationReq: " + err.Error())
+		}
+		if err := h.ep.Send(ta, rb); err == nil {
+			packets++
+		}
 	}
-	req := &wire.RevocationReq{Head: h.NodeID(), Suspect: attacker, CertSerial: serial, Cluster: h.cluster}
-	rb, err := req.MarshalBinary()
-	if err != nil {
-		panic("core: marshalling RevocationReq: " + err.Error())
-	}
-	if err := h.ep.Send(ta, rb); err == nil {
-		ct.addIsolation(1)
-	}
-	h.env.Tracer.Logf(h.NodeID(), trace.CatIsolate, "isolated %v (serial %d)", attacker, serial)
+	h.env.record(trace.Event{Kind: trace.IsolationPackets, Node: h.NodeID(), Suspect: caseKey, Count: packets})
+	h.env.record(trace.Event{Kind: trace.Isolated, Node: h.NodeID(), Suspect: attacker, Count: serial, Err: revokeErr})
 }
 
 // addRevoked blacklists a node in the membership plane and evicts it from

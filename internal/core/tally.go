@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"blackdp/internal/trace"
 	"blackdp/internal/wire"
 )
 
@@ -92,58 +93,41 @@ func (t *Tally) TotalDetectionPackets() int {
 	return n
 }
 
-// Merge links a teammate's case into the primary suspect's tally: teammate
-// probes are part of the cooperative detection (the paper's "additional two
-// packets").
-func (c *CaseTally) addProbe() {
-	if c != nil {
-		c.ProbesSent++
+// record counts one protocol step in its case. Steps that cost detection
+// or isolation packets, and the verdict, are counted; the rest are ignored.
+// Isolation traffic is charged only to a case that already exists: the
+// notices about a convicted teammate's revocation are not a case of their own.
+func (t *Tally) record(ev trace.Event) {
+	if t == nil {
+		return
 	}
-}
-
-func (c *CaseTally) addProbeReply() {
-	if c != nil {
-		c.ProbeReplies++
-	}
-}
-
-func (c *CaseTally) addDReq(at time.Duration) {
-	if c != nil {
+	switch ev.Kind {
+	case trace.DReqFiled:
+		c := t.Case(ev.Suspect)
 		c.DReqSent++
 		if c.ReportedAt == 0 {
-			c.ReportedAt = at
+			c.ReportedAt = ev.At
 		}
-	}
-}
-
-func (c *CaseTally) addForward() {
-	if c != nil {
-		c.DReqForwarded++
-	}
-}
-
-func (c *CaseTally) addRespBackbone() {
-	if c != nil {
-		c.RespBackbone++
-	}
-}
-
-func (c *CaseTally) addRespRadio() {
-	if c != nil {
-		c.RespRadio++
-	}
-}
-
-func (c *CaseTally) addIsolation(n int) {
-	if c != nil {
-		c.IsolationPackets += n
+	case trace.DReqForwarded:
+		t.Case(ev.Suspect).DReqForwarded++
+	case trace.BaitRREQ1, trace.BaitRREQ2, trace.TeammateProbe:
+		t.Case(ev.Suspect).ProbesSent++
+	case trace.ProbeReply:
+		t.Case(ev.Suspect).ProbeReplies++
+	case trace.VerdictRelayed:
+		t.Case(ev.Suspect).RespBackbone++
+	case trace.VerdictDelivered:
+		t.Case(ev.Suspect).RespRadio++
+	case trace.IsolationPackets:
+		if c, ok := t.cases[ev.Suspect]; ok {
+			c.IsolationPackets += int(ev.Count)
+		}
+	case trace.CaseResolved:
+		t.Case(ev.Suspect).resolve(ev.Verdict, ev.Peer, ev.At)
 	}
 }
 
 func (c *CaseTally) resolve(v wire.Verdict, teammate wire.NodeID, at time.Duration) {
-	if c == nil {
-		return
-	}
 	if c.Verdict == wire.VerdictUnknown {
 		c.Verdict = v
 		c.Teammate = teammate

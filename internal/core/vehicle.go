@@ -97,6 +97,17 @@ const (
 	StatusUnverified
 )
 
+// establishKinds maps each establishment outcome to its trace kind.
+var establishKinds = [...]trace.Kind{
+	StatusVerified:   trace.Verified,
+	StatusNoRoute:    trace.NoRoute,
+	StatusPrevented:  trace.Prevented,
+	StatusDetected:   trace.Detected,
+	StatusCleared:    trace.Cleared,
+	StatusUnresolved: trace.Unresolved,
+	StatusUnverified: trace.Unverified,
+}
+
 func (s EstablishStatus) String() string {
 	switch s {
 	case StatusVerified:
@@ -131,11 +142,8 @@ type EstablishResult struct {
 
 // VehicleStats counts verification-layer activity.
 type VehicleStats struct {
-	Discoveries     uint64
 	AuthViolations  uint64 // replies discarded for failed authentication
-	BlacklistHits   uint64 // replies discarded because the issuer is blacklisted
 	ProbesSent      uint64
-	ProbeConfirmed  uint64
 	AnonymityFakes  uint64 // forged probe replies recognised
 	ReportsFiled    uint64
 	VerdictsGot     uint64
@@ -352,7 +360,6 @@ func (v *VehicleAgent) EstablishRoute(dest wire.NodeID, done func(EstablishResul
 
 func (v *VehicleAgent) discoverRound(ver *verification) error {
 	ver.round++
-	v.stats.Discoveries++
 	opts := []aodv.DiscoverOption{}
 	if ver.minSeq > 0 {
 		opts = append(opts, aodv.WithMinDestSeq(ver.minSeq))
@@ -368,8 +375,7 @@ func (v *VehicleAgent) finish(ver *verification, res EstablishResult) {
 	}
 	res.Dest = ver.dest
 	res.Rounds = ver.round
-	v.env.Tracer.Logf(v.NodeID(), trace.CatVerify, "establishment to %v: %v (suspect %v verdict %v)",
-		ver.dest, res.Status, res.Suspect, res.Verdict)
+	v.env.record(trace.Event{Kind: establishKinds[res.Status], Node: v.NodeID(), Dest: ver.dest, Suspect: res.Suspect, Verdict: res.Verdict})
 	ver.done(res)
 }
 
@@ -442,11 +448,7 @@ func (v *VehicleAgent) bestAuthenticated(ver *verification, cands []aodv.Candida
 	var best *aodv.Candidate
 	for i := range cands {
 		c := &cands[i]
-		if ver.excluded[c.RREP.Issuer] {
-			continue
-		}
-		if v.client.IsBlacklisted(c.RREP.Issuer) {
-			v.stats.BlacklistHits++
+		if ver.excluded[c.RREP.Issuer] || v.client.IsBlacklisted(c.RREP.Issuer) {
 			continue
 		}
 		if c.Envelope == nil {
@@ -468,7 +470,6 @@ func (v *VehicleAgent) bestAuthenticated(ver *verification, cands []aodv.Candida
 			continue
 		}
 		if v.client.IsBlacklisted(cert.Node) {
-			v.stats.BlacklistHits++
 			continue
 		}
 		if best == nil || rep.DestSeq > best.RREP.DestSeq ||
@@ -489,8 +490,7 @@ func (v *VehicleAgent) sendVerificationProbe(ver *verification) {
 		return
 	}
 	v.stats.ProbesSent++
-	v.env.Tracer.Logf(v.NodeID(), trace.CatVerify, "probing route to %v via %v (nonce %d)",
-		ver.dest, ver.suspect.RREP.Issuer, ver.nonce)
+	v.env.record(trace.Event{Kind: trace.RouteProbe, Node: v.NodeID(), Dest: ver.dest, Peer: ver.suspect.RREP.Issuer, Count: ver.nonce})
 	ver.timer.Stop()
 	ver.timer = v.env.Sched.After(v.cfg.ProbeTimeout, func() { v.probeTimedOut(ver) })
 }
@@ -508,7 +508,7 @@ func (v *VehicleAgent) probeTimedOut(ver *verification) {
 		v.finish(ver, EstablishResult{Status: StatusPrevented, Suspect: ver.suspect.RREP.Issuer})
 		return
 	}
-	v.env.Tracer.Logf(v.NodeID(), trace.CatVerify, "probe to %v unanswered; re-discovering", ver.dest)
+	v.env.record(trace.Event{Kind: trace.RouteProbeLost, Node: v.NodeID(), Dest: ver.dest})
 	ver.minSeq = ver.suspect.RREP.DestSeq + 1
 	if err := v.discoverRound(ver); err != nil {
 		v.finish(ver, EstablishResult{Status: StatusPrevented, Suspect: ver.suspect.RREP.Issuer})
@@ -529,7 +529,7 @@ func (v *VehicleAgent) handleProbe(h *wire.Hello, env *wire.Secure, from wire.No
 		}
 		reply := &wire.Hello{Origin: v.NodeID(), Dest: h.Origin, Nonce: h.Nonce, Reply: true}
 		if err := v.router.SendProbe(h.Origin, v.seal(reply)); err != nil {
-			v.env.Tracer.Logf(v.NodeID(), trace.CatVerify, "cannot answer probe from %v: %v", h.Origin, err)
+			v.env.record(trace.Event{Kind: trace.ProbeUnanswerable, Node: v.NodeID(), Peer: h.Origin, Err: err})
 		}
 		return
 	}
@@ -550,7 +550,6 @@ func (v *VehicleAgent) resolveProbeReply(ver *verification, h *wire.Hello, env *
 	if env != nil {
 		if _, cert, err := v.verifier.Open(env, now); err == nil && cert.Node == ver.dest && h.Origin == ver.dest {
 			// Genuine destination: the intermediate's route is real.
-			v.stats.ProbeConfirmed++
 			v.finish(ver, EstablishResult{Status: StatusVerified, Via: ver.suspect.RREP.Issuer})
 			return
 		}
@@ -558,8 +557,7 @@ func (v *VehicleAgent) resolveProbeReply(ver *verification, h *wire.Hello, env *
 	// Anonymity response: someone (not the destination) answered the probe.
 	// The paper files the d_req immediately, skipping the second round.
 	v.stats.AnonymityFakes++
-	v.env.Tracer.Logf(v.NodeID(), trace.CatVerify, "forged probe reply for %v; reporting %v",
-		ver.dest, ver.suspect.RREP.Issuer)
+	v.env.record(trace.Event{Kind: trace.ForgedProbeReply, Node: v.NodeID(), Dest: ver.dest, Suspect: ver.suspect.RREP.Issuer})
 	v.fileReport(ver, ver.suspect)
 }
 
@@ -621,9 +619,7 @@ func (v *VehicleAgent) sendDReq(ver *verification) {
 	dr.ReporterCluster = v.client.Cluster()
 	v.ifc.Send(head, v.seal(dr))
 	ver.attempts++
-	v.env.Tally.Case(dr.Suspect).addDReq(v.env.Sched.Now())
-	v.env.Tracer.Logf(v.NodeID(), trace.CatDetect, "d_req filed against %v (cluster %d, attempt %d)",
-		dr.Suspect, dr.SuspectCluster, ver.attempts)
+	v.env.record(trace.Event{Kind: trace.DReqFiled, Node: v.NodeID(), Suspect: dr.Suspect, Cluster: dr.SuspectCluster, Count: uint64(ver.attempts)})
 	if v.cfg.DReqRetries < 0 {
 		return // ablation: fire and forget, as in the base paper
 	}
@@ -644,7 +640,7 @@ func (v *VehicleAgent) dreqTimedOut(ver *verification) {
 	}
 	if ver.attempts <= v.cfg.DReqRetries {
 		v.stats.DReqRetransmits++
-		v.env.Tracer.Logf(v.NodeID(), trace.CatDetect, "d_req against %v unanswered; retransmitting", ver.dreq.Suspect)
+		v.env.record(trace.Event{Kind: trace.DReqRetransmit, Node: v.NodeID(), Suspect: ver.dreq.Suspect})
 		v.sendDReq(ver)
 		return
 	}
@@ -653,7 +649,7 @@ func (v *VehicleAgent) dreqTimedOut(ver *verification) {
 	}
 	ver.failedOver = true
 	v.stats.Failovers++
-	v.env.Tracer.Logf(v.NodeID(), trace.CatDetect, "head unresponsive; failing over to an adjacent cluster head")
+	v.env.record(trace.Event{Kind: trace.Failover, Node: v.NodeID()})
 	// Reaching an adjacent head's radio range can take tens of seconds of
 	// driving; stretch the verdict deadline to give the failover a chance.
 	ver.timer.Stop()
@@ -780,7 +776,7 @@ func (v *VehicleAgent) handleRenewalResp(p *wire.RenewalResp, env *wire.Secure) 
 	pending := v.pendingRenew
 	v.pendingRenew = nil
 	if p.Denied {
-		v.env.Tracer.Logf(v.NodeID(), trace.CatCluster, "certificate renewal denied")
+		v.env.record(trace.Event{Kind: trace.RenewalDenied, Node: v.NodeID()})
 		return
 	}
 	if err := pki.VerifyCertificate(&p.Cert, v.env.Trust, v.env.Sched.Now(), v.env.Scheme); err != nil {
@@ -791,7 +787,7 @@ func (v *VehicleAgent) handleRenewalResp(p *wire.RenewalResp, env *wire.Secure) 
 	v.cred = pki.NewCredential(p.Cert, pending)
 	v.ifc.SetNodeID(p.Cert.Node)
 	v.stats.RenewalsApplied++
-	v.env.Tracer.Logf(v.NodeID(), trace.CatCluster, "pseudonym rotated %v -> %v", old, p.Cert.Node)
+	v.env.record(trace.Event{Kind: trace.PseudonymRotated, Node: p.Cert.Node, Peer: old})
 	// Re-register under the new identity; the old registration ages out.
 	v.client.Start()
 	if v.onRenewed != nil {

@@ -116,8 +116,8 @@ type Config struct {
 	Trace       bool          // record a structured event log
 
 	// RunWorkers selects the intra-run execution mode. <= 1 (the default)
-	// runs the whole simulation on the serial scheduler — the legacy path,
-	// byte-identical across releases. >= 2 runs it as a cluster-sharded
+	// runs the whole simulation on the serial scheduler, byte-identical
+	// across releases. >= 2 runs it as a cluster-sharded
 	// conservative parallel discrete-event simulation: filler vehicles are
 	// partitioned into contiguous cluster strips with one event queue each,
 	// executed on up to RunWorkers goroutines per conservative time window.

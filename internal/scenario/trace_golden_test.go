@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"blackdp/internal/fault"
+	"blackdp/internal/trace"
 )
 
 // traceGoldenDigest pins the text of the event log over traceCorpus. It was
-// recorded before the log became typed events, and any drift means a step
-// is described differently or happens at another time: a behaviour change,
-// never a baseline to re-record.
+// recorded before the log became typed events, so it covers the log without
+// the kinds that then were counted in the tally only (tallyOnly). Any drift
+// means a step is described differently or happens at another time: a
+// behaviour change, never a baseline to re-record.
 const traceGoldenDigest = "b7d83c8a41b52f2adfe45e64c421c8c07454ae7bb6be0bab427597d6f2eef534"
 
 // traceRun is one traced replication of the pinned corpus.
@@ -85,9 +87,18 @@ func traceCorpus() []traceRun {
 	)
 }
 
-// TestTraceGoldenDigest pins the dumped event log of every corpus run.
+// tallyOnly are the kinds whose steps the tally counted before the log was
+// typed, without a line in the log.
+var tallyOnly = map[trace.Kind]bool{
+	trace.ProbeReply: true, trace.VerdictRelayed: true, trace.VerdictDelivered: true,
+	trace.IsolationPackets: true, trace.CaseResolved: true,
+}
+
+// TestTraceGoldenDigest pins the dumped event log of every corpus run and
+// holds the corpus to producing every kind.
 func TestTraceGoldenDigest(t *testing.T) {
 	h := sha256.New()
+	seen := make(map[trace.Kind]bool)
 	for _, r := range traceCorpus() {
 		cfg := r.cfg
 		cfg.Trace = true
@@ -96,12 +107,25 @@ func TestTraceGoldenDigest(t *testing.T) {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		w.Run()
-		if err := w.Env.Tracer.Snapshot().Dump(h); err != nil {
+		log := w.Env.Tracer.Snapshot()
+		pinned := trace.Log{Dropped: log.Dropped}
+		for _, e := range log.Events {
+			seen[e.Kind] = true
+			if !tallyOnly[e.Kind] {
+				pinned.Events = append(pinned.Events, e)
+			}
+		}
+		if err := pinned.Dump(h); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		w.Sched.Release()
 	}
 	if got := digest(h); got != traceGoldenDigest {
 		t.Errorf("trace digest = %s, want %s", got, traceGoldenDigest)
+	}
+	for k := trace.Verified; k < trace.NumKinds; k++ {
+		if !seen[k] {
+			t.Errorf("no corpus run produced kind %d (%q)", k, trace.Event{Kind: k}.String())
+		}
 	}
 }

@@ -189,7 +189,7 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 	}
 	var tracer *trace.Recorder
 	if cfg.Trace {
-		tracer = trace.NewRecorder(sched.Now, 0)
+		tracer = trace.NewRecorder(0)
 	}
 	radioOpts := []radio.Option{radio.WithRange(cfg.TxRangeM), radio.WithLossRate(cfg.LossRate)}
 	if ref.linearScan {

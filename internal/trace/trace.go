@@ -1,12 +1,16 @@
-// Package trace records a structured event log of a simulation run: joins,
-// route discoveries, verification steps, detection probes, verdicts and
-// isolation actions. Agents log through a *Recorder; a nil Recorder is
-// valid and free, so tracing is zero-cost when disabled.
+// Package trace records what a simulation run did as typed events: route
+// verification, detection requests, bait probes, verdicts, isolation and
+// pseudonym renewal. Agents record through a *Recorder; a nil Recorder is
+// valid and records nothing without allocating. An event becomes text only
+// when a Log is dumped.
 package trace
 
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"blackdp/internal/wire"
@@ -15,56 +19,191 @@ import (
 // Category classifies an event for filtering.
 type Category string
 
-// Event categories used by the agents.
+// Event categories; every Kind belongs to exactly one.
 const (
-	CatMobility  Category = "mobility"
-	CatCluster   Category = "cluster"
-	CatRouting   Category = "routing"
 	CatVerify    Category = "verify"
 	CatDetect    Category = "detect"
 	CatIsolate   Category = "isolate"
-	CatAttack    Category = "attack"
+	CatCluster   Category = "cluster"
 	CatAuthority Category = "authority"
 )
 
-// Event is one recorded simulation event.
+// Kind is one step of the protocol. Its entry in kinds gives its category,
+// and the Event fields its description names are the ones it sets beyond At
+// and Node.
+type Kind uint8
+
+const (
+	// Route verification at a vehicle.
+	Verified Kind = iota + 1
+	NoRoute
+	Prevented
+	Detected
+	Cleared
+	Unresolved
+	Unverified
+	RouteProbe
+	RouteProbeLost
+	ProbeUnanswerable
+	ForgedProbeReply
+
+	// Detection at vehicles and cluster heads.
+	DReqFiled
+	DReqRetransmit
+	Failover
+	HeadCrashed
+	HeadRecovered
+	Examining
+	DReqForwarded
+	HandoffRetry
+	BaitRREQ1
+	BaitRREQ2
+	TeammateProbe
+	ProbeReply
+	SingleProbeConviction
+	Violation
+	SuspectLeft
+	CaseResolved
+	VerdictRelayed
+	VerdictDelivered
+
+	// Isolation.
+	Isolated
+	IsolationPackets
+
+	// Cluster membership and pseudonyms.
+	RenewalRelayFailed
+	RenewalDenied
+	PseudonymRotated
+
+	// Trusted authorities.
+	Revoked
+	RenewalsPaused
+	Renewed
+	RenewalRefused
+
+	// NumKinds bounds the kinds: every kind lies in [Verified, NumKinds).
+	NumKinds
+)
+
+// kinds gives every kind its category and its description, in which each
+// {Field} stands for that Event field. This table is the one place a step
+// becomes text; an event's error, when set, follows the description.
+var kinds = [NumKinds]struct {
+	cat  Category
+	text string
+}{
+	Verified:          {CatVerify, "establishment to {Dest}: verified (suspect {Suspect} verdict {Verdict})"},
+	NoRoute:           {CatVerify, "establishment to {Dest}: no-route (suspect {Suspect} verdict {Verdict})"},
+	Prevented:         {CatVerify, "establishment to {Dest}: prevented (suspect {Suspect} verdict {Verdict})"},
+	Detected:          {CatVerify, "establishment to {Dest}: detected (suspect {Suspect} verdict {Verdict})"},
+	Cleared:           {CatVerify, "establishment to {Dest}: cleared (suspect {Suspect} verdict {Verdict})"},
+	Unresolved:        {CatVerify, "establishment to {Dest}: unresolved (suspect {Suspect} verdict {Verdict})"},
+	Unverified:        {CatVerify, "establishment to {Dest}: unverified (suspect {Suspect} verdict {Verdict})"},
+	RouteProbe:        {CatVerify, "probing route to {Dest} via {Peer} (nonce {Count})"},
+	RouteProbeLost:    {CatVerify, "probe to {Dest} unanswered; re-discovering"},
+	ProbeUnanswerable: {CatVerify, "cannot answer probe from {Peer}"},
+	ForgedProbeReply:  {CatVerify, "forged probe reply for {Dest}; reporting {Suspect}"},
+
+	DReqFiled:             {CatDetect, "d_req filed against {Suspect} (cluster {Cluster}, attempt {Count})"},
+	DReqRetransmit:        {CatDetect, "d_req against {Suspect} unanswered; retransmitting"},
+	Failover:              {CatDetect, "head unresponsive; failing over to an adjacent cluster head"},
+	HeadCrashed:           {CatDetect, "head for cluster {Cluster} crashed"},
+	HeadRecovered:         {CatDetect, "head for cluster {Cluster} recovered"},
+	Examining:             {CatDetect, "examining suspect {Suspect} (reported by {Peer}) at {At}"},
+	DReqForwarded:         {CatDetect, "d_req for {Suspect} forwarded to {Peer}"},
+	HandoffRetry:          {CatDetect, "hand-off of {Suspect} to {Peer} failed; retry {Count} in {Delay}"},
+	BaitRREQ1:             {CatDetect, "probe stage 1 -> {Peer} (fake dest {Dest}, demand seq {Seq})"},
+	BaitRREQ2:             {CatDetect, "probe stage 2 -> {Peer} (fake dest {Dest}, demand seq {Seq})"},
+	TeammateProbe:         {CatDetect, "probe stage 3 -> {Peer} (fake dest {Dest}, demand seq {Seq})"},
+	ProbeReply:            {CatDetect, "probe reply from {Peer} (suspect {Suspect})"},
+	SingleProbeConviction: {CatDetect, "single-probe conviction of {Suspect} (seq {Seq})"},
+	Violation:             {CatDetect, "violation confirmed: {Suspect} answered demand {Count} with seq {Seq} (next hop {Peer})"},
+	SuspectLeft:           {CatDetect, "suspect {Suspect} left mid-examination"},
+	CaseResolved:          {CatDetect, "verdict on {Suspect}: {Verdict} (teammate {Peer})"},
+	VerdictRelayed:        {CatDetect, "verdict on {Suspect} relayed to {Peer}"},
+	VerdictDelivered:      {CatDetect, "verdict on {Suspect} delivered to {Peer}"},
+
+	Isolated:         {CatIsolate, "isolated {Suspect} (serial {Count})"},
+	IsolationPackets: {CatIsolate, "isolation packets sent about {Suspect}: {Count}"},
+
+	RenewalRelayFailed: {CatCluster, "renewal relay failed"},
+	RenewalDenied:      {CatCluster, "certificate renewal denied"},
+	PseudonymRotated:   {CatCluster, "pseudonym rotated {Peer} -> {Node}"},
+
+	Revoked:        {CatAuthority, "revoked {Suspect} (serial {Count}) on report from {Peer}"},
+	RenewalsPaused: {CatAuthority, "renewals paused for {Suspect} per notice from authority {Count}"},
+	Renewed:        {CatAuthority, "renewed {Peer} -> {Dest}"},
+	RenewalRefused: {CatAuthority, "renewal denied for {Peer}"},
+}
+
+// Category returns the category the kind belongs to.
+func (k Kind) Category() Category {
+	if k >= NumKinds {
+		return ""
+	}
+	return kinds[k].cat
+}
+
+// Event is one recorded step. Which fields beyond At, Kind and Node carry
+// meaning depends on the Kind.
 type Event struct {
-	At       time.Duration
-	Node     wire.NodeID
-	Category Category
-	Message  string
+	At      time.Duration
+	Kind    Kind
+	Node    wire.NodeID // the agent that took the step
+	Peer    wire.NodeID
+	Suspect wire.NodeID // the node under detection; the tally's case key
+	Dest    wire.NodeID
+	Cluster wire.ClusterID
+	Verdict wire.Verdict
+	Seq     wire.SeqNum
+	Count   uint64
+	Delay   time.Duration
+	Err     error
 }
 
 func (e Event) String() string {
-	return fmt.Sprintf("%12s  %-10s %-9s %s", e.At.Round(time.Microsecond), e.Node, e.Category, e.Message)
+	return fmt.Sprintf("%12s  %-10s %-9s %s", e.At.Round(time.Microsecond), e.Node, e.Kind.Category(), e.text())
 }
 
-// Clock yields the current virtual time.
-type Clock func() time.Duration
+// text describes the step in words, from its kind's description.
+func (e Event) text() string {
+	if e.Kind == 0 || e.Kind >= NumKinds {
+		return fmt.Sprintf("Kind(%d)", e.Kind)
+	}
+	s := strings.NewReplacer(
+		"{Node}", e.Node.String(), "{Peer}", e.Peer.String(),
+		"{Suspect}", e.Suspect.String(), "{Dest}", e.Dest.String(),
+		"{Cluster}", strconv.Itoa(int(e.Cluster)), "{Verdict}", e.Verdict.String(),
+		"{Seq}", strconv.FormatUint(uint64(e.Seq), 10), "{Count}", strconv.FormatUint(e.Count, 10),
+		"{Delay}", e.Delay.String(), "{At}", e.At.String(),
+	).Replace(kinds[e.Kind].text)
+	if e.Err != nil {
+		s += ": " + e.Err.Error()
+	}
+	return s
+}
 
-// Recorder accumulates events up to a capacity (oldest dropped first). The
-// zero value is unusable; nil is a valid no-op recorder.
+// Recorder accumulates events up to a capacity (oldest dropped first). It
+// belongs to the single simulation goroutine; read it through Snapshot. A
+// nil *Recorder is a valid recorder that keeps nothing.
 type Recorder struct {
-	clock   Clock
 	events  []Event
 	cap     int
 	dropped uint64
 }
 
-// NewRecorder creates a recorder reading timestamps from clock, retaining at
-// most capacity events (<=0 means a generous default).
-func NewRecorder(clock Clock, capacity int) *Recorder {
-	if clock == nil {
-		panic("trace: NewRecorder requires a clock")
-	}
+// NewRecorder creates a recorder retaining at most capacity events (<=0
+// means a generous default).
+func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 65536
 	}
-	return &Recorder{clock: clock, cap: capacity}
+	return &Recorder{cap: capacity}
 }
 
-// Logf records a formatted event. A nil recorder discards it.
-func (r *Recorder) Logf(node wire.NodeID, cat Category, format string, args ...any) {
+// Record retains e. A nil recorder discards it.
+func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
@@ -73,27 +212,11 @@ func (r *Recorder) Logf(node wire.NodeID, cat Category, format string, args ...a
 		r.events = r.events[:len(r.events)-1]
 		r.dropped++
 	}
-	r.events = append(r.events, Event{
-		At:       r.clock(),
-		Node:     node,
-		Category: cat,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Events returns a copy of the retained events in order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
+	r.events = append(r.events, e)
 }
 
 // Log is an immutable snapshot of a recorder: the retained events plus the
-// eviction count at snapshot time. Unlike a live *Recorder — which belongs
-// to the single simulation goroutine and must not be shared — a Log is plain
+// eviction count at snapshot time. Unlike a live *Recorder, a Log is plain
 // data, safe to retain and read concurrently after the run finishes. The
 // serve subsystem keeps one per completed job for its trace endpoint.
 type Log struct {
@@ -101,25 +224,24 @@ type Log struct {
 	Dropped uint64
 }
 
-// Snapshot captures the recorder's current state as an immutable Log. A nil
-// recorder snapshots to the zero Log.
+// Snapshot captures the recorder's current state as a Log. A nil recorder
+// snapshots to the zero Log.
 func (r *Recorder) Snapshot() Log {
-	return Log{Events: r.Events(), Dropped: r.Dropped()}
+	if r == nil {
+		return Log{}
+	}
+	return Log{Events: append([]Event(nil), r.events...), Dropped: r.dropped}
 }
 
 // Filter returns the log's events matching the given categories (all, if
 // none given) and node (any, if wire.Broadcast).
 func (l Log) Filter(node wire.NodeID, cats ...Category) []Event {
-	want := make(map[Category]bool, len(cats))
-	for _, c := range cats {
-		want[c] = true
-	}
 	var out []Event
 	for _, e := range l.Events {
 		if node != wire.Broadcast && e.Node != node {
 			continue
 		}
-		if len(want) > 0 && !want[e.Category] {
+		if len(cats) > 0 && !slices.Contains(cats, e.Kind.Category()) {
 			continue
 		}
 		out = append(out, e)
@@ -135,47 +257,6 @@ func (l Log) Dump(w io.Writer) error {
 		}
 	}
 	for _, e := range l.Events {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Dropped returns how many events were evicted by the capacity bound.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
-
-// Filter returns the retained events matching the given categories (all, if
-// none given) and node (any, if wire.Broadcast).
-func (r *Recorder) Filter(node wire.NodeID, cats ...Category) []Event {
-	if r == nil {
-		return nil
-	}
-	want := make(map[Category]bool, len(cats))
-	for _, c := range cats {
-		want[c] = true
-	}
-	var out []Event
-	for _, e := range r.events {
-		if node != wire.Broadcast && e.Node != node {
-			continue
-		}
-		if len(want) > 0 && !want[e.Category] {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// Dump writes every retained event to w, one per line.
-func (r *Recorder) Dump(w io.Writer) error {
-	for _, e := range r.Events() {
 		if _, err := fmt.Fprintln(w, e); err != nil {
 			return err
 		}

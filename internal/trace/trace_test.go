@@ -1,109 +1,153 @@
 package trace
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"blackdp/internal/sim"
 	"blackdp/internal/wire"
 )
 
 func TestRecorderBasics(t *testing.T) {
-	now := time.Duration(0)
-	r := NewRecorder(func() time.Duration { return now }, 0)
-	r.Logf(1, CatDetect, "probe %d", 1)
-	now = time.Second
-	r.Logf(2, CatIsolate, "revoked %v", wire.NodeID(66))
+	r := NewRecorder(0)
+	r.Record(Event{Kind: BaitRREQ1, Node: 1, Suspect: 66, Peer: 66, Dest: 9, Seq: 4})
+	r.Record(Event{At: time.Second, Kind: Isolated, Node: 2, Suspect: 66, Count: 3})
 
-	evs := r.Events()
+	evs := r.Snapshot().Events
 	if len(evs) != 2 {
-		t.Fatalf("Events() returned %d, want 2", len(evs))
+		t.Fatalf("recorded %d events, want 2", len(evs))
 	}
-	if evs[0].At != 0 || evs[0].Node != 1 || evs[0].Category != CatDetect || evs[0].Message != "probe 1" {
-		t.Errorf("event 0 = %+v", evs[0])
+	if evs[0].At != 0 || evs[0].Node != 1 || evs[0].Kind.Category() != CatDetect ||
+		evs[0].text() != "probe stage 1 -> n66 (fake dest n9, demand seq 4)" {
+		t.Errorf("event 0 = %+v (%q)", evs[0], evs[0].text())
 	}
-	if evs[1].At != time.Second || evs[1].Message != "revoked n66" {
-		t.Errorf("event 1 = %+v", evs[1])
+	if evs[1].At != time.Second || evs[1].Kind.Category() != CatIsolate || evs[1].text() != "isolated n66 (serial 3)" {
+		t.Errorf("event 1 = %+v (%q)", evs[1], evs[1].text())
+	}
+}
+
+// TestEveryKindRenders holds every kind to a description of its own that
+// names only Event fields, every category to a kind, and an error to follow
+// the description.
+func TestEveryKindRenders(t *testing.T) {
+	seen := make(map[string]Kind)
+	for k := Verified; k < NumKinds; k++ {
+		text := Event{Kind: k, Suspect: 5}.text()
+		if strings.HasPrefix(text, "Kind(") || strings.ContainsAny(text, "{}") {
+			t.Errorf("kind %d has no description, or names no Event field: %q", k, text)
+		}
+		if prev, dup := seen[text]; dup {
+			t.Errorf("kinds %d and %d read the same: %q", prev, k, text)
+		}
+		seen[text] = k
+	}
+	cats := map[Category]bool{}
+	for k := Verified; k < NumKinds; k++ {
+		cats[k.Category()] = true
+	}
+	if len(cats) != 5 {
+		t.Errorf("kinds span %d categories, want all 5", len(cats))
+	}
+	got := Event{Kind: RenewalRefused, Peer: 3, Err: errors.New("paused")}.text()
+	if got != "renewal denied for n3: paused" {
+		t.Errorf("error rendering = %q", got)
 	}
 }
 
 func TestRecorderCapacityEvictsOldest(t *testing.T) {
-	r := NewRecorder(func() time.Duration { return 0 }, 3)
+	r := NewRecorder(3)
 	for i := 0; i < 5; i++ {
-		r.Logf(wire.NodeID(i), CatRouting, "e%d", i)
+		r.Record(Event{Kind: DReqForwarded, Node: wire.NodeID(i)})
 	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d events, want 3", len(evs))
+	snap := r.Snapshot()
+	if len(snap.Events) != 3 {
+		t.Fatalf("retained %d events, want 3", len(snap.Events))
 	}
-	if evs[0].Message != "e2" || evs[2].Message != "e4" {
-		t.Errorf("wrong retention window: %v .. %v", evs[0].Message, evs[2].Message)
+	if snap.Events[0].Node != 2 || snap.Events[2].Node != 4 {
+		t.Errorf("wrong retention window: %v .. %v", snap.Events[0].Node, snap.Events[2].Node)
 	}
-	if r.Dropped() != 2 {
-		t.Errorf("Dropped() = %d, want 2", r.Dropped())
+	if snap.Dropped != 2 {
+		t.Errorf("Dropped = %d, want 2", snap.Dropped)
 	}
 }
 
 func TestRecorderFilter(t *testing.T) {
-	r := NewRecorder(func() time.Duration { return 0 }, 0)
-	r.Logf(1, CatDetect, "a")
-	r.Logf(2, CatDetect, "b")
-	r.Logf(1, CatIsolate, "c")
+	r := NewRecorder(0)
+	r.Record(Event{Kind: Examining, Node: 1})
+	r.Record(Event{Kind: DReqForwarded, Node: 2})
+	r.Record(Event{Kind: Isolated, Node: 1})
+	log := r.Snapshot()
 
-	if got := r.Filter(1); len(got) != 2 {
+	if got := log.Filter(1); len(got) != 2 {
 		t.Errorf("Filter(node 1) = %d events, want 2", len(got))
 	}
-	if got := r.Filter(wire.Broadcast, CatDetect); len(got) != 2 {
+	if got := log.Filter(wire.Broadcast, CatDetect); len(got) != 2 {
 		t.Errorf("Filter(detect) = %d events, want 2", len(got))
 	}
-	if got := r.Filter(1, CatIsolate); len(got) != 1 || got[0].Message != "c" {
+	if got := log.Filter(1, CatIsolate); len(got) != 1 || got[0].Kind != Isolated {
 		t.Errorf("Filter(1, isolate) = %+v", got)
+	}
+	if got := log.Filter(wire.Broadcast, CatIsolate, CatDetect); len(got) != 3 {
+		t.Errorf("Filter(isolate, detect) = %d events, want 3", len(got))
 	}
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	r.Logf(1, CatDetect, "x") // must not panic
-	if r.Events() != nil || r.Filter(1) != nil || r.Dropped() != 0 {
+	r.Record(Event{Kind: Examining, Node: 1}) // must not panic
+	if snap := r.Snapshot(); snap.Events != nil || snap.Dropped != 0 {
 		t.Error("nil recorder not inert")
 	}
 }
 
+// TestNilRecorderRecordAllocs pins tracing off as free: recording into a
+// nil recorder allocates nothing, errors included.
+func TestNilRecorderRecordAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race runtime inflates allocation counts")
+	}
+	var r *Recorder
+	ev := Event{Kind: HandoffRetry, Node: 1, Suspect: 2, Peer: 3, Count: 1, Delay: time.Second, Err: errors.New("down")}
+	if n := testing.AllocsPerRun(100, func() { r.Record(ev) }); n != 0 {
+		t.Errorf("nil Record: %v allocs, want 0", n)
+	}
+}
+
 func TestDump(t *testing.T) {
-	r := NewRecorder(func() time.Duration { return 1500 * time.Microsecond }, 0)
-	r.Logf(7, CatVerify, "hello")
+	r := NewRecorder(0)
+	r.Record(Event{At: 1500 * time.Microsecond, Kind: RouteProbeLost, Node: 7, Dest: 8})
 	var sb strings.Builder
-	if err := r.Dump(&sb); err != nil {
+	if err := r.Snapshot().Dump(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"n7", "verify", "hello", "1.5ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q: %q", want, out)
-		}
+	want := "       1.5ms  n7         verify    probe to n8 unanswered; re-discovering\n"
+	if sb.String() != want {
+		t.Errorf("dump = %q, want %q", sb.String(), want)
 	}
 }
 
 func TestSnapshotIsImmutable(t *testing.T) {
-	r := NewRecorder(func() time.Duration { return 0 }, 2)
-	r.Logf(1, CatDetect, "a")
-	r.Logf(2, CatIsolate, "b")
+	r := NewRecorder(2)
+	r.Record(Event{Kind: Examining, Node: 1})
+	r.Record(Event{Kind: Isolated, Node: 2})
 	snap := r.Snapshot()
 
 	// Later recording must not leak into an earlier snapshot.
-	r.Logf(3, CatRouting, "c")
-	r.Logf(4, CatRouting, "d")
-	if len(snap.Events) != 2 || snap.Events[0].Message != "a" || snap.Dropped != 0 {
+	r.Record(Event{Kind: DReqForwarded, Node: 3})
+	r.Record(Event{Kind: DReqForwarded, Node: 4})
+	if len(snap.Events) != 2 || snap.Events[0].Node != 1 || snap.Dropped != 0 {
 		t.Fatalf("snapshot changed after recording: %+v", snap)
 	}
 	if later := r.Snapshot(); later.Dropped != 2 || len(later.Events) != 2 {
 		t.Fatalf("later snapshot = %d events, %d dropped; want 2, 2", len(later.Events), later.Dropped)
 	}
 
-	if got := snap.Filter(wire.Broadcast, CatIsolate); len(got) != 1 || got[0].Message != "b" {
+	if got := snap.Filter(wire.Broadcast, CatIsolate); len(got) != 1 || got[0].Node != 2 {
 		t.Errorf("Log.Filter(isolate) = %+v", got)
 	}
-	if got := snap.Filter(1); len(got) != 1 || got[0].Message != "a" {
+	if got := snap.Filter(1); len(got) != 1 || got[0].Kind != Examining {
 		t.Errorf("Log.Filter(node 1) = %+v", got)
 	}
 }
@@ -121,9 +165,9 @@ func TestNilRecorderSnapshot(t *testing.T) {
 }
 
 func TestLogDumpNotesEvictions(t *testing.T) {
-	r := NewRecorder(func() time.Duration { return 0 }, 1)
-	r.Logf(1, CatDetect, "a")
-	r.Logf(1, CatDetect, "b")
+	r := NewRecorder(1)
+	r.Record(Event{Kind: Examining, Node: 1, Suspect: 5})
+	r.Record(Event{Kind: Examining, Node: 1, Suspect: 6})
 	var sb strings.Builder
 	if err := r.Snapshot().Dump(&sb); err != nil {
 		t.Fatal(err)
@@ -131,17 +175,17 @@ func TestLogDumpNotesEvictions(t *testing.T) {
 	if !strings.Contains(sb.String(), "1 earlier events evicted") {
 		t.Errorf("dump does not note evictions: %q", sb.String())
 	}
-	if !strings.Contains(sb.String(), "b") {
+	if !strings.Contains(sb.String(), "examining suspect n6") {
 		t.Errorf("dump missing retained event: %q", sb.String())
 	}
 }
 
 func TestEventsCopyIsolated(t *testing.T) {
-	r := NewRecorder(func() time.Duration { return 0 }, 0)
-	r.Logf(1, CatDetect, "a")
-	evs := r.Events()
-	evs[0].Message = "mutated"
-	if r.Events()[0].Message != "a" {
-		t.Error("Events() exposes internal storage")
+	r := NewRecorder(0)
+	r.Record(Event{Kind: Examining, Node: 1})
+	evs := r.Snapshot().Events
+	evs[0].Node = 99
+	if r.Snapshot().Events[0].Node != 1 {
+		t.Error("Snapshot exposes internal storage")
 	}
 }
