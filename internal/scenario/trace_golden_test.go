@@ -17,6 +17,10 @@ import (
 // behaviour change, never a baseline to re-record.
 const traceGoldenDigest = "b7d83c8a41b52f2adfe45e64c421c8c07454ae7bb6be0bab427597d6f2eef534"
 
+// traceFullDigest pins the whole dump over traceCorpus, tally-only kinds
+// included: the text the serve trace endpoint returns.
+const traceFullDigest = "edd02d5b16bc845a231f3e1b43b1fa94147d5c9165e294837327aad7f59239cc"
+
 // traceRun is one traced replication of the pinned corpus.
 type traceRun struct {
 	name string
@@ -94,10 +98,11 @@ var tallyOnly = map[trace.Kind]bool{
 	trace.IsolationPackets: true, trace.CaseResolved: true,
 }
 
-// TestTraceGoldenDigest pins the dumped event log of every corpus run and
-// holds the corpus to producing every kind.
+// TestTraceGoldenDigest pins the dumped event log of every corpus run, with
+// and without the tally-only kinds, and holds the corpus to producing every
+// kind.
 func TestTraceGoldenDigest(t *testing.T) {
-	h := sha256.New()
+	h, full := sha256.New(), sha256.New()
 	seen := make(map[trace.Kind]bool)
 	for _, r := range traceCorpus() {
 		cfg := r.cfg
@@ -118,10 +123,16 @@ func TestTraceGoldenDigest(t *testing.T) {
 		if err := pinned.Dump(h); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
+		if err := log.Dump(full); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
 		w.Sched.Release()
 	}
 	if got := digest(h); got != traceGoldenDigest {
 		t.Errorf("trace digest = %s, want %s", got, traceGoldenDigest)
+	}
+	if got := digest(full); got != traceFullDigest {
+		t.Errorf("full trace digest = %s, want %s", got, traceFullDigest)
 	}
 	for k := trace.Verified; k < trace.NumKinds; k++ {
 		if !seen[k] {
