@@ -21,7 +21,7 @@
 //
 //	outcomes, err := blackdp.Sweep(ctx, cfg, 100,
 //	    blackdp.WithWorkers(8),
-//	    blackdp.WithProgress(func(done, total int) { ... }))
+//	    blackdp.WithOnRep(func(rep int, err error) { ... }))
 //
 // Experiment entry points regenerate the paper's evaluation: Fig4 sweeps
 // the attacker across clusters and reports detection accuracy and error
@@ -141,7 +141,6 @@ type options struct {
 	runWorkersSet   bool
 	cryptoScheme    string
 	cryptoSchemeSet bool
-	progress        func(done, total int)
 	onRep           func(rep int, err error)
 	mutate          func(rep int, c *Config)
 }
@@ -157,7 +156,7 @@ func (o options) applyRunWorkers(cfg Config) Config {
 }
 
 func (o options) sweepOptions() scenario.SweepOptions {
-	return scenario.SweepOptions{Workers: o.workers, Progress: o.progress, OnRep: o.onRep}
+	return scenario.SweepOptions{Workers: o.workers, OnRep: o.onRep}
 }
 
 func buildOptions(opts []Option) options {
@@ -200,16 +199,9 @@ func WithCryptoScheme(name string) Option {
 	return func(o *options) { o.cryptoScheme, o.cryptoSchemeSet = name, true }
 }
 
-// WithProgress installs a callback invoked after each replication completes
-// with the number done so far and the total. Calls are serialised but, with
-// more than one worker, not in replication order.
-func WithProgress(fn func(done, total int)) Option {
-	return func(o *options) { o.progress = fn }
-}
-
 // WithOnRep installs a callback invoked after each replication completes
-// with its replication index and error (nil on success), immediately before
-// the progress callback and under the same lock.
+// with its replication index and error (nil on success). Calls are
+// serialised but, with more than one worker, not in replication order.
 func WithOnRep(fn func(rep int, err error)) Option {
 	return func(o *options) { o.onRep = fn }
 }

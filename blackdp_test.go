@@ -78,9 +78,8 @@ func TestPublicAPIBuildWorld(t *testing.T) {
 }
 
 // TestPublicAPISweepOptions checks the functional options drive every
-// sweep: progress and onRep fire once per replication, mutate fires for
-// Sweep (the only call that takes it), and any worker count is
-// byte-identical.
+// sweep: onRep fires once per replication, mutate fires for Sweep (the only
+// call that takes it), and any worker count is byte-identical.
 func TestPublicAPISweepOptions(t *testing.T) {
 	cfg := blackdp.DefaultConfig()
 	cfg.HighwayLengthM = 4000
@@ -110,10 +109,9 @@ func TestPublicAPISweepOptions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var progress, reps, mutated []int
+			var reps, mutated []int
 			serial, err := tc.run(
 				blackdp.WithWorkers(1),
-				blackdp.WithProgress(func(done, total int) { progress = append(progress, done) }),
 				blackdp.WithOnRep(func(rep int, err error) {
 					if err == nil {
 						reps = append(reps, rep)
@@ -123,9 +121,9 @@ func TestPublicAPISweepOptions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(progress) != tc.reps || len(reps) != tc.reps || len(mutated) != tc.mutated {
-				t.Errorf("callbacks fired progress=%v reps=%v mutated=%v, want %d, %d and %d",
-					progress, reps, mutated, tc.reps, tc.reps, tc.mutated)
+			if len(reps) != tc.reps || len(mutated) != tc.mutated {
+				t.Errorf("callbacks fired reps=%v mutated=%v, want %d and %d",
+					reps, mutated, tc.reps, tc.mutated)
 			}
 			for i, rep := range reps {
 				if rep != i {

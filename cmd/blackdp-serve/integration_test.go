@@ -253,3 +253,41 @@ func TestIntegrationKillRestartResume(t *testing.T) {
 		t.Errorf("recovered job: status %q, payload match = %v", view.Status, string(view.Result) == string(res.Payload))
 	}
 }
+
+// TestIntegrationBadNestedConfigKeepsServing posts configs whose nested
+// fields are out of range or no longer exist to the real binary, with a
+// durable store: each must bounce with the 400 envelope naming the field,
+// and the process must still answer /v1/healthz and run a valid job.
+func TestIntegrationBadNestedConfigKeepsServing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test builds and runs the binary")
+	}
+	dir := t.TempDir()
+	bin := buildServeBin(t, dir)
+	proc := startProc(t, bin, "-addr", "127.0.0.1:0", "-store", filepath.Join(dir, "jobs"))
+	base := "http://" + proc.addr
+	cl := &client.Client{BaseURL: base}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const world = `"Seed":7,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"CryptoScheme":"placeholder"`
+	for field, cfg := range map[string]string{
+		"Head.FogNodes":       `{` + world + `,"Head":{"FogNodes":-5}}`,
+		"Head.AuthProcessing": `{` + world + `,"Head":{"AuthProcessing":-1}}`,
+		"Vehicle.DReqRetries": `{` + world + `,"Vehicle":{"Verify":true,"DReqRetries":-2}}`,
+		"Router":              `{` + world + `,"Vehicle":{"Router":{"TTL":2}}}`,
+	} {
+		_, err := cl.Submit(ctx, client.Request{Kind: "run", Config: []byte(cfg)}, nil)
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != 400 || ae.Code != "bad_request" || !strings.Contains(ae.Message, field) {
+			t.Errorf("%s: err = %v, want the 400 bad_request envelope naming it", field, err)
+		}
+		if !client.Probe(ctx, nil, base) {
+			t.Fatalf("after the bad %s request /v1/healthz does not answer", field)
+		}
+	}
+	res, err := cl.Submit(ctx, client.Request{Kind: "run", Config: []byte(`{` + world + `}`)}, nil)
+	if err != nil || len(res.Payload) == 0 {
+		t.Fatalf("valid run after the bad requests: %v", err)
+	}
+}

@@ -61,5 +61,5 @@ func BenchmarkRouteTableUpdate(b *testing.B) {
 // newBenchNet mirrors newTestNet for benchmarks.
 func newBenchNet(b *testing.B, xs ...float64) *testNet {
 	b.Helper()
-	return newTestNet(b, Config{}, xs...)
+	return newTestNet(b, xs...)
 }

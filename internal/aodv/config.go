@@ -19,91 +19,41 @@ import (
 	"blackdp/internal/wire"
 )
 
-// Config carries the protocol timing constants. Zero fields are replaced by
-// the corresponding DefaultConfig values when the router is constructed.
-type Config struct {
-	// HelloInterval is the period of neighbour beacons.
-	HelloInterval time.Duration
-	// HelloJitter is the maximum random offset added to each beacon to
+// Protocol timers, scaled for the paper's highway scenario (1000 m range,
+// sub-second end-to-end paths). The paper names none; like RFC 3561's, they
+// are fixed protocol constants, not per-run settings.
+const (
+	// helloInterval is the period of neighbour beacons.
+	helloInterval = 2 * time.Second
+	// helloJitter is the maximum random offset added to each beacon to
 	// desynchronise neighbours.
-	HelloJitter time.Duration
-	// NeighborTimeout is how long after the last frame from a neighbour the
+	helloJitter = 200 * time.Millisecond
+	// neighborTimeout is how long after the last frame from a neighbour the
 	// link is declared broken.
-	NeighborTimeout time.Duration
+	neighborTimeout = 5 * time.Second
 	// RouteLifetime is the validity of a route entry from its last use or
 	// refresh.
-	RouteLifetime time.Duration
-	// ReplyWait is the window after originating a RREQ during which route
+	RouteLifetime = 10 * time.Second
+	// replyWait is the window after originating a RREQ during which route
 	// replies are collected before the best is chosen (the paper's source
 	// stores all RREPs in its route cache and picks the freshest).
-	ReplyWait time.Duration
-	// Retries is how many times a discovery re-floods after an empty
-	// ReplyWait window before reporting failure.
-	Retries int
-	// TTL is the initial time-to-live of flooded RREQs.
-	TTL uint8
-	// ForwardJitter is the maximum random delay before rebroadcasting a
+	replyWait = 750 * time.Millisecond
+	// retries is how many times a discovery re-floods after an empty
+	// replyWait window before reporting failure.
+	retries = 2
+	// defaultTTL is the initial time-to-live of flooded RREQs; WithTTL
+	// overrides it per discovery.
+	defaultTTL = 16
+	// forwardJitter is the maximum random delay before rebroadcasting a
 	// RREQ, standing in for CSMA contention and suppressing collisions.
-	ForwardJitter time.Duration
-	// FloodCacheTTL is how long (origin, flood-id) pairs are remembered for
+	forwardJitter = 10 * time.Millisecond
+	// floodCacheTTL is how long (origin, flood-id) pairs are remembered for
 	// duplicate suppression.
-	FloodCacheTTL time.Duration
-	// MaintenanceInterval is the period of the background sweep that prunes
+	floodCacheTTL = 5 * time.Second
+	// maintenanceInterval is the period of the background sweep that prunes
 	// expired routes, neighbours and flood-cache entries.
-	MaintenanceInterval time.Duration
-}
-
-// DefaultConfig returns timing constants scaled for the paper's highway
-// scenario (1000 m range, sub-second end-to-end paths).
-func DefaultConfig() Config {
-	return Config{
-		HelloInterval:       2 * time.Second,
-		HelloJitter:         200 * time.Millisecond,
-		NeighborTimeout:     5 * time.Second,
-		RouteLifetime:       10 * time.Second,
-		ReplyWait:           750 * time.Millisecond,
-		Retries:             2,
-		TTL:                 16,
-		ForwardJitter:       10 * time.Millisecond,
-		FloodCacheTTL:       5 * time.Second,
-		MaintenanceInterval: time.Second,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	def := DefaultConfig()
-	if c.HelloInterval == 0 {
-		c.HelloInterval = def.HelloInterval
-	}
-	if c.HelloJitter == 0 {
-		c.HelloJitter = def.HelloJitter
-	}
-	if c.NeighborTimeout == 0 {
-		c.NeighborTimeout = def.NeighborTimeout
-	}
-	if c.RouteLifetime == 0 {
-		c.RouteLifetime = def.RouteLifetime
-	}
-	if c.ReplyWait == 0 {
-		c.ReplyWait = def.ReplyWait
-	}
-	if c.Retries == 0 {
-		c.Retries = def.Retries
-	}
-	if c.TTL == 0 {
-		c.TTL = def.TTL
-	}
-	if c.ForwardJitter == 0 {
-		c.ForwardJitter = def.ForwardJitter
-	}
-	if c.FloodCacheTTL == 0 {
-		c.FloodCacheTTL = def.FloodCacheTTL
-	}
-	if c.MaintenanceInterval == 0 {
-		c.MaintenanceInterval = def.MaintenanceInterval
-	}
-	return c
-}
+	maintenanceInterval = time.Second
+)
 
 // Link is the router's transmit port; *radio.Interface satisfies it.
 type Link interface {

@@ -22,7 +22,7 @@ func TestFloodTerminatesProperty(t *testing.T) {
 			xs[i] = x
 			x += 300 + float64(r.Intn(600)) // 300-900 m spacing: connected
 		}
-		net := newTestNet(t, Config{}, xs...)
+		net := newTestNet(t, xs...)
 		done := false
 		if err := net.router(1).Discover(wire.NodeID(n), func(DiscoverResult) { done = true }); err != nil {
 			return false
@@ -94,7 +94,7 @@ func TestExpiredEntryAlwaysReplaceableProperty(t *testing.T) {
 }
 
 func TestAdoptRouteOverridesFresherEntry(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	r := net.router(1)
 	r.InstallRoute(5, 2, 1)
 	// Poison with an absurdly fresh entry via a direct table write.
@@ -107,7 +107,7 @@ func TestAdoptRouteOverridesFresherEntry(t *testing.T) {
 }
 
 func TestPurgeNodeRemovesAllState(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	r := net.router(1)
 	r.InstallRoute(5, 66, 1)  // route THROUGH the attacker
 	r.InstallRoute(66, 66, 1) // route TO the attacker
@@ -132,7 +132,7 @@ func TestPurgeNodeRemovesAllState(t *testing.T) {
 }
 
 func TestLinkFailureInvalidatesAndReports(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800)
+	net := newTestNet(t, 0, 900, 1800)
 	net.discover(1, 3)
 	// Node 2 vanishes (off-ramp): the next unicast from 1 fails its ACK,
 	// the route breaks immediately (no neighbour-timeout wait), and the

@@ -25,7 +25,6 @@ var (
 // points must be invoked from scheduler events (the simulation's only
 // execution context).
 type Router struct {
-	cfg   Config
 	sched sim.Runtime
 	rng   *sim.RNG
 	link  Link
@@ -71,9 +70,9 @@ type pendingDiscovery struct {
 	ttl        uint8
 }
 
-// New creates a router on link. Zero Config fields take defaults; seal may
-// be nil for unsigned control packets; cb fields are optional.
-func New(cfg Config, sched sim.Runtime, rng *sim.RNG, link Link, seal Sealer, cb Callbacks) *Router {
+// New creates a router on link. seal may be nil for unsigned control
+// packets; cb fields are optional.
+func New(sched sim.Runtime, rng *sim.RNG, link Link, seal Sealer, cb Callbacks) *Router {
 	if sched == nil || rng == nil || link == nil {
 		panic("aodv: New requires scheduler, RNG and link")
 	}
@@ -81,7 +80,6 @@ func New(cfg Config, sched sim.Runtime, rng *sim.RNG, link Link, seal Sealer, cb
 		seal = func(p wire.Packet) ([]byte, error) { return p.MarshalBinary() }
 	}
 	r := &Router{
-		cfg:       cfg.withDefaults(),
 		sched:     sched,
 		rng:       rng,
 		link:      link,
@@ -149,7 +147,7 @@ func (r *Router) Neighbors() []wire.NodeID {
 // that learn member positions out of band, and by tests.
 func (r *Router) InstallRoute(dest, nextHop wire.NodeID, hops uint8) {
 	now := r.sched.Now()
-	r.table.update(dest, nextHop, hops, 0, now, now+r.cfg.RouteLifetime)
+	r.table.update(dest, nextHop, hops, 0, now, now+RouteLifetime)
 }
 
 // AdoptRoute unconditionally pins the route to dest through nextHop,
@@ -163,7 +161,7 @@ func (r *Router) AdoptRoute(dest, nextHop wire.NodeID, hops uint8, seq wire.SeqN
 		NextHop:  nextHop,
 		HopCount: hops,
 		Seq:      seq,
-		Expiry:   r.sched.Now() + r.cfg.RouteLifetime,
+		Expiry:   r.sched.Now() + RouteLifetime,
 		Valid:    true,
 	}
 }
@@ -182,7 +180,7 @@ func (r *Router) PurgeNode(id wire.NodeID) {
 }
 
 func (r *Router) scheduleHello() {
-	delay := r.cfg.HelloInterval + r.rng.Jitter(r.cfg.HelloJitter)
+	delay := helloInterval + r.rng.Jitter(helloJitter)
 	r.helloTimer = r.sched.After(delay, r.helloFn)
 }
 
@@ -200,7 +198,7 @@ func (r *Router) helloRound() {
 }
 
 func (r *Router) scheduleMaintenance() {
-	r.maintTimer = r.sched.After(r.cfg.MaintenanceInterval, r.maintFn)
+	r.maintTimer = r.sched.After(maintenanceInterval, r.maintFn)
 }
 
 // maintenanceRound is the reusable maintenance callback: expire silent
@@ -211,7 +209,7 @@ func (r *Router) maintenanceRound() {
 		return
 	}
 	now := r.sched.Now()
-	r.staleScratch = r.table.appendStale(r.staleScratch[:0], now, r.cfg.NeighborTimeout)
+	r.staleScratch = r.table.appendStale(r.staleScratch[:0], now, neighborTimeout)
 	var unreachable []wire.UnreachableDest
 	for _, n := range r.staleScratch {
 		for _, broken := range r.table.invalidateVia(n) {
@@ -225,7 +223,7 @@ func (r *Router) maintenanceRound() {
 		r.sendBare(wire.Broadcast, &wire.RERR{Reporter: r.link.NodeID(), Unreachable: unreachable})
 		r.stats.RERRSent++
 	}
-	r.table.prune(now, r.cfg.FloodCacheTTL)
+	r.table.prune(now, floodCacheTTL)
 	r.scheduleMaintenance()
 }
 
@@ -257,7 +255,7 @@ func WithTTL(ttl uint8) DiscoverOption {
 }
 
 // Discover floods a route request for dest, collects replies for the
-// ReplyWait window (re-flooding up to Retries times if none arrive), then
+// replyWait window (re-flooding up to retries times if none arrive), then
 // invokes done exactly once with everything gathered. A discovery already
 // pending for the same destination is replaced (its callback fires with what
 // it had).
@@ -276,7 +274,7 @@ func (r *Router) Discover(dest wire.NodeID, done func(DiscoverResult), opts ...D
 		opt(&o)
 	}
 	if o.ttl == 0 {
-		o.ttl = r.cfg.TTL
+		o.ttl = defaultTTL
 	}
 	if prev, ok := r.discovery[dest]; ok {
 		prev.timer.Stop()
@@ -311,8 +309,8 @@ func (r *Router) flood(d *pendingDiscovery) {
 	r.table.seenFlood(req.Origin, req.FloodID, r.sched.Now()) // don't process our own flood
 	r.sendBare(wire.Broadcast, &req)
 	r.stats.RREQOriginated++
-	d.timer = r.sched.After(r.cfg.ReplyWait, func() {
-		if len(d.candidates) == 0 && d.attempts <= r.cfg.Retries {
+	d.timer = r.sched.After(replyWait, func() {
+		if len(d.candidates) == 0 && d.attempts <= retries {
 			r.flood(d)
 			return
 		}
@@ -347,7 +345,7 @@ func (r *Router) SendData(dest wire.NodeID, payload []byte) error {
 	}
 	r.dataSeq++
 	d := &wire.Data{Origin: r.link.NodeID(), Dest: dest, SeqNo: r.dataSeq, Payload: payload}
-	r.table.touch(dest, r.sched.Now()+r.cfg.RouteLifetime)
+	r.table.touch(dest, r.sched.Now()+RouteLifetime)
 	if !r.sendBare(route.NextHop, d) {
 		r.linkBroken(route.NextHop)
 		return fmt.Errorf("%w: via %v", ErrLinkFailed, route.NextHop)
@@ -366,7 +364,7 @@ func (r *Router) SendProbe(dest wire.NodeID, sealed []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNoRoute, dest)
 	}
-	r.table.touch(dest, r.sched.Now()+r.cfg.RouteLifetime)
+	r.table.touch(dest, r.sched.Now()+RouteLifetime)
 	if !r.link.Send(route.NextHop, sealed) {
 		r.linkBroken(route.NextHop)
 		return fmt.Errorf("%w: via %v", ErrLinkFailed, route.NextHop)
@@ -512,7 +510,7 @@ func (r *Router) handleRREQ(p *wire.RREQ, from wire.NodeID) {
 		return
 	}
 	// Install/refresh the reverse route to the origin.
-	r.table.update(p.Origin, from, p.HopCount+1, p.OriginSeq, now, now+r.cfg.RouteLifetime)
+	r.table.update(p.Origin, from, p.HopCount+1, p.OriginSeq, now, now+RouteLifetime)
 
 	me := r.link.NodeID()
 	if p.Dest == me {
@@ -527,7 +525,7 @@ func (r *Router) handleRREQ(p *wire.RREQ, from wire.NodeID) {
 			Dest:          me,
 			DestSeq:       r.ownSeq,
 			HopCount:      0,
-			Lifetime:      r.cfg.RouteLifetime,
+			Lifetime:      RouteLifetime,
 			Issuer:        me,
 			IssuerCluster: r.clusterOf(),
 		}
@@ -563,7 +561,7 @@ func (r *Router) handleRREQ(p *wire.RREQ, from wire.NodeID) {
 	*fwd = *p
 	fwd.TTL--
 	fwd.HopCount++
-	r.sched.AfterFunc(r.rng.Jitter(r.cfg.ForwardJitter), r.fwdFn, fwd)
+	r.sched.AfterFunc(r.rng.Jitter(forwardJitter), r.fwdFn, fwd)
 }
 
 // getFwd takes a pooled RREQ record for a pending rebroadcast.
@@ -609,10 +607,10 @@ func (r *Router) handleRREP(p *wire.RREP, env *wire.Secure, f radio.Frame, raw [
 	// the reply has travelled; with unmutated signed replies we approximate
 	// the travelled distance as zero for intermediates (the issuer's claim
 	// dominates route choice, which is what the attack exploits).
-	r.table.update(p.Dest, f.From, p.HopCount+1, p.DestSeq, now, now+r.cfg.RouteLifetime)
+	r.table.update(p.Dest, f.From, p.HopCount+1, p.DestSeq, now, now+RouteLifetime)
 	if p.Issuer != p.Dest {
 		// Remember the issuer as the gateway for this route.
-		r.table.update(p.Issuer, f.From, 1, 0, now, now+r.cfg.RouteLifetime)
+		r.table.update(p.Issuer, f.From, 1, 0, now, now+RouteLifetime)
 	}
 
 	if p.Origin == r.link.NodeID() {
@@ -665,7 +663,7 @@ func (r *Router) handleHello(p *wire.Hello, env *wire.Secure, f radio.Frame) {
 	now := r.sched.Now()
 	// Gratuitous route learning: a routed probe teaches every hop the way
 	// back to its origin, so the reply can travel the reverse path.
-	r.table.update(p.Origin, f.From, p.Hops+1, 0, now, now+r.cfg.RouteLifetime)
+	r.table.update(p.Origin, f.From, p.Hops+1, 0, now, now+RouteLifetime)
 
 	if p.Dest == r.link.NodeID() {
 		if r.cb.HelloProbe != nil {
@@ -713,7 +711,7 @@ func (r *Router) handleData(p *wire.Data, f radio.Frame) {
 		r.stats.RERRSent++
 		return
 	}
-	r.table.touch(p.Dest, now+r.cfg.RouteLifetime)
+	r.table.touch(p.Dest, now+RouteLifetime)
 	if !r.link.Send(route.NextHop, f.Payload) {
 		r.stats.DataDropped++
 		r.linkBroken(route.NextHop)

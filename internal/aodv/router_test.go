@@ -22,7 +22,7 @@ type testNet struct {
 
 // newTestNet places len(xs) routers with NodeIDs 1..n at the given X
 // coordinates on a 10 km highway with the paper's 1000 m range.
-func newTestNet(t testing.TB, cfg Config, xs ...float64) *testNet {
+func newTestNet(t testing.TB, xs ...float64) *testNet {
 	t.Helper()
 	h, err := mobility.NewHighway(10_000, 200, 1000)
 	if err != nil {
@@ -42,7 +42,7 @@ func newTestNet(t testing.TB, cfg Config, xs ...float64) *testNet {
 		loc := mobility.Static{Pos: mobility.Position{X: x, Y: 100}, H: h}
 		var router *Router
 		ifc := net.medium.Attach(id, loc, func(f radio.Frame) { router.HandleFrame(f) })
-		router = New(cfg, sched, rng.Split(id.String()), ifc, nil, Callbacks{})
+		router = New(sched, rng.Split(id.String()), ifc, nil, Callbacks{})
 		router.Start()
 		net.routers[id] = router
 		net.ifcs[id] = ifc
@@ -70,7 +70,7 @@ func (n *testNet) discover(src, dst wire.NodeID, opts ...DiscoverOption) Discove
 
 func TestDiscoveryOverMultipleHops(t *testing.T) {
 	// 1 - 2 - 3 - 4, adjacent spacing 900m, range 1000m.
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	res := net.discover(1, 4)
 	if res.Best == nil {
 		t.Fatal("no route found over 3 hops")
@@ -92,19 +92,19 @@ func TestDiscoveryOverMultipleHops(t *testing.T) {
 
 func TestDiscoveryUnreachableRetriesThenFails(t *testing.T) {
 	// Node 3 is beyond every radio horizon from 1 and 2.
-	net := newTestNet(t, Config{}, 0, 900, 5000)
+	net := newTestNet(t, 0, 900, 5000)
 	res := net.discover(1, 3)
 	if res.Best != nil {
 		t.Fatalf("found a route to an unreachable node: %+v", res.Best)
 	}
-	wantAttempts := DefaultConfig().Retries + 1
+	wantAttempts := retries + 1
 	if res.Attempts != wantAttempts {
 		t.Errorf("attempts = %d, want %d", res.Attempts, wantAttempts)
 	}
 }
 
 func TestDataDeliveryEndToEnd(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	var delivered []*wire.Data
 	net.router(4).cb.DataReceived = func(d *wire.Data, from wire.NodeID) {
 		delivered = append(delivered, d)
@@ -126,14 +126,14 @@ func TestDataDeliveryEndToEnd(t *testing.T) {
 }
 
 func TestSendDataWithoutRoute(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	if err := net.router(1).SendData(2, []byte("x")); err == nil {
 		t.Error("SendData without a route succeeded")
 	}
 }
 
 func TestIntermediateReplyFromCachedRoute(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	// Prime node 2 with a route to 4 (via a first discovery from 2).
 	net.discover(2, 4)
 	seqAt2, _ := net.router(2).RouteTo(4)
@@ -157,7 +157,7 @@ func TestIntermediateReplyFromCachedRoute(t *testing.T) {
 }
 
 func TestMinDestSeqSuppressesStaleIntermediateReply(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	net.discover(2, 4)
 	route, _ := net.router(2).RouteTo(4)
 	// Demand freshness beyond node 2's cache: only the destination itself
@@ -177,7 +177,7 @@ func TestMinDestSeqSuppressesStaleIntermediateReply(t *testing.T) {
 }
 
 func TestNextHopInquiry(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	net.discover(2, 4)
 	res := net.discover(1, 4, WithNextHopInquiry())
 	var answered bool
@@ -196,7 +196,7 @@ func TestNextHopInquiry(t *testing.T) {
 
 func TestDuplicateFloodSuppression(t *testing.T) {
 	// Dense cluster: everyone hears everyone.
-	net := newTestNet(t, Config{}, 0, 100, 200, 300, 400)
+	net := newTestNet(t, 0, 100, 200, 300, 400)
 	net.discover(1, 5)
 	for id := wire.NodeID(2); id <= 4; id++ {
 		if f := net.router(id).Stats().RREQForwarded; f > 1 {
@@ -206,7 +206,7 @@ func TestDuplicateFloodSuppression(t *testing.T) {
 }
 
 func TestTTLBoundsFlood(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	res := net.discover(1, 4, WithTTL(2))
 	// TTL 2: RREQ reaches node 2 (TTL 2), rebroadcast reaches 3 with TTL 1,
 	// which must not rebroadcast; node 4 never hears it.
@@ -216,7 +216,7 @@ func TestTTLBoundsFlood(t *testing.T) {
 }
 
 func TestHelloProbeEndToEnd(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	net.discover(1, 4)
 
 	var probed *wire.Hello
@@ -253,7 +253,7 @@ func TestHelloProbeEndToEnd(t *testing.T) {
 }
 
 func TestNeighborTimeoutBreaksRoutesAndSendsRERR(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	net.discover(1, 4)
 	if _, ok := net.router(1).RouteTo(4); !ok {
 		t.Fatal("no route installed")
@@ -263,7 +263,7 @@ func TestNeighborTimeoutBreaksRoutesAndSendsRERR(t *testing.T) {
 
 	// Node 2 goes dark: its neighbours stop hearing beacons.
 	net.ifcs[2].SetSilenced(true)
-	net.sched.RunFor(DefaultConfig().NeighborTimeout + 2*time.Second)
+	net.sched.RunFor(neighborTimeout + 2*time.Second)
 
 	if _, ok := net.router(1).RouteTo(4); ok {
 		t.Error("route via the dead neighbour still valid")
@@ -283,20 +283,19 @@ func TestNeighborTimeoutBreaksRoutesAndSendsRERR(t *testing.T) {
 }
 
 func TestRERRPropagates(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	net.discover(1, 4)
 	// All of 1,2,3 should now have routes toward 4. Kill node 3; node 2
 	// times it out and RERRs; node 1 must invalidate too.
 	net.ifcs[3].SetSilenced(true)
-	net.sched.RunFor(DefaultConfig().NeighborTimeout + 3*time.Second)
+	net.sched.RunFor(neighborTimeout + 3*time.Second)
 	if _, ok := net.router(1).RouteTo(4); ok {
 		t.Error("node 1 still has a route to 4 after upstream break")
 	}
 }
 
 func TestDataToBrokenRouteEmitsRERR(t *testing.T) {
-	cfg := Config{NeighborTimeout: time.Hour} // keep neighbours alive; break routes another way
-	net := newTestNet(t, cfg, 0, 900, 1800, 2700)
+	net := newTestNet(t, 0, 900, 1800, 2700)
 	net.discover(1, 4)
 	// Invalidate node 2's route to 4 directly (as if it expired).
 	net.router(2).table.invalidate(4)
@@ -314,7 +313,7 @@ func TestDataToBrokenRouteEmitsRERR(t *testing.T) {
 }
 
 func TestHelloBeaconsMaintainNeighbors(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	net.sched.RunFor(5 * time.Second)
 	n1 := net.router(1).Neighbors()
 	if len(n1) != 1 || n1[0] != 2 {
@@ -326,7 +325,7 @@ func TestHelloBeaconsMaintainNeighbors(t *testing.T) {
 }
 
 func TestSequenceNumberMonotonic(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	before := net.router(1).SeqNum()
 	net.discover(1, 2)
 	after := net.router(1).SeqNum()
@@ -336,7 +335,7 @@ func TestSequenceNumberMonotonic(t *testing.T) {
 }
 
 func TestDestinationHonoursDemandedFreshness(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	res := net.discover(1, 2, WithMinDestSeq(500))
 	if res.Best == nil {
 		t.Fatal("no reply")
@@ -347,7 +346,7 @@ func TestDestinationHonoursDemandedFreshness(t *testing.T) {
 }
 
 func TestDiscoverValidation(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	r := net.router(1)
 	if err := r.Discover(1, func(DiscoverResult) {}); err == nil {
 		t.Error("self-discovery accepted")
@@ -361,7 +360,7 @@ func TestDiscoverValidation(t *testing.T) {
 }
 
 func TestStoppedRouterRefusesWork(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	r := net.router(1)
 	r.Stop()
 	if err := r.Discover(2, func(DiscoverResult) {}); err != ErrStopped {
@@ -375,7 +374,7 @@ func TestStoppedRouterRefusesWork(t *testing.T) {
 }
 
 func TestCorruptFramesIgnored(t *testing.T) {
-	net := newTestNet(t, Config{}, 0, 900)
+	net := newTestNet(t, 0, 900)
 	r := net.router(1)
 	r.HandleFrame(radio.Frame{From: 2, Payload: nil})
 	r.HandleFrame(radio.Frame{From: 2, Payload: []byte{0xff, 1, 2}})

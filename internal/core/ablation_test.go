@@ -21,9 +21,8 @@ func TestProbeBeforeReportAvoidsWastedExaminations(t *testing.T) {
 	// reported, examined and cleared — correct but wasteful.
 	build := func(seed int64, skipProbe bool) (*world, *VehicleAgent, *VehicleAgent, *VehicleAgent) {
 		w := newWorld(t, seed)
-		cfg := VehicleConfig{ReportWithoutProbe: skipProbe}
-		cfg.Router.TTL = 2 // the source's flood cannot reach the destination
-		src := w.addVehicle(300, 14, mobility.Eastbound, cfg)
+		src := w.addVehicle(300, 14, mobility.Eastbound, VehicleConfig{ReportWithoutProbe: skipProbe})
+		src.floodTTL = 2 // the source's flood cannot reach the destination
 		mid := w.addVehicle(1200, 14, mobility.Eastbound, VehicleConfig{})
 		w.addVehicle(1900, 14, mobility.Eastbound, VehicleConfig{})
 		dest := w.addVehicle(2500, 14, mobility.Eastbound, VehicleConfig{})

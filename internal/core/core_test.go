@@ -48,7 +48,7 @@ func newWorldWithHeads(t *testing.T, seed int64, headCfg HeadConfig) *world {
 		Highway:  highway,
 		Medium:   radio.NewMedium(sched, rng.Split("radio")),
 		Backbone: radio.NewBackbone(sched, time.Millisecond),
-		Tracer:   trace.NewRecorder(0),
+		Tracer:   trace.NewRecorder(),
 		Tally:    NewTally(),
 	}
 	w := &world{t: t, env: env, sched: sched, highway: highway, heads: make(map[wire.ClusterID]*HeadAgent)}

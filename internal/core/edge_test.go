@@ -42,7 +42,7 @@ func TestAlreadyBlacklistedSuspectAnsweredImmediately(t *testing.T) {
 
 func TestUnknownSuspectUnreachable(t *testing.T) {
 	// A d_req naming a pseudonym registered nowhere ends as unreachable
-	// (bounded by MaxForwards), never as a conviction.
+	// (bounded by maxForwards), never as a conviction.
 	w := newWorld(t, 31)
 	reporter := w.addVehicle(300, 15, mobility.Eastbound, VehicleConfig{})
 	w.sched.RunFor(time.Second)

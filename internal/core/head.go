@@ -16,29 +16,32 @@ import (
 	"blackdp/internal/wire"
 )
 
-// HeadConfig tunes the cluster head's detection engine. Zero fields take
-// defaults.
-type HeadConfig struct {
-	// ProbeTimeout is how long the head waits for a suspect's reply to one
+// Head protocol timers and bounds. The paper gives none; they are this
+// reproduction's fixed choices.
+const (
+	// baitTimeout is how long the head waits for a suspect's reply to one
 	// bait probe.
-	ProbeTimeout time.Duration
-	// ProbeRetries is how many extra probes a silent suspect receives
+	baitTimeout = 800 * time.Millisecond
+	// baitRetries is how many extra probes a silent suspect receives
 	// before being declared legitimate.
-	ProbeRetries int
+	baitRetries = 1
+	// maxForwards bounds how many times a d_req may be handed between
+	// heads before the suspect is declared unreachable.
+	maxForwards = 3
+	// forwardRetries is how many times a failed backbone hand-off (crashed
+	// peer, severed link) is retried with capped exponential backoff before
+	// the suspect is declared unreachable.
+	forwardRetries = 5
+	// forwardTimeout is the initial backbone retry delay; each retry doubles
+	// it, capped at 4x.
+	forwardTimeout = time.Second
+)
+
+// HeadConfig tunes the cluster head's detection engine.
+type HeadConfig struct {
 	// StageDelay separates a received probe reply from the next probe,
 	// modelling the head's verification-table processing interval.
 	StageDelay time.Duration
-	// MaxForwards bounds how many times a d_req may be handed between
-	// heads before the suspect is declared unreachable.
-	MaxForwards uint8
-	// ForwardRetries is how many times a failed backbone hand-off (crashed
-	// peer, severed link) is retried with capped exponential backoff before
-	// the suspect is declared unreachable. 0 means the default (5);
-	// -1 disables retries — the ablation baseline, failing on first error.
-	ForwardRetries int
-	// ForwardTimeout is the initial backbone retry delay; each retry doubles
-	// it, capped at 4x.
-	ForwardTimeout time.Duration
 	// AuthProcessing is the simulated CPU time the head spends verifying
 	// one sealed packet from a vehicle (signature + certificate checks).
 	// Zero models a head with unbounded verification capacity; a positive
@@ -56,27 +59,6 @@ type HeadConfig struct {
 	// case — but the follow-up carries the next-hop inquiry, so
 	// cooperative accomplices are never exposed. Off by default.
 	SingleProbe bool
-	// Router configures the head's AODV participation.
-	Router aodv.Config
-}
-
-func (c HeadConfig) withDefaults() HeadConfig {
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 800 * time.Millisecond
-	}
-	if c.ProbeRetries == 0 {
-		c.ProbeRetries = 1
-	}
-	if c.MaxForwards == 0 {
-		c.MaxForwards = 3
-	}
-	if c.ForwardRetries == 0 {
-		c.ForwardRetries = 5
-	}
-	if c.ForwardTimeout == 0 {
-		c.ForwardTimeout = time.Second
-	}
-	return c
 }
 
 // HeadAgentStats counts detection-engine activity.
@@ -166,7 +148,7 @@ func NewHeadAgent(env Env, cfg HeadConfig, cred *pki.Credential, c wire.ClusterI
 	}
 	h := &HeadAgent{
 		env:             env,
-		cfg:             cfg.withDefaults(),
+		cfg:             cfg,
 		cred:            cred,
 		cluster:         c,
 		pos:             env.Highway.ClusterCenter(int(c)),
@@ -178,7 +160,7 @@ func NewHeadAgent(env Env, cfg HeadConfig, cred *pki.Credential, c wire.ClusterI
 	h.verifiers = make([]time.Duration, 1+h.cfg.FogNodes)
 	loc := mobility.Static{Pos: h.pos, H: env.Highway}
 	h.ifc = env.AttachRadio(cred.NodeID(), loc, h.handleFrame)
-	h.router = aodv.New(h.cfg.Router, env.Sched, env.RNG.Split(fmt.Sprintf("head-router-%d", c)), h.ifc,
+	h.router = aodv.New(env.Sched, env.RNG.Split(fmt.Sprintf("head-router-%d", c)), h.ifc,
 		h.sealPacket, aodv.Callbacks{
 			Cluster: func() wire.ClusterID { return h.cluster },
 			AcceptReply: func(rep *wire.RREP, from wire.NodeID) bool {
@@ -508,7 +490,7 @@ func (h *HeadAgent) admitDetectReq(p *wire.DetectReq) {
 // routeCaseElsewhere forwards a d_req toward the suspect's cluster, or
 // declares the suspect unreachable.
 func (h *HeadAgent) routeCaseElsewhere(c *detectionCase, p *wire.DetectReq) {
-	if c.forwards >= h.cfg.MaxForwards {
+	if c.forwards >= maxForwards {
 		h.respond(c, wire.VerdictUnreachable)
 		return
 	}
@@ -560,13 +542,13 @@ func (h *HeadAgent) forwardCase(c *detectionCase, suspect, target wire.NodeID, b
 		h.env.record(trace.Event{Kind: trace.DReqForwarded, Node: h.NodeID(), Suspect: suspect, Peer: target})
 		return
 	}
-	if h.cfg.ForwardRetries < 0 || attempt >= h.cfg.ForwardRetries {
+	if attempt >= forwardRetries {
 		h.stats.Unreachable++
 		h.respond(c, wire.VerdictUnreachable)
 		return
 	}
-	backoff := h.cfg.ForwardTimeout << uint(attempt)
-	if cap := 4 * h.cfg.ForwardTimeout; backoff > cap {
+	backoff := forwardTimeout << uint(attempt)
+	if cap := 4 * forwardTimeout; backoff > cap {
 		backoff = cap
 	}
 	h.env.record(trace.Event{Kind: trace.HandoffRetry, Node: h.NodeID(), Suspect: suspect, Peer: target, Count: uint64(attempt + 1), Delay: backoff})
@@ -625,8 +607,8 @@ func (h *HeadAgent) sendProbe(c *detectionCase, demandSeq wire.SeqNum, wantNext 
 	h.env.record(trace.Event{Kind: trace.BaitRREQ1 + trace.Kind(c.stage-1), Node: h.NodeID(), Suspect: c.suspect, Peer: target, Dest: c.fakeDest, Seq: demandSeq})
 	// Retried probes back off exponentially (capped at 4x) so a lossy channel
 	// gets progressively longer reply windows.
-	timeout := h.cfg.ProbeTimeout << uint(c.retries)
-	if cap := 4 * h.cfg.ProbeTimeout; timeout > cap {
+	timeout := baitTimeout << uint(c.retries)
+	if cap := 4 * baitTimeout; timeout > cap {
 		timeout = cap
 	}
 	c.timer.Stop()
@@ -778,7 +760,7 @@ func (h *HeadAgent) probeTimeout(c *detectionCase) {
 		if !h.ensureStillMember(c) {
 			return
 		}
-		if c.retries < h.cfg.ProbeRetries {
+		if c.retries < baitRetries {
 			c.retries++
 			h.sendProbe(c, 0, false)
 			return

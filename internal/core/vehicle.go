@@ -16,28 +16,34 @@ import (
 	"blackdp/internal/wire"
 )
 
+// Vehicle protocol timers. The paper gives none; they are this
+// reproduction's fixed choices.
+const (
+	// routeProbeTimeout is how long the vehicle waits for the destination's
+	// answer to a route-verification Hello before suspecting the issuer.
+	routeProbeTimeout = 1500 * time.Millisecond
+	// detectTimeout is how long the vehicle waits for its cluster head's
+	// verdict after filing a d_req.
+	detectTimeout = 10 * time.Second
+	// DReqTimeout is the initial retransmission timeout for an unanswered
+	// d_req; each retry doubles it, capped at 4x. It must exceed the head's
+	// worst-case fault-free verdict latency or healthy runs retransmit
+	// spuriously: a cooperative case whose suspect moved to a remote
+	// cluster takes ~5 s (two hand-offs, three probe stages).
+	DReqTimeout = 8 * time.Second
+)
+
 // VehicleConfig tunes a vehicle's BlackDP layer. Zero fields take defaults.
 type VehicleConfig struct {
 	// Verify enables BlackDP verification; false runs plain AODV (the
 	// undefended baseline).
 	Verify bool
-	// ProbeTimeout is how long the vehicle waits for the destination's
-	// answer to a route-verification Hello before suspecting the issuer.
-	ProbeTimeout time.Duration
-	// DetectTimeout is how long the vehicle waits for its cluster head's
-	// verdict after filing a d_req.
-	DetectTimeout time.Duration
 	// DReqRetries is how many times an unanswered d_req is retransmitted
 	// (same nonce, exponential backoff) before the vehicle gives up on its
 	// head and fails over to an adjacent one. 0 means the default (1);
 	// -1 disables both retransmission and failover — the ablation baseline,
 	// matching the paper's fire-and-forget report.
 	DReqRetries int
-	// DReqTimeout is the initial retransmission timeout for an unanswered
-	// d_req; each retry doubles it, capped at 4x. It must exceed the head's
-	// worst-case fault-free verdict latency or healthy runs retransmit
-	// spuriously.
-	DReqTimeout time.Duration
 	// ReportWithoutProbe is the DESIGN.md ablation of the paper's
 	// verification step: report any intermediate route issuer immediately,
 	// without the end-to-end Hello probe and the second discovery round.
@@ -45,25 +51,11 @@ type VehicleConfig struct {
 	// cluster head still clears them (no false positives), but every such
 	// report burns a full examination. Off by default.
 	ReportWithoutProbe bool
-	// Router configures the AODV instance.
-	Router aodv.Config
 }
 
 func (c VehicleConfig) withDefaults() VehicleConfig {
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 1500 * time.Millisecond
-	}
-	if c.DetectTimeout == 0 {
-		c.DetectTimeout = 10 * time.Second
-	}
 	if c.DReqRetries == 0 {
 		c.DReqRetries = 1
-	}
-	if c.DReqTimeout == 0 {
-		// Above the ~5s worst-case fault-free verdict latency (a cooperative
-		// case whose suspect moved to a remote cluster: two hand-offs, three
-		// probe stages), so healthy runs never retransmit.
-		c.DReqTimeout = 8 * time.Second
 	}
 	return c
 }
@@ -192,6 +184,10 @@ type VehicleAgent struct {
 	pendingRenew  *ecdsa.PrivateKey             // key waiting for its certificate
 	onRenewed     func(old, new wire.NodeID)
 	stats         VehicleStats
+
+	// floodTTL, when non-zero, bounds this vehicle's route discoveries;
+	// only this package's tests set it.
+	floodTTL uint8
 }
 
 // NewVehicleAgent creates a vehicle with the given credential and
@@ -211,7 +207,7 @@ func NewVehicleAgent(env Env, cfg VehicleConfig, cred *pki.Credential, mobile *m
 		reports:       make(map[wire.NodeID]*verification),
 	}
 	v.ifc = env.AttachRadio(cred.NodeID(), mobile, v.HandleFrame)
-	v.router = aodv.New(v.cfg.Router, env.Sched, env.RNG.Split("router-"+cred.NodeID().String()), v.ifc,
+	v.router = aodv.New(env.Sched, env.RNG.Split("router-"+cred.NodeID().String()), v.ifc,
 		v.sealPacket, aodv.Callbacks{
 			HelloProbe: v.handleProbe,
 			Cluster:    func() wire.ClusterID { return v.client.Cluster() },
@@ -364,6 +360,9 @@ func (v *VehicleAgent) discoverRound(ver *verification) error {
 	if ver.minSeq > 0 {
 		opts = append(opts, aodv.WithMinDestSeq(ver.minSeq))
 	}
+	if v.floodTTL > 0 {
+		opts = append(opts, aodv.WithTTL(v.floodTTL))
+	}
 	return v.router.Discover(ver.dest, func(res aodv.DiscoverResult) { v.evaluate(ver, res) }, opts...)
 }
 
@@ -492,7 +491,7 @@ func (v *VehicleAgent) sendVerificationProbe(ver *verification) {
 	v.stats.ProbesSent++
 	v.env.record(trace.Event{Kind: trace.RouteProbe, Node: v.NodeID(), Dest: ver.dest, Peer: ver.suspect.RREP.Issuer, Count: ver.nonce})
 	ver.timer.Stop()
-	ver.timer = v.env.Sched.After(v.cfg.ProbeTimeout, func() { v.probeTimedOut(ver) })
+	ver.timer = v.env.Sched.After(routeProbeTimeout, func() { v.probeTimedOut(ver) })
 }
 
 // probeTimedOut: no destination answer; redo discovery demanding a fresher
@@ -587,11 +586,11 @@ func (v *VehicleAgent) fileReport(ver *verification, suspect *aodv.Candidate) {
 	ver.dreq = dr
 	v.reports[dr.Suspect] = ver
 	v.sendDReq(ver)
-	window := v.cfg.DetectTimeout
+	window := detectTimeout
 	if v.cfg.DReqRetries >= 0 {
 		// The retry ladder (timeout, 2x, capped) must fit inside the verdict
 		// window or retransmission and failover could never trigger.
-		window = 4 * v.cfg.DetectTimeout
+		window = 4 * detectTimeout
 	}
 	ver.timer = v.env.Sched.After(window, func() { v.reportTimedOut(ver) })
 }
@@ -623,8 +622,8 @@ func (v *VehicleAgent) sendDReq(ver *verification) {
 	if v.cfg.DReqRetries < 0 {
 		return // ablation: fire and forget, as in the base paper
 	}
-	backoff := v.cfg.DReqTimeout << uint(ver.attempts-1)
-	if cap := 4 * v.cfg.DReqTimeout; backoff > cap {
+	backoff := DReqTimeout << uint(ver.attempts-1)
+	if cap := 4 * DReqTimeout; backoff > cap {
 		backoff = cap
 	}
 	ver.retryTimer.Stop()
@@ -653,7 +652,7 @@ func (v *VehicleAgent) dreqTimedOut(ver *verification) {
 	// Reaching an adjacent head's radio range can take tens of seconds of
 	// driving; stretch the verdict deadline to give the failover a chance.
 	ver.timer.Stop()
-	ver.timer = v.env.Sched.After(3*v.cfg.DetectTimeout, func() { v.reportTimedOut(ver) })
+	ver.timer = v.env.Sched.After(3*detectTimeout, func() { v.reportTimedOut(ver) })
 	v.client.Rejoin()
 }
 
@@ -673,7 +672,7 @@ func (v *VehicleAgent) refileReports() {
 		ver.attempts = 0 // fresh retry budget at the new head
 		v.sendDReq(ver)
 		ver.timer.Stop()
-		ver.timer = v.env.Sched.After(2*v.cfg.DetectTimeout, func() { v.reportTimedOut(ver) })
+		ver.timer = v.env.Sched.After(2*detectTimeout, func() { v.reportTimedOut(ver) })
 	}
 }
 

@@ -67,13 +67,9 @@ type Options struct {
 	// and errors can name it. It must be safe for concurrent use (a pure
 	// function of rep is ideal).
 	SeedOf func(rep int) int64
-	// Progress, when non-nil, is called after each replication completes
-	// with the number done so far and the total. Calls are serialised but,
-	// with more than one worker, not in replication order.
-	Progress func(done, total int)
 	// OnRep, when non-nil, is called after each replication completes with
-	// its index and error (nil on success), immediately before Progress.
-	// Calls are serialised under the same lock as Progress, so streaming
+	// its index and error (nil on success). Calls are serialised but, with
+	// more than one worker, not in replication order, so streaming
 	// consumers (e.g. NDJSON progress writers) need no synchronisation of
 	// their own; a blocking OnRep stalls the whole pool, so buffer if the
 	// sink is slow.
@@ -137,9 +133,6 @@ func MapScratch[S, T any](ctx context.Context, reps int, opt Options, newScratch
 				return nil, err
 			}
 			results[rep] = out
-			if opt.Progress != nil {
-				opt.Progress(rep+1, reps)
-			}
 		}
 		return results, nil
 	}
@@ -147,7 +140,6 @@ func MapScratch[S, T any](ctx context.Context, reps int, opt Options, newScratch
 	var (
 		mu       sync.Mutex
 		next     int
-		done     int
 		firstRep = reps // lowest failing replication index seen
 		firstErr error
 		wg       sync.WaitGroup
@@ -168,7 +160,7 @@ func MapScratch[S, T any](ctx context.Context, reps int, opt Options, newScratch
 				out, err := runRep(ctx, rep, opt, scratch, fn)
 				mu.Lock()
 				if opt.OnRep != nil {
-					opt.OnRep(rep, err) // under mu: serialised with Progress
+					opt.OnRep(rep, err) // under mu: calls are serialised
 				}
 				if err != nil {
 					// Keep the lowest-indexed failure so the reported
@@ -180,10 +172,6 @@ func MapScratch[S, T any](ctx context.Context, reps int, opt Options, newScratch
 					}
 				} else {
 					results[rep] = out
-				}
-				done++
-				if opt.Progress != nil {
-					opt.Progress(done, reps) // under mu: calls are serialised
 				}
 				mu.Unlock()
 			}

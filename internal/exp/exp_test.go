@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestMapReturnsResultsInReplicationOrder(t *testing.T) {
@@ -166,32 +165,6 @@ func TestMapCancellation(t *testing.T) {
 	defer mu.Unlock()
 	if started == 1000 {
 		t.Error("cancellation did not stop the sweep early")
-	}
-}
-
-func TestMapProgress(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		var dones []int
-		_, err := Map(context.Background(), 20, Options{
-			Workers:  workers,
-			Progress: func(done, total int) { mu.Lock(); dones = append(dones, done); mu.Unlock() },
-		}, func(_ context.Context, rep int) (int, error) {
-			time.Sleep(time.Millisecond)
-			return rep, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dones) != 20 {
-			t.Fatalf("workers=%d: %d progress calls, want 20", workers, len(dones))
-		}
-		sort.Ints(dones)
-		for i, d := range dones {
-			if d != i+1 {
-				t.Fatalf("workers=%d: progress counts %v, want each of 1..20 exactly once", workers, dones)
-			}
-		}
 	}
 }
 

@@ -70,46 +70,35 @@ type VerifierStats struct {
 	EnvelopeMisses uint64
 }
 
-// VerifierOptions tune a Verifier. The zero value means the defaults:
-// caching on, 256 certificates, 512 envelopes.
+// VerifierOptions tune a Verifier. The zero value caches.
 type VerifierOptions struct {
-	// CertCapacity bounds the certificate cache; 0 means the default.
-	CertCapacity int
-	// EnvelopeCapacity bounds the envelope cache; 0 means the default.
-	EnvelopeCapacity int
 	// Disabled bypasses both caches: every Open performs the full
 	// verification, exactly like the package-level Open. This is the
 	// reference path for the differential suite, not a tuning knob.
 	Disabled bool
 }
 
-// Default cache bounds: sized for a node's radio neighbourhood (certificates
-// seen) and its recent traffic (envelopes), small enough that metro-scale
-// worlds with one Verifier per agent stay cheap.
+// Cache bounds: sized for a node's radio neighbourhood (certificates seen)
+// and its recent traffic (envelopes), small enough that metro-scale worlds
+// with one Verifier per agent stay cheap.
 const (
-	defaultCertCapacity     = 256
-	defaultEnvelopeCapacity = 512
+	certCapacity     = 256
+	envelopeCapacity = 512
 )
 
 // NewVerifier builds a verification front end over trust and scheme.
 func NewVerifier(trust *TrustStore, scheme Scheme, opt VerifierOptions) *Verifier {
-	if opt.CertCapacity <= 0 {
-		opt.CertCapacity = defaultCertCapacity
-	}
-	if opt.EnvelopeCapacity <= 0 {
-		opt.EnvelopeCapacity = defaultEnvelopeCapacity
-	}
 	v := &Verifier{
 		trust:  trust,
 		scheme: scheme,
 		h:      sha256.New(),
 	}
 	if !opt.Disabled {
-		v.certs = newLRU(opt.CertCapacity)
+		v.certs = newLRU(certCapacity)
 		exp, ok := scheme.(interface{ ExpensiveVerify() bool })
 		v.cacheEnvelopes = ok && exp.ExpensiveVerify()
 		if v.cacheEnvelopes {
-			v.envs = newLRU(opt.EnvelopeCapacity)
+			v.envs = newLRU(envelopeCapacity)
 		}
 	}
 	return v

@@ -203,7 +203,8 @@ func TestVerifierNoLaundering(t *testing.T) {
 func TestVerifierEvictionBounded(t *testing.T) {
 	scheme := ECDSA{}
 	f := newVerifierFixture(t, scheme, 5)
-	v := NewVerifier(f.trust, scheme, VerifierOptions{CertCapacity: 2, EnvelopeCapacity: 3})
+	v := NewVerifier(f.trust, scheme, VerifierOptions{})
+	v.certs, v.envs = newLRU(2), newLRU(3)
 
 	var secs []*wire.Secure
 	for i, cred := range f.creds {

@@ -65,21 +65,10 @@ func WithRange(metres float64) Option {
 	return func(m *Medium) { m.txRange = metres }
 }
 
-// WithBitrate sets the channel bitrate in bits/second (default 6 Mb/s, the
-// DSRC default data rate).
-func WithBitrate(bps float64) Option {
-	return func(m *Medium) { m.bitrate = bps }
-}
-
 // WithLossRate sets the independent per-receiver frame-loss probability
 // (default 0).
 func WithLossRate(p float64) Option {
 	return func(m *Medium) { m.lossRate = p }
-}
-
-// WithJitter sets the maximum per-receiver MAC jitter (default 2 ms).
-func WithJitter(max time.Duration) Option {
-	return func(m *Medium) { m.jitterMax = max }
 }
 
 // WithBurstLoss replaces the uniform loss process with a two-state
@@ -140,9 +129,7 @@ func (b *burstState) clone() *burstState {
 // Medium is the shared wireless channel.
 type Medium struct {
 	txRange     float64
-	bitrate     float64
 	lossRate    float64
-	jitterMax   time.Duration
 	burst       *burstState
 	dupProb     float64
 	reorderProb float64
@@ -202,8 +189,16 @@ type transmission struct {
 	dev   *Interface // receiver of a cross-shard copy; nil for a fan-out
 }
 
-// propagationSpeed is the signal speed in m/s.
-const propagationSpeed = 299_792_458.0
+// Channel constants.
+const (
+	// propagationSpeed is the signal speed in m/s.
+	propagationSpeed = 299_792_458.0
+	// bitrate is the channel bitrate in bits/second, the DSRC default data
+	// rate.
+	bitrate = 6_000_000
+	// jitterMax is the maximum per-receiver MAC jitter.
+	jitterMax = 2 * time.Millisecond
+)
 
 // NewMedium creates a wireless medium driven by sched, drawing loss and
 // jitter decisions from rng.
@@ -211,11 +206,7 @@ func NewMedium(sched *sim.Scheduler, rng *sim.RNG, opts ...Option) *Medium {
 	if sched == nil || rng == nil {
 		panic("radio: NewMedium requires a scheduler and RNG")
 	}
-	m := &Medium{
-		txRange:   1000,
-		bitrate:   6_000_000,
-		jitterMax: 2 * time.Millisecond,
-	}
+	m := &Medium{txRange: 1000}
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -422,7 +413,7 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 	c.stats.sent.count(payload, len(payload))
 	from := i.id
 	src := i.loc.PositionAt(now)
-	txDelay := time.Duration(float64(len(payload)*8) / m.bitrate * float64(time.Second))
+	txDelay := time.Duration(float64(len(payload)*8) / bitrate * float64(time.Second))
 	acked := to == wire.Broadcast
 	frame := Frame{From: from, To: to, Payload: payload}
 	switch {
@@ -500,7 +491,7 @@ func (m *Medium) offerCopy(c *Shard, dev *Interface, frame Frame, txDelay time.D
 		return false
 	}
 	prop := time.Duration(dist / propagationSpeed * float64(time.Second))
-	delay := txDelay + prop + c.rng.Jitter(m.jitterMax)
+	delay := txDelay + prop + c.rng.Jitter(jitterMax)
 	if m.reorderProb > 0 && c.rng.Bool(m.reorderProb) {
 		delay += c.rng.Jitter(m.reorderMax)
 	}

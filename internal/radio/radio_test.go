@@ -216,7 +216,7 @@ func TestDetachedAndSilencedDevices(t *testing.T) {
 func TestReceiverGoneAtDeliveryTimeLosesFrame(t *testing.T) {
 	h := testHighway(t)
 	s := sim.NewScheduler()
-	m := NewMedium(s, sim.NewRNG(1), WithJitter(5*time.Millisecond))
+	m := NewMedium(s, sim.NewRNG(1))
 	var rx recorder
 	tx := m.Attach(1, fixed(h, 0, 100), func(Frame) {})
 	ifc := m.Attach(2, fixed(h, 100, 100), rx.recv)

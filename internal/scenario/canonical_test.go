@@ -49,6 +49,26 @@ func TestFingerprintAppliesDefaults(t *testing.T) {
 	}
 }
 
+// Nested defaults follow the same rule: an omitted Vehicle.DReqRetries and
+// its spelled-out default 1 share a key; the -1 ablation does not.
+func TestFingerprintNestedDefaults(t *testing.T) {
+	fp := func(retries int) string {
+		cfg := DefaultConfig()
+		cfg.Vehicle.DReqRetries = retries
+		f, err := Fingerprint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	if fp(0) != fp(1) {
+		t.Error("DReqRetries 0 and its default 1 fingerprint differently")
+	}
+	if fp(-1) == fp(1) {
+		t.Error("the DReqRetries -1 ablation shares the default's fingerprint")
+	}
+}
+
 // EvasiveClusters is a set: order and duplicates must not affect the key.
 func TestFingerprintEvasiveClustersAreASet(t *testing.T) {
 	a := DefaultConfig()

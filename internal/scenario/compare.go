@@ -87,10 +87,9 @@ func CompareDetectors(ctx context.Context, cfg Config, reps int, opt SweepOption
 	cfg = cfg.withDefaults()
 	seedOf := func(rep int) int64 { return cfg.Seed + int64(rep)*104729 }
 	evidence, err := exp.MapScratch(ctx, reps, exp.Options{
-		Workers:  opt.Workers,
-		SeedOf:   seedOf,
-		Progress: opt.Progress,
-		OnRep:    opt.OnRep,
+		Workers: opt.Workers,
+		SeedOf:  seedOf,
+		OnRep:   opt.OnRep,
 	}, opt.workerPool, func(ctx context.Context, rep int, pool *sim.EventPool) (compareEvidence, error) {
 		runCfg := cfg
 		runCfg.Seed = seedOf(rep)

@@ -159,7 +159,7 @@ func DefaultConfig() Config {
 		Authorities:     2,
 		CertValidity:    time.Hour,
 		BackboneLatency: time.Millisecond,
-		Vehicle:         core.VehicleConfig{Verify: true},
+		Vehicle:         core.VehicleConfig{Verify: true, DReqRetries: 1},
 		CryptoScheme:    SchemeECDSA,
 		Attack:          SingleBlackHole,
 		ActLegitProb:    0.15,
@@ -226,6 +226,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = def.MaxSimTime
 	}
+	if c.Vehicle.DReqRetries == 0 {
+		c.Vehicle.DReqRetries = def.Vehicle.DReqRetries
+	}
 	return c
 }
 
@@ -271,10 +274,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: %d authorities for %d clusters", c.Authorities, clusters)
 	case c.AttackerCluster < 0 || c.AttackerCluster > clusters:
 		return fmt.Errorf("scenario: attacker cluster %d out of range [0, %d]", c.AttackerCluster, clusters)
+	case c.BackboneLatency < 0:
+		return fmt.Errorf("scenario: backbone latency %v negative", c.BackboneLatency)
 	case c.LossRate < 0 || c.LossRate >= 1:
 		return fmt.Errorf("scenario: loss rate %v out of [0, 1)", c.LossRate)
 	case c.ExtraAttackers < 0 || c.ExtraAttackers > c.Vehicles/4:
 		return fmt.Errorf("scenario: %d extra attackers for %d vehicles", c.ExtraAttackers, c.Vehicles)
+	case c.Vehicle.DReqRetries < -1:
+		return fmt.Errorf("scenario: Vehicle.DReqRetries %d below -1 (no retransmission)", c.Vehicle.DReqRetries)
+	case c.Head.StageDelay < 0:
+		return fmt.Errorf("scenario: Head.StageDelay %v negative", c.Head.StageDelay)
+	case c.Head.AuthProcessing < 0:
+		return fmt.Errorf("scenario: Head.AuthProcessing %v negative", c.Head.AuthProcessing)
+	case c.Head.FogNodes < 0 || c.Head.FogNodes > 64:
+		return fmt.Errorf("scenario: Head.FogNodes %d out of range [0, 64]", c.Head.FogNodes)
 	}
 	switch c.CryptoScheme {
 	case SchemeECDSA, SchemeSession, SchemePlaceholder:

@@ -110,6 +110,18 @@ func TestDecodeConfigIsStrict(t *testing.T) {
 			t.Errorf("%s: err = %v, want an error naming the field", field, err)
 		}
 	}
+	// Protocol timers and cache sizes are constants now; a document that
+	// still sets one names the nested field it cannot place.
+	for field, doc := range map[string]string{
+		"Router":       `{"Vehicle":{"Router":{"TTL":2}}}`,
+		"ProbeTimeout": `{"Head":{"ProbeTimeout":1}}`,
+		"DReqTimeout":  `{"Vehicle":{"Verify":true,"DReqTimeout":8000000000}}`,
+	} {
+		_, err := DecodeConfig([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: err = %v, want an error naming %s", doc, err, field)
+		}
+	}
 	for _, doc := range []string{`{"Seed":3} {"Seed":4}`, `{"Seed":3}}`, `{"Seed":3} x`} {
 		if _, err := DecodeConfig([]byte(doc)); err == nil {
 			t.Errorf("%s: trailing data accepted", doc)
@@ -134,6 +146,13 @@ func FuzzDecodeConfig(f *testing.F) {
 		`{"Fault":{"HeadCrashes":[{"Cluster":4,"At":2000000000}],"Burst":{"LossBad":0.3,"GoodToBad":0.1,"BadToGood":0.2}}}`,
 		`{"Seed":3,"RealCrypto":false}`,
 		`{"LinearScan":true,"NoVerifyCache":true}`,
+		`{"Vehicle":{"Router":{"TTL":2}}}`,
+		`{"Head":{"ProbeTimeout":1}}`,
+		`{"Vehicles":30,"Head":{"FogNodes":-5}}`,
+		`{"Head":{"AuthProcessing":-1,"StageDelay":-1}}`,
+		`{"Vehicle":{"Verify":true,"DReqRetries":-2}}`,
+		`{"Vehicle":{"DReqRetries":0},"Head":{"StageDelay":50000000,"FogNodes":4,"SingleProbe":true}}`,
+		`{"BackboneLatency":-1}`,
 		`{"CryptoScheme":"rot13"}`,
 		`{"Seed":1} {"Seed":2}`,
 		`{}`,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"blackdp/internal/core"
 	"blackdp/internal/fault"
 )
 
@@ -45,8 +46,9 @@ func TestHeadCrashFailoverStillDetects(t *testing.T) {
 		t.Error("no head admitted a failover join")
 	}
 	// The verdict can only arrive after the retry ladder ran its course
-	// (initial timeout + one backoff), so latency reflects the outage.
-	if o.DetectionLatency < 2*cfg.Vehicle.DReqTimeout {
+	// (the initial timeout, then one doubled backoff), so latency reflects
+	// the outage.
+	if o.DetectionLatency < 3*core.DReqTimeout {
 		t.Errorf("detection latency %v too low for a crashed-head run", o.DetectionLatency)
 	}
 	if err := w.CheckConservation(); err != nil {

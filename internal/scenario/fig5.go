@@ -249,10 +249,9 @@ func (w *fig5World) run() (Fig5Result, error) {
 func Fig5Series(ctx context.Context, seed int64, opt SweepOptions) ([]Fig5Result, error) {
 	cats := Fig5Categories()
 	return exp.Map(ctx, len(cats), exp.Options{
-		Workers:  opt.Workers,
-		SeedOf:   func(int) int64 { return seed },
-		Progress: opt.Progress,
-		OnRep:    opt.OnRep,
+		Workers: opt.Workers,
+		SeedOf:  func(int) int64 { return seed },
+		OnRep:   opt.OnRep,
 	}, func(_ context.Context, i int) (Fig5Result, error) {
 		return RunFig5(cats[i], seed)
 	})

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,24 +12,33 @@ import (
 
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
-		name    string
-		mutate  func(*Config)
-		wantErr bool
+		name   string
+		mutate func(*Config)
+		want   string // a substring of the error; "" means valid
 	}{
-		{"defaults", func(*Config) {}, false},
-		{"too few vehicles", func(c *Config) { c.Vehicles = 2 }, true},
-		{"inverted speeds", func(c *Config) { c.SpeedMinKmh = 90; c.SpeedMaxKmh = 50 }, true},
-		{"too many authorities", func(c *Config) { c.Authorities = 99 }, true},
-		{"attacker cluster out of range", func(c *Config) { c.AttackerCluster = 11 }, true},
-		{"loss rate 1", func(c *Config) { c.LossRate = 1 }, true},
-		{"cooperative", func(c *Config) { c.Attack = CooperativeBlackHole }, false},
+		{"defaults", func(*Config) {}, ""},
+		{"too few vehicles", func(c *Config) { c.Vehicles = 2 }, "vehicles"},
+		{"inverted speeds", func(c *Config) { c.SpeedMinKmh = 90; c.SpeedMaxKmh = 50 }, "speed range"},
+		{"too many authorities", func(c *Config) { c.Authorities = 99 }, "authorities"},
+		{"attacker cluster out of range", func(c *Config) { c.AttackerCluster = 11 }, "attacker cluster"},
+		{"loss rate 1", func(c *Config) { c.LossRate = 1 }, "loss rate"},
+		{"cooperative", func(c *Config) { c.Attack = CooperativeBlackHole }, ""},
+		{"negative backbone latency", func(c *Config) { c.BackboneLatency = -1 }, "backbone latency"},
+		{"d_req retries -1", func(c *Config) { c.Vehicle.DReqRetries = -1 }, ""},
+		{"d_req retries -2", func(c *Config) { c.Vehicle.DReqRetries = -2 }, "Vehicle.DReqRetries"},
+		{"negative stage delay", func(c *Config) { c.Head.StageDelay = -1 }, "Head.StageDelay"},
+		{"negative auth processing", func(c *Config) { c.Head.AuthProcessing = -1 }, "Head.AuthProcessing"},
+		{"negative fog nodes", func(c *Config) { c.Head.FogNodes = -5 }, "Head.FogNodes"},
+		{"too many fog nodes", func(c *Config) { c.Head.FogNodes = 1 << 40 }, "Head.FogNodes"},
+		{"fog ablation", func(c *Config) { c.Head.AuthProcessing = 20 * time.Millisecond; c.Head.FogNodes = 4 }, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			tt.mutate(&cfg)
-			if err := cfg.Validate(); (err != nil) != tt.wantErr {
-				t.Errorf("Validate() error = %v, wantErr %v", err, tt.wantErr)
+			err := cfg.Validate()
+			if (err != nil) != (tt.want != "") || err != nil && !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("Validate() error = %v, want %q", err, tt.want)
 			}
 		})
 	}

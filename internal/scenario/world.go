@@ -189,7 +189,7 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 	}
 	var tracer *trace.Recorder
 	if cfg.Trace {
-		tracer = trace.NewRecorder(0)
+		tracer = trace.NewRecorder()
 	}
 	radioOpts := []radio.Option{radio.WithRange(cfg.TxRangeM), radio.WithLossRate(cfg.LossRate)}
 	if ref.linearScan {
@@ -681,7 +681,7 @@ func (w *World) RunContext(ctx context.Context) (metrics.Outcome, error) {
 				// heal when the AODV route lifetime lapses, and the
 				// blacklist stops re-infection. Retry after the lifetime so
 				// the delivery measurement sees the healed network.
-				heal := aodv.DefaultConfig().RouteLifetime + time.Second
+				heal := aodv.RouteLifetime + time.Second
 				w.Sched.After(heal, establish)
 			default:
 				workDone = true
@@ -817,8 +817,6 @@ type SweepOptions struct {
 	// serial path exactly. Either way the aggregated results are
 	// byte-identical (see the differential tests).
 	Workers int
-	// Progress, when non-nil, is called after each replication completes.
-	Progress func(done, total int)
 	// OnRep, when non-nil, is called after each replication completes with
 	// its replication index and error (nil on success). Calls are
 	// serialised but, with more than one worker, not in replication order.
@@ -919,10 +917,9 @@ func sweep[T any](ctx context.Context, cfgs []Config, first int, opt SweepOption
 		onRep = func(rep int, err error) { opt.OnRep(first+rep, err) }
 	}
 	return exp.MapScratch(ctx, len(cfgs), exp.Options{
-		Workers:  reconcileWorkers(opt.Workers, cfgs),
-		SeedOf:   func(i int) int64 { return cfgs[i].Seed },
-		Progress: opt.Progress,
-		OnRep:    onRep,
+		Workers: reconcileWorkers(opt.Workers, cfgs),
+		SeedOf:  func(i int) int64 { return cfgs[i].Seed },
+		OnRep:   onRep,
 	}, opt.workerPool, func(ctx context.Context, i int, pool *sim.EventPool) (T, error) {
 		o, err := runPooled(ctx, cfgs[i], pool, opt.ref)
 		if err != nil {

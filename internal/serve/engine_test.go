@@ -205,3 +205,58 @@ func FuzzParseRequest(f *testing.F) {
 		}
 	})
 }
+
+// gatedStore holds a job's outcome append until release closes, so a test
+// can act before the job's terminal lines are journaled.
+type gatedStore struct {
+	nopStore
+	arrived, release chan struct{}
+}
+
+func (g gatedStore) AppendOutcomes(string, [][]byte) error {
+	close(g.arrived)
+	<-g.release
+	return nil
+}
+
+// TestJobFinishedWhenTerminalLineArrives: a client that returns as soon as
+// a job's payload line arrives must read the job as done. The test holds
+// the locks of a run and of a cache hit waiting on it while both journal
+// their terminal lines, so neither job can finish meanwhile: neither
+// payload line may reach its stream until the locks are released.
+func TestJobFinishedWhenTerminalLineArrives(t *testing.T) {
+	g := gatedStore{arrived: make(chan struct{}), release: make(chan struct{})}
+	s := mustNew(t, Config{Store: g})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	accepted, done := postAsync(ts.URL, runBody(700))
+	run := s.lookup(acceptedJob(t, <-accepted))
+	<-g.arrived
+	hitAccepted, hitDone := postAsync(ts.URL, runBody(700))
+	hit := s.lookup(acceptedJob(t, <-hitAccepted))
+
+	// A run streams accepted, progress, result and payload lines; a hit
+	// has no progress line.
+	complete := func() bool { return run.stream.count() == 4 || hit.stream.count() == 3 }
+	run.mu.Lock()
+	hit.mu.Lock()
+	close(g.release)
+	deadline := time.Now().Add(200 * time.Millisecond)
+	for !complete() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	early := complete()
+	hit.mu.Unlock()
+	run.mu.Unlock()
+	if early {
+		t.Fatal("a payload line reached its stream before the job finished")
+	}
+	if lines, hitLines := <-done, <-hitDone; len(lines) != 4 || len(hitLines) != 3 {
+		t.Fatalf("run and hit streamed %d and %d lines, want 4 and 3", len(lines), len(hitLines))
+	}
+	for _, job := range []*Job{run, hit} {
+		if v := job.view(false); v.Status != StatusDone {
+			t.Errorf("%s: status %q after its stream ended, want done", job.ID, v.Status)
+		}
+	}
+}

@@ -151,6 +151,18 @@ func (run *storedRun) journalRaw(s *Server, line []byte) error {
 	return nil
 }
 
+// journalLast is journalRaw for the job's terminal line: end runs between
+// the store append and the live-stream append, so a client that returns on
+// the terminal line always reads the job as finished.
+func (run *storedRun) journalLast(s *Server, line []byte, end func()) error {
+	if err := s.store.AppendStream(run.job.ID, line); err != nil {
+		return err
+	}
+	end()
+	run.job.stream.append(line)
+	return nil
+}
+
 func (run *storedRun) journal(s *Server, l streamLine) error {
 	b, err := json.Marshal(l)
 	if err != nil {
@@ -273,10 +285,11 @@ func (s *Server) pool(spec jobSpec) int {
 
 // finishStoredDone rebuilds the result payload from the journaled outcomes
 // (outcome JSON round-trips exactly — the struct holds no floats), caches
-// it, and journals the terminal lines. The count checks make completion
+// it, and journals the terminal lines. The count check makes completion
 // idempotent across restarts: a process killed between the result line and
 // the payload line leaves a journal the next process finishes without
-// duplicating either.
+// duplicating the result line. (A journal holding both is terminal and
+// never resumes.)
 func (s *Server) finishStoredDone(run *storedRun, elapsed time.Duration) {
 	outs := make([]metrics.Outcome, len(run.outcomes))
 	for i, b := range run.outcomes {
@@ -303,15 +316,15 @@ func (s *Server) finishStoredDone(run *storedRun, elapsed time.Duration) {
 			return
 		}
 	}
-	if stream.count() == run.spec.reps+2 {
-		if err := run.journalRaw(s, payload); err != nil {
-			s.finishStoredErr(run, err)
-			return
-		}
+	done := func() {
+		run.job.finish(StatusDone, "", payload, run.log)
+		s.mJobs.Inc(StatusDone)
+		s.mSeconds.Observe(elapsed.Seconds())
 	}
-	run.job.finish(StatusDone, "", payload, run.log)
-	s.mJobs.Inc(StatusDone)
-	s.mSeconds.Observe(elapsed.Seconds())
+	if err := run.journalLast(s, payload, done); err != nil {
+		s.finishStoredErr(run, err)
+		return
+	}
 	stream.close()
 }
 
@@ -337,9 +350,14 @@ func (s *Server) finishStoredErr(run *storedRun, err error) {
 		status = StatusCanceled
 	}
 	msg := err.Error()
-	_ = run.journal(s, streamLine{Type: "error", Job: run.job.ID, Error: msg})
-	run.job.finish(status, msg, nil, nil)
-	s.mJobs.Inc(status)
+	line, _ := json.Marshal(streamLine{Type: "error", Job: run.job.ID, Error: msg})
+	end := func() {
+		run.job.finish(status, msg, nil, nil)
+		s.mJobs.Inc(status)
+	}
+	if err := run.journalLast(s, line, end); err != nil {
+		end() // the store refused the error line; the job still ends
+	}
 	run.job.stream.close()
 }
 
@@ -421,7 +439,9 @@ func journalState(lines [][]byte) (terminal bool, status, errMsg string, payload
 // recoverStored reloads every stored job at startup: terminal jobs
 // reappear in the registry (done results re-enter the cache), unfinished
 // jobs re-enter admission — forced past the queue bound, restarts must
-// never drop work — and resume at their outcome frontier.
+// never drop work — and resume at their outcome frontier. An unfinished job
+// whose spec no longer decodes (one naming a removed config field, say)
+// fails alone with an error line; it does not keep the server down.
 func (s *Server) recoverStored() error {
 	stored, err := s.store.Load()
 	if err != nil {
@@ -432,11 +452,8 @@ func (s *Server) recoverStored() error {
 		if n := jobSeq(sj.Spec.ID); n > maxSeq {
 			maxSeq = n
 		}
-		spec, err := specFromStored(sj.Spec)
-		if err != nil {
-			return fmt.Errorf("serve: recovering %s: %w", sj.Spec.ID, err)
-		}
-		job := &Job{ID: sj.Spec.ID, Kind: spec.kind, Key: spec.key, Reps: spec.reps,
+		spec, specErr := specFromStored(sj.Spec)
+		job := &Job{ID: sj.Spec.ID, Kind: sj.Spec.Kind, Key: spec.key, Reps: sj.Spec.Reps,
 			Tenant: sj.Spec.Tenant, status: StatusQueued, created: time.Now(),
 			stream: newLiveStream(sj.Stream)}
 		job.setCache("miss")
@@ -444,10 +461,21 @@ func (s *Server) recoverStored() error {
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
 		s.jobsMu.Unlock()
-		if terminal, status, errMsg, payload := journalState(sj.Stream); terminal {
+		terminal, status, errMsg, payload := journalState(sj.Stream)
+		if !terminal && specErr != nil {
+			errMsg = fmt.Sprintf("serve: recovering %s: %v", sj.Spec.ID, specErr)
+			line, _ := json.Marshal(streamLine{Type: "error", Job: job.ID, Error: errMsg})
+			if err := s.store.AppendStream(job.ID, line); err != nil {
+				return err
+			}
+			job.stream.append(line)
+			terminal, status = true, StatusFailed
+			s.mJobs.Inc(status)
+		}
+		if terminal {
 			job.stream.close()
 			job.finish(status, errMsg, payload, nil)
-			if status == StatusDone && payload != nil {
+			if status == StatusDone && payload != nil && specErr == nil {
 				s.cache.Put(spec.key, payload)
 			}
 			continue

@@ -467,21 +467,23 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, t *tenantSt
 	go func() {
 		defer s.runnersWG.Done()
 		defer cancel()
+		// As in journalLast, the job finishes before its terminal line
+		// reaches any tail.
 		payload, err := entry.Wait(ctx)
 		if err != nil {
 			status := StatusFailed
 			if ctx.Err() != nil {
 				status = StatusCanceled
 			}
-			appendLine(streamLine{Type: "error", Job: job.ID, Error: err.Error()})
 			job.finish(status, err.Error(), nil, nil)
 			s.mJobs.Inc(status)
+			appendLine(streamLine{Type: "error", Job: job.ID, Error: err.Error()})
 		} else {
 			appendLine(streamLine{Type: "result", Job: job.ID, Cache: "hit",
 				ElapsedMS: time.Since(start).Milliseconds(), Total: spec.reps})
-			job.stream.append(payload)
 			job.finish(StatusDone, "", payload, nil)
 			s.mJobs.Inc(StatusDone)
+			job.stream.append(payload)
 		}
 		job.stream.close()
 	}()

@@ -440,6 +440,7 @@ func TestErrorEnvelope(t *testing.T) {
 		wantRetry  bool // retry_after_seconds >= 1 and Retry-After header set
 	}{
 		{"400 bad request", "POST", ts.URL + "/v1/jobs", "{", http.StatusBadRequest, "bad_request", false},
+		{"400 nested config field", "POST", ts.URL + "/v1/jobs", `{"kind":"run","config":{"Vehicles":30,"Head":{"FogNodes":-5}}}`, http.StatusBadRequest, "bad_request", false},
 		{"401 unauthorized", "POST", authTS.URL + "/v1/jobs", runBody(1), http.StatusUnauthorized, "unauthorized", false},
 		{"404 not found", "GET", ts.URL + "/v1/jobs/j-missing", "", http.StatusNotFound, "not_found", false},
 		{"409 already finished", "DELETE", ts.URL + "/v1/jobs/" + doneJob.Job, "", http.StatusConflict, "already_finished", false},

@@ -293,3 +293,38 @@ func TestDurableStreamOffsetsStitch(t *testing.T) {
 	}
 
 }
+
+// TestRecoverFailsUndecodableSpecAlone: a stored job whose config no longer
+// decodes (it names a removed field) fails alone, with one error line that
+// names the field; the server still starts, resumes its other jobs and
+// keeps that verdict across a further restart.
+func TestRecoverFailsUndecodableSpecAlone(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []StoredSpec{
+		{ID: "j-1", Kind: "run", Tenant: anonTenant, Reps: 1, Config: json.RawMessage(`{"Vehicle":{"Router":{"TTL":2}}}`)},
+		{ID: "j-2", Kind: "run", Tenant: anonTenant, Reps: 1, Config: json.RawMessage(tinyWorld(5))},
+	} {
+		if err := fs.PutSpec(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for restart := 0; restart < 2; restart++ {
+		s := mustNew(t, Config{Store: fs})
+		ts := httptest.NewServer(s.Handler())
+		bad := tailStream(t, ts.URL, "j-1", 0)
+		if len(bad) != 1 || !strings.Contains(bad[0], `"type":"error"`) || !strings.Contains(bad[0], "Router") {
+			t.Errorf("restart %d: undecodable job streamed %q, want one error line naming Router", restart, bad)
+		}
+		if code, b := get(t, ts.URL+"/v1/jobs/j-1"); code != http.StatusOK || !strings.Contains(b, `"status":"failed"`) {
+			t.Errorf("restart %d: undecodable job reads %d %s, want failed", restart, code, b)
+		}
+		if good := tailStream(t, ts.URL, "j-2", 0); len(good) != 4 {
+			t.Errorf("restart %d: recovered run streamed %d lines, want 4", restart, len(good))
+		}
+		ts.Close()
+	}
+}

@@ -184,35 +184,37 @@ func (e Event) text() string {
 	return s
 }
 
+// capacity bounds how many events a Recorder retains.
+const capacity = 65536
+
 // Recorder accumulates events up to a capacity (oldest dropped first). It
 // belongs to the single simulation goroutine; read it through Snapshot. A
 // nil *Recorder is a valid recorder that keeps nothing.
 type Recorder struct {
-	events  []Event
+	events  []Event // a ring once full: events[head] is the oldest
+	head    int
 	cap     int
 	dropped uint64
 }
 
-// NewRecorder creates a recorder retaining at most capacity events (<=0
-// means a generous default).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 65536
-	}
-	return &Recorder{cap: capacity}
-}
+// NewRecorder creates a recorder retaining the most recent 65536 events.
+func NewRecorder() *Recorder { return &Recorder{cap: capacity} }
 
-// Record retains e. A nil recorder discards it.
+// Record retains e, overwriting the oldest event once the recorder is full.
+// A nil recorder discards it.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
-	if len(r.events) >= r.cap {
-		copy(r.events, r.events[1:])
-		r.events = r.events[:len(r.events)-1]
-		r.dropped++
+	if len(r.events) < r.cap {
+		r.events = append(r.events, e)
+		return
 	}
-	r.events = append(r.events, e)
+	r.events[r.head] = e
+	if r.head++; r.head == r.cap {
+		r.head = 0
+	}
+	r.dropped++
 }
 
 // Log is an immutable snapshot of a recorder: the retained events plus the
@@ -230,7 +232,7 @@ func (r *Recorder) Snapshot() Log {
 	if r == nil {
 		return Log{}
 	}
-	return Log{Events: append([]Event(nil), r.events...), Dropped: r.dropped}
+	return Log{Events: slices.Concat(r.events[r.head:], r.events[:r.head]), Dropped: r.dropped}
 }
 
 // Filter returns the log's events matching the given categories (all, if

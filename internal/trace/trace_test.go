@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(Event{Kind: BaitRREQ1, Node: 1, Suspect: 66, Peer: 66, Dest: 9, Seq: 4})
 	r.Record(Event{At: time.Second, Kind: Isolated, Node: 2, Suspect: 66, Count: 3})
 
@@ -57,24 +58,31 @@ func TestEveryKindRenders(t *testing.T) {
 }
 
 func TestRecorderCapacityEvictsOldest(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 5; i++ {
+	// Past capacity the recorder keeps the newest three, oldest first,
+	// however many times its ring has wrapped.
+	r := &Recorder{cap: 3}
+	for i := 0; i < 11; i++ {
 		r.Record(Event{Kind: DReqForwarded, Node: wire.NodeID(i)})
-	}
-	snap := r.Snapshot()
-	if len(snap.Events) != 3 {
-		t.Fatalf("retained %d events, want 3", len(snap.Events))
-	}
-	if snap.Events[0].Node != 2 || snap.Events[2].Node != 4 {
-		t.Errorf("wrong retention window: %v .. %v", snap.Events[0].Node, snap.Events[2].Node)
-	}
-	if snap.Dropped != 2 {
-		t.Errorf("Dropped = %d, want 2", snap.Dropped)
+		snap := r.Snapshot()
+		var want []wire.NodeID
+		for n := max(0, i-2); n <= i; n++ {
+			want = append(want, wire.NodeID(n))
+		}
+		var got []wire.NodeID
+		for _, e := range snap.Events {
+			got = append(got, e.Node)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %d events retained %v, want %v", i+1, got, want)
+		}
+		if wantDropped := uint64(max(0, i-2)); snap.Dropped != wantDropped {
+			t.Fatalf("after %d events Dropped = %d, want %d", i+1, snap.Dropped, wantDropped)
+		}
 	}
 }
 
 func TestRecorderFilter(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(Event{Kind: Examining, Node: 1})
 	r.Record(Event{Kind: DReqForwarded, Node: 2})
 	r.Record(Event{Kind: Isolated, Node: 1})
@@ -116,7 +124,7 @@ func TestNilRecorderRecordAllocs(t *testing.T) {
 }
 
 func TestDump(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(Event{At: 1500 * time.Microsecond, Kind: RouteProbeLost, Node: 7, Dest: 8})
 	var sb strings.Builder
 	if err := r.Snapshot().Dump(&sb); err != nil {
@@ -129,7 +137,7 @@ func TestDump(t *testing.T) {
 }
 
 func TestSnapshotIsImmutable(t *testing.T) {
-	r := NewRecorder(2)
+	r := &Recorder{cap: 2}
 	r.Record(Event{Kind: Examining, Node: 1})
 	r.Record(Event{Kind: Isolated, Node: 2})
 	snap := r.Snapshot()
@@ -165,7 +173,7 @@ func TestNilRecorderSnapshot(t *testing.T) {
 }
 
 func TestLogDumpNotesEvictions(t *testing.T) {
-	r := NewRecorder(1)
+	r := &Recorder{cap: 1}
 	r.Record(Event{Kind: Examining, Node: 1, Suspect: 5})
 	r.Record(Event{Kind: Examining, Node: 1, Suspect: 6})
 	var sb strings.Builder
@@ -181,7 +189,7 @@ func TestLogDumpNotesEvictions(t *testing.T) {
 }
 
 func TestEventsCopyIsolated(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(Event{Kind: Examining, Node: 1})
 	evs := r.Snapshot().Events
 	evs[0].Node = 99
