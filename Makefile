@@ -11,15 +11,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmark suites; refreshes the committed BENCH_serve.json,
-# BENCH_dist.json and BENCH_core.json baselines (median of 5 runs).
+# The repository benchmark: one perf/run.sh pass per BENCHMARK.json
+# workload, each printing a record stamped with commit, Go version,
+# GOMAXPROCS and CPU model (see perf/README.md).
 bench:
-	sh scripts/bench.sh
+	bash perf/run.sh --workload paper-fig4 --seed 1 --seconds 30 --trace 0
+	bash perf/run.sh --workload serve-mixed --seed 1 --seconds 30 --trace 0
 
-# Localhost sweep fabric: 3 blackdp-serve workers + a -fleet coordinator,
-# kill one worker mid-sweep, assert byte-equality with a fleetless baseline.
+# Localhost sweep fabric: blackdp-serve workers + a -fleet coordinator as
+# real processes, one worker SIGKILLed mid-sweep, byte-equality with a
+# fleetless baseline, fabric gauges and a cached replay checked.
 testnet:
-	sh scripts/testnet.sh
+	$(GO) test -race -v -run TestTestnet ./cmd/blackdp-serve
 
 # CPU + heap profiles of a live sweep via blackdp-serve -pprof.
 profile:

@@ -15,9 +15,7 @@
 //
 // The clients are closed-loop: each submits its next job as soon as the
 // previous stream completes, with no backpressure retries — a 429 counts
-// as a rejection, which is the signal the fairness analysis needs. With
-// -bench the summary is also printed as benchmark-schema JSON entries for
-// scripts/bench.sh to merge into BENCH_serve.json.
+// as a rejection, which is the signal the fairness analysis needs.
 package main
 
 import (
@@ -103,7 +101,6 @@ func run() error {
 		queue    = flag.Int("queue", 0, "in-process server per-tenant queue depth (0 = default)")
 		vehicles = flag.Int("vehicles", 20, "world size per job (small worlds soak the service, not the simulator)")
 		shared   = flag.Bool("shared", false, "all clients submit the same config (cache-hit soak) instead of unique seeds")
-		benchOut = flag.Bool("bench", false, "print benchmark-schema JSON entries for scripts/bench.sh")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "overall run deadline")
 	)
 	var extKeys []serve.Tenant
@@ -242,31 +239,6 @@ func run() error {
 	totalErrs := 0
 	for _, s := range stats {
 		totalErrs += s.otherErrs
-	}
-	if *benchOut {
-		// Benchmark-schema entries (ns_per_op carries the latency; the skew
-		// entry scales by 1000 to stay integral) for scripts/bench.sh.
-		type entry struct {
-			Name    string `json:"name"`
-			Iters   int    `json:"iterations"`
-			NsPerOp int64  `json:"ns_per_op"`
-			Bytes   *int   `json:"bytes_per_op"`
-			Allocs  *int   `json:"allocs_per_op"`
-		}
-		entries := []entry{
-			{Name: "LoadSoak/p50", Iters: len(all), NsPerOp: p50.Nanoseconds()},
-			{Name: "LoadSoak/p95", Iters: len(all), NsPerOp: p95.Nanoseconds()},
-			{Name: "LoadSoak/p99", Iters: len(all), NsPerOp: p99.Nanoseconds()},
-			{Name: "LoadSoak/fairness_skew_milli", Iters: len(all), NsPerOp: int64(skew * 1000)},
-		}
-		for i, e := range entries {
-			b, _ := json.Marshal(e)
-			sep := ","
-			if i == len(entries)-1 {
-				sep = ""
-			}
-			fmt.Printf("BENCHJSON   %s%s\n", b, sep)
-		}
 	}
 	if totalErrs > 0 {
 		return fmt.Errorf("%d jobs failed with unexpected errors", totalErrs)

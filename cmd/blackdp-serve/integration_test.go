@@ -255,9 +255,10 @@ func TestIntegrationKillRestartResume(t *testing.T) {
 }
 
 // TestIntegrationBadNestedConfigKeepsServing posts configs whose nested
-// fields are out of range or no longer exist to the real binary, with a
-// durable store: each must bounce with the 400 envelope naming the field,
-// and the process must still answer /v1/healthz and run a valid job.
+// fields are out of range or no longer exist, or whose world is too big to
+// build, to the real binary, with a durable store: each must bounce with
+// the 400 envelope naming the field, and the process must still answer
+// /v1/healthz and run a valid job.
 func TestIntegrationBadNestedConfigKeepsServing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test builds and runs the binary")
@@ -271,12 +272,17 @@ func TestIntegrationBadNestedConfigKeepsServing(t *testing.T) {
 	defer cancel()
 
 	const world = `"Seed":7,"HighwayLengthM":4000,"Vehicles":30,"AttackerCluster":2,"DataPackets":5,"CryptoScheme":"placeholder"`
-	for field, cfg := range map[string]string{
-		"Head.FogNodes":       `{` + world + `,"Head":{"FogNodes":-5}}`,
-		"Head.AuthProcessing": `{` + world + `,"Head":{"AuthProcessing":-1}}`,
-		"Vehicle.DReqRetries": `{` + world + `,"Vehicle":{"Verify":true,"DReqRetries":-2}}`,
-		"Router":              `{` + world + `,"Vehicle":{"Router":{"TTL":2}}}`,
+	for _, bad := range []struct{ field, cfg string }{
+		{"Head.FogNodes", `{` + world + `,"Head":{"FogNodes":-5}}`},
+		{"Head.AuthProcessing", `{` + world + `,"Head":{"AuthProcessing":-1}}`},
+		{"Vehicle.DReqRetries", `{` + world + `,"Vehicle":{"Verify":true,"DReqRetries":-2}}`},
+		{"Router", `{` + world + `,"Vehicle":{"Router":{"TTL":2}}}`},
+		{"Vehicles", `{"Vehicles":4611686018427387904}`},
+		{"HighwayLengthM", `{"HighwayLengthM":1e12}`},
+		{"ClusterLengthM", `{"ClusterLengthM":0.001}`},
+		{"HighwayLengthM", `{"Topology":"multi","HighwayCount":64,"HighwayLengthM":1e9}`},
 	} {
+		field, cfg := bad.field, bad.cfg
 		_, err := cl.Submit(ctx, client.Request{Kind: "run", Config: []byte(cfg)}, nil)
 		var ae *client.APIError
 		if !errors.As(err, &ae) || ae.Status != 400 || ae.Code != "bad_request" || !strings.Contains(ae.Message, field) {

@@ -14,8 +14,8 @@ import (
 // chunking, HTTP dispatch, worker admission, a single replication, NDJSON
 // stream-back, decode and merge. The seed changes every iteration so no
 // chunk cache (coordinator or worker side) short-circuits the path; the
-// number is dispatch overhead plus one replication, to be read against the
-// single-replication cost in BENCH_core.json.
+// number is dispatch overhead plus one fastCfg replication, which costs
+// about two milliseconds run locally.
 func BenchmarkDistDispatch(b *testing.B) {
 	f := newFleet(b, 1, Config{ChunkReps: 1})
 	ctx := context.Background()

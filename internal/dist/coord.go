@@ -425,9 +425,24 @@ func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []
 	// The coordinator's own backpressure and reassign policy stays in
 	// charge, so the client surfaces every 429/503 instead of retrying.
 	wc := &client.Client{BaseURL: w.url, HTTP: c.client, MaxRetries: -1}
+	// The worker starts the job before its accepted line names it to us,
+	// and the job runs detached from this connection. So a cancel holds
+	// the submission open until that line arrives (for at most
+	// HealthInterval), and the DELETE below always knows whom to cancel.
+	subCtx, subCancel := context.WithCancel(context.WithoutCancel(sctx))
+	defer subCancel()
+	accepted := make(chan struct{})
+	defer context.AfterFunc(sctx, func() {
+		select {
+		case <-accepted:
+		case <-subCtx.Done():
+		case <-time.After(c.cfg.HealthInterval):
+		}
+		subCancel()
+	})()
 	job := ""
 	c.chunksDispatched.Add(1)
-	res, err := wc.Submit(sctx, client.Request{Kind: "sweep", Config: canon, Start: ck.start, Reps: ck.count},
+	res, err := wc.Submit(subCtx, client.Request{Kind: "sweep", Config: canon, Start: ck.start, Reps: ck.count},
 		func(raw []byte) {
 			var line client.Line
 			if json.Unmarshal(raw, &line) != nil {
@@ -435,7 +450,10 @@ func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []
 			}
 			switch line.Type {
 			case "accepted":
-				job = line.Job
+				if job == "" && line.Job != "" {
+					job = line.Job
+					close(accepted)
+				}
 			case "progress":
 				st.report(line.Rep, line.Error)
 			}

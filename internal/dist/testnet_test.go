@@ -277,6 +277,68 @@ func TestCanceledSweepDeletesWorkerJobs(t *testing.T) {
 	})
 }
 
+// holdWrites wraps a worker's handler so every job submission's response
+// writes block until release is closed: the worker has admitted and started
+// the job, but the coordinator has not yet read its accepted line.
+type holdWrites struct {
+	http.Handler
+	release chan struct{}
+}
+
+func (h holdWrites) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost {
+		w = heldWriter{w, h.release}
+	}
+	h.Handler.ServeHTTP(w, r)
+}
+
+type heldWriter struct {
+	http.ResponseWriter
+	release chan struct{}
+}
+
+func (w heldWriter) Write(b []byte) (int, error) {
+	<-w.release
+	return w.ResponseWriter.Write(b)
+}
+
+func (w heldWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestCanceledBeforeAcceptedDeletesWorkerJob cancels a fleet sweep after
+// the worker started its chunk job but before the coordinator read the
+// job's ID from the accepted line. The coordinator must still learn the ID
+// and DELETE the job, or the job holds its worker slot until it finishes.
+func TestCanceledBeforeAcceptedDeletesWorkerJob(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	worker := mustServe(t, serve.Config{Distributor: heldOpen{}})
+	srv := httptest.NewServer(holdWrites{worker.Handler(), release})
+	t.Cleanup(srv.Close)
+	t.Cleanup(unblock) // runs before srv.Close, which waits for held handlers
+	coord := New(Config{Workers: []string{srv.URL}, ChunkReps: 64, HealthInterval: time.Second})
+	coord.Start()
+	t.Cleanup(coord.Stop)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := coord.SweepRange(ctx, scenario.DefaultConfig(), 0, 64, nil)
+		errc <- err
+	}()
+	waitUntil(t, 10*time.Second, "the worker to start the chunk", func() bool { return worker.Running() > 0 })
+	cancel()
+	unblock()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep returned %v", err)
+	}
+	cl := &client.Client{BaseURL: srv.URL}
+	waitUntil(t, 10*time.Second, "the worker job to end canceled", func() bool {
+		jobs, err := cl.List(context.Background())
+		return err == nil && len(jobs) == 1 && jobs[0].Status == serve.StatusCanceled
+	})
+}
+
 // TestServeFallsBackToLocalWhenFleetDead: a configured-but-unreachable
 // fleet must not take sweeps down with it — the serve layer catches
 // ErrNoWorkers and executes locally, bytes unchanged.

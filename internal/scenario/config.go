@@ -7,6 +7,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"blackdp/internal/core"
@@ -232,6 +233,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// World-size bounds Validate enforces, so one request cannot ask for a
+// world that exhausts memory: the 100k-vehicle metro benchmark is the
+// largest world the repo builds, and a 64x64 grid has the most clusters.
+const (
+	maxVehicles = 100_000
+	maxClusters = 2 * 64 * 64
+)
+
 // clusterCount returns how many clusters the configured topology has; the
 // per-topology constructors in internal/mobility build exactly this many.
 func (c Config) clusterCount() int {
@@ -264,10 +273,19 @@ func (c Config) Validate() error {
 	case c.HighwayGapM < 0:
 		return fmt.Errorf("scenario: carriageway gap %v negative", c.HighwayGapM)
 	}
+	// The ratio is bounded in float before clusterCount converts it to int.
+	if r := c.HighwayLengthM / c.ClusterLengthM; !(math.Abs(r) <= maxClusters) {
+		return fmt.Errorf("scenario: HighwayLengthM %v over ClusterLengthM %v makes more than %d clusters",
+			c.HighwayLengthM, c.ClusterLengthM, maxClusters)
+	}
 	clusters := c.clusterCount()
 	switch {
+	case clusters > maxClusters:
+		return fmt.Errorf("scenario: %d clusters above %d (HighwayLengthM / ClusterLengthM x HighwayCount)", clusters, maxClusters)
 	case c.Vehicles < 4:
 		return fmt.Errorf("scenario: %d vehicles cannot form source, destination and relays", c.Vehicles)
+	case c.Vehicles > maxVehicles:
+		return fmt.Errorf("scenario: Vehicles %d above %d, the largest world built", c.Vehicles, maxVehicles)
 	case c.SpeedMaxKmh < c.SpeedMinKmh:
 		return fmt.Errorf("scenario: speed range [%v, %v] inverted", c.SpeedMinKmh, c.SpeedMaxKmh)
 	case c.Authorities < 1 || c.Authorities > clusters:

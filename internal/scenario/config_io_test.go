@@ -153,6 +153,10 @@ func FuzzDecodeConfig(f *testing.F) {
 		`{"Vehicle":{"Verify":true,"DReqRetries":-2}}`,
 		`{"Vehicle":{"DReqRetries":0},"Head":{"StageDelay":50000000,"FogNodes":4,"SingleProbe":true}}`,
 		`{"BackboneLatency":-1}`,
+		`{"Vehicles":4611686018427387904}`,
+		`{"HighwayLengthM":1e12}`,
+		`{"ClusterLengthM":0.001}`,
+		`{"Topology":"multi","HighwayCount":64,"HighwayLengthM":1e9}`,
 		`{"CryptoScheme":"rot13"}`,
 		`{"Seed":1} {"Seed":2}`,
 		`{}`,

@@ -31,6 +31,19 @@ func TestConfigValidate(t *testing.T) {
 		{"negative fog nodes", func(c *Config) { c.Head.FogNodes = -5 }, "Head.FogNodes"},
 		{"too many fog nodes", func(c *Config) { c.Head.FogNodes = 1 << 40 }, "Head.FogNodes"},
 		{"fog ablation", func(c *Config) { c.Head.AuthProcessing = 20 * time.Millisecond; c.Head.FogNodes = 4 }, ""},
+		{"huge population", func(c *Config) { c.Vehicles = 1 << 62 }, "Vehicles"},
+		{"metro 100k", func(c *Config) { *c = metroConfig(100_000, 23) }, ""},
+		{"billion clusters", func(c *Config) { c.HighwayLengthM = 1e12 }, "HighwayLengthM"},
+		{"millimetre clusters", func(c *Config) { c.ClusterLengthM = 0.001 }, "ClusterLengthM"},
+		{"infinite ratio", func(c *Config) { c.HighwayLengthM = 1e308; c.ClusterLengthM = 1e-308 }, "ClusterLengthM"},
+		{"negative infinite ratio", func(c *Config) { c.HighwayLengthM = -1e308; c.ClusterLengthM = 1e-308 }, "HighwayLengthM"},
+		{"wide multi", func(c *Config) { c.Topology = "multi"; c.HighwayCount = 64; c.HighwayLengthM = 1e9 }, "HighwayLengthM"},
+		{"multi over the cluster bound", func(c *Config) {
+			c.Topology = "multi"
+			c.HighwayCount = 64
+			c.HighwayLengthM = 200_000
+		}, "HighwayCount"},
+		{"largest grid", func(c *Config) { c.Topology = "grid"; c.GridRows, c.GridCols = 64, 64 }, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -326,5 +328,66 @@ func TestRecoverFailsUndecodableSpecAlone(t *testing.T) {
 			t.Errorf("restart %d: recovered run streamed %d lines, want 4", restart, len(good))
 		}
 		ts.Close()
+	}
+}
+
+// TestRetentionBoundsFileStore runs many more jobs than RetainJobs against
+// a durable store, a few at a time. Evicting a finished job must remove its
+// artifacts, so afterwards the directory holds files for at most RetainJobs
+// jobs, the registry no more records, and the newest job is still stored.
+func TestRetentionBoundsFileStore(t *testing.T) {
+	const retain, clients, perClient = 4, 3, 12
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Workers: clients, RetainJobs: retain, Store: fs})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+					strings.NewReader(runBody(int64(1000+c*perClient+i))))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || !strings.Contains(string(b), `"type":"result"`) {
+					t.Errorf("job status %d: %s", resp.StatusCode, b)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{}
+	for _, e := range entries {
+		ids[strings.SplitN(e.Name(), ".", 2)[0]] = true
+	}
+	if len(ids) > retain {
+		t.Errorf("store holds files of %d jobs after %d jobs, want at most RetainJobs = %d: %v",
+			len(ids), clients*perClient, retain, ids)
+	}
+	if last := fmt.Sprintf("j-%d", clients*perClient); !ids[last] {
+		t.Errorf("newest job %s has no stored files: %v", last, ids)
+	}
+	s.jobsMu.Lock()
+	registered := len(s.order)
+	s.jobsMu.Unlock()
+	if registered > retain {
+		t.Errorf("registry holds %d jobs, want at most %d", registered, retain)
 	}
 }
