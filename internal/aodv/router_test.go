@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -472,5 +473,62 @@ func TestNeighborsOrderedByID(t *testing.T) {
 				t.Fatalf("round %d: neighbours out of order: %v", round, got)
 			}
 		}
+	}
+}
+
+// TestStaleScanSkipsOnlyFreshTables holds appendStale's skip to a full
+// scan's answer: a round skipped while every neighbour is fresh finds
+// nothing a scan would, the bound tracks the survivors after each scan, and
+// a neighbour heard into an emptied table is still expired on time.
+func TestStaleScanSkipsOnlyFreshTables(t *testing.T) {
+	const timeout = 5 * time.Second
+	tbl := newTable()
+	tbl.heard(1, 0)
+	tbl.heard(2, 3*time.Second)
+	tbl.heard(1, 4*time.Second) // 1 refreshed: 2 is now the oldest
+	steps := []struct {
+		now  time.Duration
+		want []wire.NodeID
+	}{
+		{4 * time.Second, nil},
+		{7 * time.Second, nil},
+		{8 * time.Second, []wire.NodeID{2}},
+		{8500 * time.Millisecond, nil},
+		{9 * time.Second, []wire.NodeID{1}},
+		{20 * time.Second, nil},
+	}
+	for _, s := range steps {
+		if got := tbl.appendStale(nil, s.now, timeout); !slices.Equal(got, s.want) {
+			t.Fatalf("appendStale at %v = %v, want %v", s.now, got, s.want)
+		}
+	}
+	tbl.heard(3, 21*time.Second)
+	if got := tbl.appendStale(nil, 26*time.Second, timeout); !slices.Equal(got, []wire.NodeID{3}) {
+		t.Fatalf("neighbour heard into an empty table: appendStale = %v, want [3]", got)
+	}
+}
+
+// TestFloodCacheExpiresInOrder holds the flood cache to its TTL: an entry
+// is a duplicate until floodTTL after it was first seen, then forgotten.
+func TestFloodCacheExpiresInOrder(t *testing.T) {
+	const ttl = 5 * time.Second
+	tbl := newTable()
+	tbl.seenFlood(1, 1, 0)
+	tbl.seenFlood(1, 2, 2*time.Second)
+	tbl.seenFlood(1, 1, 3*time.Second) // duplicate: keeps its first-seen time
+	tbl.prune(4*time.Second, ttl)
+	if !tbl.seenFlood(1, 1, 4*time.Second) {
+		t.Fatal("flood (1,1) forgotten before its TTL")
+	}
+	tbl.prune(5*time.Second, ttl)
+	if tbl.seenFlood(1, 1, 5*time.Second) {
+		t.Fatal("flood (1,1) still cached at its TTL")
+	}
+	if !tbl.seenFlood(1, 2, 5*time.Second) {
+		t.Fatal("flood (1,2) forgotten before its TTL")
+	}
+	tbl.prune(time.Minute, ttl)
+	if len(tbl.floods) != 0 || len(tbl.floodLog) != 0 {
+		t.Fatalf("after every TTL: %d floods, %d log entries", len(tbl.floods), len(tbl.floodLog))
 	}
 }

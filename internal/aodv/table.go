@@ -2,6 +2,7 @@ package aodv
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -35,7 +36,15 @@ func (r *Route) fresher(seq wire.SeqNum, hops uint8) bool {
 type table struct {
 	routes    map[wire.NodeID]*Route
 	neighbors map[wire.NodeID]time.Duration // last heard
-	floods    map[floodKey]time.Duration    // first seen
+	// oldest bounds every neighbour's last-heard time from below: it is
+	// the exact minimum after each stale scan, and since time never runs
+	// back heard lowers it only when no neighbour was known. A maintenance
+	// round in which nothing can be stale skips its scan.
+	oldest time.Duration
+	floods map[floodKey]struct{}
+	// floodLog holds the flood-cache keys in insertion order, which is
+	// first-seen time order: prune expires from its front.
+	floodLog []floodSeen
 }
 
 type floodKey struct {
@@ -43,11 +52,17 @@ type floodKey struct {
 	id     uint32
 }
 
+type floodSeen struct {
+	key  floodKey
+	seen time.Duration
+}
+
 func newTable() *table {
 	return &table{
 		routes:    make(map[wire.NodeID]*Route),
 		neighbors: make(map[wire.NodeID]time.Duration),
-		floods:    make(map[floodKey]time.Duration),
+		oldest:    math.MaxInt64,
+		floods:    make(map[floodKey]struct{}),
 	}
 }
 
@@ -125,17 +140,26 @@ func (t *table) invalidateVia(via wire.NodeID) []Route {
 // heard records traffic from a neighbour.
 func (t *table) heard(n wire.NodeID, now time.Duration) {
 	t.neighbors[n] = now
+	t.oldest = min(t.oldest, now)
 }
 
 // appendStale appends neighbours silent past the timeout to dst in
 // ascending ID order and forgets them, returning the extended slice so the
-// caller can reuse one scratch buffer across maintenance rounds.
+// caller can reuse one scratch buffer across maintenance rounds. While the
+// oldest last-heard time is within the timeout nothing can be stale, and
+// the neighbour map is not scanned.
 func (t *table) appendStale(dst []wire.NodeID, now, timeout time.Duration) []wire.NodeID {
+	if now-t.oldest < timeout {
+		return dst
+	}
 	start := len(dst)
+	t.oldest = math.MaxInt64
 	for n, last := range t.neighbors {
 		if now-last >= timeout {
 			dst = append(dst, n)
 			delete(t.neighbors, n)
+		} else {
+			t.oldest = min(t.oldest, last)
 		}
 	}
 	slices.Sort(dst[start:])
@@ -149,7 +173,8 @@ func (t *table) seenFlood(origin wire.NodeID, id uint32, now time.Duration) bool
 	if _, dup := t.floods[k]; dup {
 		return true
 	}
-	t.floods[k] = now
+	t.floods[k] = struct{}{}
+	t.floodLog = append(t.floodLog, floodSeen{key: k, seen: now})
 	return false
 }
 
@@ -160,9 +185,14 @@ func (t *table) prune(now, floodTTL time.Duration) {
 			delete(t.routes, dest)
 		}
 	}
-	for k, seen := range t.floods {
-		if now-seen >= floodTTL {
-			delete(t.floods, k)
-		}
+	n := 0
+	for n < len(t.floodLog) && now-t.floodLog[n].seen >= floodTTL {
+		delete(t.floods, t.floodLog[n].key)
+		n++
+	}
+	if n == len(t.floodLog) {
+		t.floodLog = t.floodLog[:0] // reuse the array once drained
+	} else {
+		t.floodLog = t.floodLog[n:]
 	}
 }

@@ -115,11 +115,14 @@ func (c *Client) IsBlacklisted(id wire.NodeID) bool {
 func (c *Client) BlacklistSize() int { return len(c.blacklist) }
 
 func (c *Client) requestJoin() {
-	if c.stopped || !c.mobile.OnHighwayAt(c.sched.Now()) {
+	if c.stopped {
 		return
 	}
 	now := c.sched.Now()
-	pos := c.mobile.PositionAt(now)
+	pos, on := c.mobile.Locate(now)
+	if !on {
+		return
+	}
 	if c.unanswered >= failoverAfter {
 		// The covering head never answered; start soliciting neighbours.
 		c.failover = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -697,5 +698,32 @@ func TestRecordAllocs(t *testing.T) {
 	env.record(ev)
 	if n := testing.AllocsPerRun(100, func() { env.record(ev) }); n != 0 {
 		t.Errorf("record into the tally: %v allocs, want 0", n)
+	}
+}
+
+// TestAllocsOverheardJoinReq pins a vehicle's path for a neighbour's bare
+// join request: it decodes into the agent's scratch and marks the sender
+// heard without allocating, and a frame that fails to decode marks nobody.
+func TestAllocsOverheardJoinReq(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	w := newWorld(t, 1)
+	v := w.addVehicle(1500, 0, mobility.Eastbound, VehicleConfig{})
+	payload, err := (&wire.JoinReq{Vehicle: 77, PosX: 1500, PosY: 100, SpeedMS: 20, Eastbound: true}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.HandleFrame(radio.Frame{From: 78, To: wire.Broadcast, Payload: payload[:len(payload)-1]})
+	if slices.Contains(v.router.Neighbors(), 78) {
+		t.Fatal("a truncated join request marked its sender heard")
+	}
+	f := radio.Frame{From: 77, To: wire.Broadcast, Payload: payload}
+	v.HandleFrame(f)
+	if !slices.Contains(v.router.Neighbors(), 77) {
+		t.Fatal("an overheard join request did not mark its sender heard")
+	}
+	if got := testing.AllocsPerRun(200, func() { v.HandleFrame(f) }); got > 0 {
+		t.Errorf("overheard join request: %.1f allocs/op, budget 0", got)
 	}
 }

@@ -178,6 +178,7 @@ type VehicleAgent struct {
 
 	verifier    *pki.Verifier  // per-vehicle verification cache
 	openScratch []*wire.Secure // batch-verify staging, reused per discovery
+	joinScratch wire.JoinReq   // decode target for overheard join requests
 
 	verifications map[wire.NodeID]*verification // by destination
 	reports       map[wire.NodeID]*verification // by suspect
@@ -294,6 +295,15 @@ func (v *VehicleAgent) HandleFrame(f radio.Frame) {
 		// kind peek hands it straight to the router without a wasted decode
 		// (the router runs its own typed fast paths).
 		v.router.HandleFrame(f)
+		return
+	case wire.KindJoinReq:
+		// A neighbour's bare join request is for its head; here it only
+		// tells the router who was heard. Nothing retains the packet, so
+		// it decodes into scratch instead of a fresh record.
+		if v.joinScratch.UnmarshalBinary(f.Payload) != nil {
+			return
+		}
+		v.router.HandleDecoded(&v.joinScratch, nil, f)
 		return
 	}
 	pkt, err := wire.Decode(f.Payload)

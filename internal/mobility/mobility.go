@@ -179,6 +179,9 @@ type Locator interface {
 	// OnHighwayAt reports whether the node is on the road (and therefore
 	// radio-active) at virtual time t.
 	OnHighwayAt(t time.Duration) bool
+	// Locate returns PositionAt(t) and OnHighwayAt(t) together, for
+	// callers that need both.
+	Locate(t time.Duration) (Position, bool)
 }
 
 // Static is a stationary Locator (RSUs, trusted-authority uplinks).
@@ -195,6 +198,9 @@ func (s Static) PositionAt(time.Duration) Position { return s.Pos }
 // OnHighwayAt implements Locator. A static node is always active; RSUs sit on
 // the roadside whether or not their coordinates fall on the road surface.
 func (s Static) OnHighwayAt(time.Duration) bool { return true }
+
+// Locate implements Locator.
+func (s Static) Locate(time.Duration) (Position, bool) { return s.Pos, true }
 
 // MotionAt implements Kinematic: a static node never moves.
 func (s Static) MotionAt(time.Duration) (Position, Velocity, time.Duration) {
@@ -269,7 +275,11 @@ func (m *Mobile) TravelBounds() (lo, hi float64) { return m.lo, m.hi }
 // PositionAt implements Locator. Positions are clamped to the road ends; use
 // OnHighwayAt to detect departure.
 func (m *Mobile) PositionAt(t time.Duration) Position {
-	a := m.rawAlong(t)
+	return m.clamped(m.rawAlong(t))
+}
+
+// clamped is the position at raw travel coordinate a, clamped to the road.
+func (m *Mobile) clamped(a float64) Position {
 	if a < m.lo {
 		a = m.lo
 	}
@@ -292,12 +302,17 @@ func (m *Mobile) rawAlong(t time.Duration) float64 {
 
 // OnHighwayAt implements Locator.
 func (m *Mobile) OnHighwayAt(t time.Duration) bool {
-	if m.exited {
-		return false
-	}
-	a := m.rawAlong(t)
-	return a >= m.lo && a <= m.hi
+	return !m.exited && m.onRoad(m.rawAlong(t))
 }
+
+// Locate implements Locator: one trajectory evaluation yields both answers.
+func (m *Mobile) Locate(t time.Duration) (Position, bool) {
+	a := m.rawAlong(t)
+	return m.clamped(a), !m.exited && m.onRoad(a)
+}
+
+// onRoad reports whether raw travel coordinate a lies on the road.
+func (m *Mobile) onRoad(a float64) bool { return a >= m.lo && a <= m.hi }
 
 // ClusterAt returns the 1-based cluster index the vehicle occupies at t.
 func (m *Mobile) ClusterAt(t time.Duration) int {

@@ -153,6 +153,29 @@ func TestStaticLocator(t *testing.T) {
 	}
 }
 
+// TestLocateMatchesParts holds Locate to PositionAt and OnHighwayAt over a
+// trajectory that drives, re-bases, leaves the road's end and exits.
+func TestLocateMatchesParts(t *testing.T) {
+	h := tableIHighway(t)
+	s := Static{Pos: h.ClusterCenter(3), H: h}
+	if p, on := s.Locate(time.Hour); p != s.PositionAt(time.Hour) || !on {
+		t.Errorf("static Locate = (%v, %v)", p, on)
+	}
+	east, _ := NewMobileOnRoad(h, h.Roads()[0], Position{X: 9000, Y: 10}, Eastbound, 30, 0)
+	west, _ := NewMobileOnRoad(h, h.Roads()[0], Position{X: 500, Y: 10}, Westbound, 25, 0)
+	west.SetSpeed(10*time.Second, 5)
+	exits, _ := NewMobileOnRoad(h, h.Roads()[0], Position{X: 5000, Y: 10}, Eastbound, 20, 0)
+	exits.Exit(50 * time.Second)
+	for _, m := range []*Mobile{east, west, exits} {
+		for at := time.Duration(0); at <= 200*time.Second; at += 250 * time.Millisecond {
+			p, on := m.Locate(at)
+			if p != m.PositionAt(at) || on != m.OnHighwayAt(at) {
+				t.Fatalf("Locate(%v) = (%v, %v), want (%v, %v)", at, p, on, m.PositionAt(at), m.OnHighwayAt(at))
+			}
+		}
+	}
+}
+
 func TestMobileKinematics(t *testing.T) {
 	h := tableIHighway(t)
 	m, err := NewMobileOnRoad(h, h.Roads()[0], Position{X: 1000, Y: 50}, Eastbound, 25, 0)

@@ -44,7 +44,11 @@ const (
 // as mandated by IEEE 1609.2. Nonces are derived from the key and digest
 // (RFC 6979, see signRFC6979), so a signature is a pure function of its
 // inputs and every frame of a seeded run is reproducible byte for byte.
-type ECDSA struct{}
+type ECDSA struct {
+	// Memo, when non-nil, remembers signatures and verdicts across the
+	// worlds that share it (see Memo); nil computes every one.
+	Memo *Memo
+}
 
 var _ Scheme = ECDSA{}
 
@@ -52,11 +56,16 @@ var _ Scheme = ECDSA{}
 func (ECDSA) Name() string { return "ecdsa-p256-sha256" }
 
 // Sign implements Scheme.
-func (ECDSA) Sign(priv *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
+func (s ECDSA) Sign(priv *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
 	if priv == nil {
 		return nil, errors.New("pki: Sign with nil key")
 	}
 	digest := sha256.Sum256(msg)
+	return s.Memo.sign(priv, &digest)
+}
+
+// signFramed signs digest with priv (RFC 6979) and frames the signature.
+func signFramed(priv *ecdsa.PrivateKey, digest *[sha256.Size]byte) ([]byte, error) {
 	asn1, err := signRFC6979(priv, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("pki: signing: %w", err)
@@ -71,13 +80,13 @@ func (ECDSA) Sign(priv *ecdsa.PrivateKey, msg []byte) ([]byte, error) {
 }
 
 // Verify implements Scheme.
-func (ECDSA) Verify(pub *ecdsa.PublicKey, msg, sig []byte) bool {
+func (s ECDSA) Verify(pub *ecdsa.PublicKey, msg, sig []byte) bool {
 	asn1, ok := unframe(sig)
 	if !ok || pub == nil {
 		return false
 	}
 	digest := sha256.Sum256(msg)
-	return ecdsa.VerifyASN1(pub, digest[:], asn1)
+	return s.Memo.verify(pub, &digest, sig, asn1)
 }
 
 // ExpensiveVerify marks ECDSA verification as costly enough that a

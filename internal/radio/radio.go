@@ -390,6 +390,15 @@ func (i *Interface) active(t time.Duration) bool {
 	return !i.detached && !i.silenced && i.loc.OnHighwayAt(t)
 }
 
+// locate returns the device's position at time t and whether it is active
+// then, evaluating its trajectory once.
+func (i *Interface) locate(t time.Duration) (mobility.Position, bool) {
+	if i.detached || i.silenced {
+		return mobility.Position{}, false
+	}
+	return i.loc.Locate(t)
+}
+
 // Send transmits payload to the pseudonym to (wire.Broadcast for all
 // neighbours). Delivery is scheduled per in-range receiver: the copies whose
 // receivers share the sender's runtime go out in one fan-out post, in offer
@@ -406,13 +415,13 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 	m := i.medium
 	c := i.shard
 	now := c.rt.Now()
-	if !i.active(now) {
+	src, on := i.locate(now)
+	if !on {
 		c.stats.suppressed.count(payload, 0)
 		return false
 	}
 	c.stats.sent.count(payload, len(payload))
 	from := i.id
-	src := i.loc.PositionAt(now)
 	txDelay := time.Duration(float64(len(payload)*8) / bitrate * float64(time.Second))
 	acked := to == wire.Broadcast
 	frame := Frame{From: from, To: to, Payload: payload}
@@ -455,13 +464,14 @@ func (i *Interface) Send(to wire.NodeID, payload []byte) bool {
 // scan and both index paths so their RNG draw sequences cannot diverge. It
 // reports whether a copy survived the loss process (the ack).
 func (m *Medium) consider(c *Shard, sender, dev *Interface, to wire.NodeID, frame Frame, src mobility.Position, txDelay time.Duration, now time.Duration) bool {
-	if dev == sender || !dev.active(now) {
+	if dev == sender || (to != wire.Broadcast && dev.id != to) {
 		return false
 	}
-	if to != wire.Broadcast && dev.id != to {
+	pos, on := dev.locate(now)
+	if !on {
 		return false
 	}
-	dist := src.DistanceTo(dev.loc.PositionAt(now))
+	dist := src.DistanceTo(pos)
 	if dist > m.txRange {
 		return false
 	}
@@ -622,30 +632,24 @@ func (i *Interface) AppendNeighbors(dst []wire.NodeID) []wire.NodeID {
 	m := i.medium
 	c := i.shard
 	now := c.rt.Now()
-	if !i.active(now) {
+	src, on := i.locate(now)
+	if !on {
 		return dst
 	}
-	src := i.loc.PositionAt(now)
 	if m.index != nil {
 		if !m.windowed {
 			m.index.refresh(now)
 		}
 		for _, seq := range m.index.collectInto(&c.scratch, src) {
 			dev := m.devices[seq]
-			if dev == i || !dev.active(now) {
-				continue
-			}
-			if src.DistanceTo(dev.loc.PositionAt(now)) <= m.txRange {
+			if pos, on := dev.locate(now); dev != i && on && src.DistanceTo(pos) <= m.txRange {
 				dst = append(dst, dev.id)
 			}
 		}
 		return dst
 	}
 	for _, dev := range m.devices {
-		if dev == i || !dev.active(now) {
-			continue
-		}
-		if src.DistanceTo(dev.loc.PositionAt(now)) <= m.txRange {
+		if pos, on := dev.locate(now); dev != i && on && src.DistanceTo(pos) <= m.txRange {
 			dst = append(dst, dev.id)
 		}
 	}

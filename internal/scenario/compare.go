@@ -11,6 +11,7 @@ import (
 	"blackdp/internal/core"
 	"blackdp/internal/exp"
 	"blackdp/internal/metrics"
+	"blackdp/internal/pki"
 	"blackdp/internal/sim"
 	"blackdp/internal/wire"
 )
@@ -51,8 +52,8 @@ type compareEvidence struct {
 // view the sequence-number heuristics score: the replies the source
 // collects for one route discovery. The world's pending events go back to
 // pool when it is done.
-func discoverEvidence(cfg Config, pool *sim.EventPool, ref reference) (compareEvidence, error) {
-	w, err := buildPooled(cfg, pool, ref)
+func discoverEvidence(cfg Config, pool *sim.EventPool, memo *pki.Memo, ref reference) (compareEvidence, error) {
+	w, err := buildPooled(cfg, pool, memo, ref)
 	if err != nil {
 		return compareEvidence{}, err
 	}
@@ -86,6 +87,7 @@ func discoverEvidence(cfg Config, pool *sim.EventPool, ref reference) (compareEv
 func CompareDetectors(ctx context.Context, cfg Config, reps int, opt SweepOptions) ([]DetectorScore, error) {
 	cfg = cfg.withDefaults()
 	seedOf := func(rep int) int64 { return cfg.Seed + int64(rep)*104729 }
+	memo := sweepMemo(opt, cfg)
 	evidence, err := exp.MapScratch(ctx, reps, exp.Options{
 		Workers: opt.Workers,
 		SeedOf:  seedOf,
@@ -95,13 +97,14 @@ func CompareDetectors(ctx context.Context, cfg Config, reps int, opt SweepOption
 		runCfg.Seed = seedOf(rep)
 
 		// The two worlds of one replication run back to back on this
-		// worker, so they share its event pool.
-		ev, err := discoverEvidence(runCfg, pool, opt.ref)
+		// worker, so they share its event pool; they mint the same
+		// credentials, so the memo spares the second world most crypto.
+		ev, err := discoverEvidence(runCfg, pool, memo, opt.ref)
 		if err != nil {
 			return compareEvidence{}, err
 		}
 		// BlackDP's verdict on an identical world.
-		if ev.outcome, err = runPooled(ctx, runCfg, pool, opt.ref); err != nil {
+		if ev.outcome, err = runPooled(ctx, runCfg, pool, memo, opt.ref); err != nil {
 			return compareEvidence{}, err
 		}
 		return ev, nil

@@ -75,7 +75,7 @@ func TestCryptoCachedMatchesUncached(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d cached: %v", seed, err)
 		}
-		got, err := runPooled(context.Background(), cfg, nil, reference{noVerifyCache: true})
+		got, err := runPooled(context.Background(), cfg, nil, nil, reference{noVerifyCache: true})
 		if err != nil {
 			t.Fatalf("seed %d uncached: %v", seed, err)
 		}

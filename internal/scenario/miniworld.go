@@ -37,7 +37,7 @@ func newMiniWorld(seed int64) (*miniWorld, error) {
 		Sched:    sched,
 		RNG:      rng.Split("core"),
 		Trust:    pki.NewTrustStore(),
-		Scheme:   ecdsaScheme(rng),
+		Scheme:   ecdsaScheme(rng, nil),
 		Dir:      cluster.NewDirectory(),
 		Highway:  highway,
 		Medium:   radio.NewMedium(sched, rng.Split("radio")),

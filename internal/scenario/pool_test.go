@@ -52,11 +52,11 @@ func TestPoolBoundAcrossReplications(t *testing.T) {
 		for rep := 0; rep < reps; rep++ {
 			c := cfg
 			c.Seed = cfg.Seed + int64(rep)*7919
-			if _, err := runPooled(cancelled, c, pool, reference{}); !errors.Is(err, context.Canceled) {
+			if _, err := runPooled(cancelled, c, pool, nil, reference{}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 			}
 			bad.Seed = c.Seed
-			if _, err := buildPooled(bad, pool, reference{}); err == nil {
+			if _, err := buildPooled(bad, pool, nil, reference{}); err == nil {
 				t.Fatal("build with negative speeds succeeded")
 			}
 		}

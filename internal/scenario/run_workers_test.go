@@ -166,7 +166,7 @@ func TestRunWorkersValidation(t *testing.T) {
 	// sharded executor's spatial-index refresh, so the build refuses it.
 	cfg := shardedConfig(1)
 	cfg.RunWorkers = 4
-	if _, err := buildPooled(cfg, nil, reference{linearScan: true}); err == nil || !strings.Contains(err.Error(), "spatial index") {
+	if _, err := buildPooled(cfg, nil, nil, reference{linearScan: true}); err == nil || !strings.Contains(err.Error(), "spatial index") {
 		t.Errorf("sharded linear-scan build: err = %v, want error mentioning %q", err, "spatial index")
 	}
 }

@@ -98,16 +98,38 @@ func (h *Hostile) detectedIn(t *core.Tally) bool {
 
 // Build constructs the world for cfg without running it.
 func Build(cfg Config) (*World, error) {
-	return buildPooled(cfg, nil, reference{})
+	return buildPooled(cfg, nil, nil, reference{})
 }
 
-// ecdsaScheme spends rng's "crypto" split and returns the ECDSA scheme.
-// Signatures are deterministic (RFC 6979) and draw nothing, but every later
-// split of rng depends on this draw, so it stays: dropping it would change
-// every seed's run.
-func ecdsaScheme(rng *sim.RNG) pki.Scheme {
+// ecdsaScheme spends rng's "crypto" split and returns the ECDSA scheme over
+// memo (nil computes every signature and verification). Signatures are
+// deterministic (RFC 6979) and draw nothing, but every later split of rng
+// depends on this draw, so it stays: dropping it would change every seed's
+// run.
+func ecdsaScheme(rng *sim.RNG, memo *pki.Memo) pki.Scheme {
 	rng.Split("crypto")
-	return pki.ECDSA{}
+	return pki.ECDSA{Memo: memo}
+}
+
+// sweepMemo returns the crypto memo one sweep's worlds share: opt's own
+// memo when a test set one, else a fresh memo, or nil when opt selects
+// direct crypto or none of cfgs signs with ECDSA. Worlds that run the same
+// seed mint the same credentials and sign and verify many of the same
+// messages; the memo lives as long as the sweep, so the process holds no
+// crypto state between jobs.
+func sweepMemo(opt SweepOptions, cfgs ...Config) *pki.Memo {
+	if opt.ref.directCrypto {
+		return nil
+	}
+	if opt.memo != nil {
+		return opt.memo
+	}
+	for _, c := range cfgs {
+		if c.withDefaults().CryptoScheme == SchemeECDSA {
+			return pki.NewMemo()
+		}
+	}
+	return nil
 }
 
 // reference selects the retained reference implementations that the
@@ -122,6 +144,9 @@ type reference struct {
 	// noVerifyCache pays the full Open cost on every reception instead of
 	// consulting the per-agent verification cache.
 	noVerifyCache bool
+	// directCrypto gives a sweep's worlds no shared crypto memo, so every
+	// signature and verification is computed.
+	directCrypto bool
 }
 
 // buildTopology constructs the road layout cfg selects.
@@ -140,14 +165,16 @@ func buildTopology(cfg Config) (mobility.Topology, error) {
 	}
 }
 
-// buildPooled is Build with a shared event pool for the scheduler and the
-// reference paths ref selects. Sweep workers pass their per-worker pool so
-// consecutive replications reuse one warmed free list; a nil pool gives the
-// scheduler a private pool, which is exactly Build. Pooling must stay
-// invisible to outcomes — the differential and golden-hash tests in this
-// package enforce that. A build that fails releases what it scheduled; a
-// caller done with the world it returns calls w.Sched.Release.
-func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error) {
+// buildPooled is Build with a shared event pool for the scheduler, a shared
+// crypto memo for an ECDSA world, and the reference paths ref selects.
+// Sweep workers pass their per-worker pool so consecutive replications
+// reuse one warmed free list, and the sweep's memo; a nil pool gives the
+// scheduler a private pool and a nil memo computes all crypto, which is
+// exactly Build. Pooling and the memo must stay invisible to outcomes — the
+// differential and golden-hash tests in this package enforce that. A build
+// that fails releases what it scheduled; a caller done with the world it
+// returns calls w.Sched.Release.
+func buildPooled(cfg Config, pool *sim.EventPool, memo *pki.Memo, ref reference) (*World, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -179,7 +206,7 @@ func buildPooled(cfg Config, pool *sim.EventPool, ref reference) (*World, error)
 	var scheme pki.Scheme = pki.Insecure{}
 	switch cfg.CryptoScheme {
 	case SchemeECDSA:
-		scheme = ecdsaScheme(rng)
+		scheme = ecdsaScheme(rng, memo)
 	case SchemeSession:
 		// One shared instance models the epoch key-agreement channel; it
 		// is mutex-guarded, and its anchor signatures are deterministic, so
@@ -796,14 +823,15 @@ func (w *World) extractOutcome(status core.EstablishStatus, statusKnown bool, se
 // Run builds and executes one scenario, returning its outcome. The context
 // is checked between simulated slices (see World.RunContext).
 func Run(ctx context.Context, cfg Config) (metrics.Outcome, error) {
-	return runPooled(ctx, cfg, nil, reference{})
+	return runPooled(ctx, cfg, nil, nil, reference{})
 }
 
 // runPooled builds and executes one replication against a (possibly shared)
-// event pool, releasing the events still pending when it ends, cancelled or
-// not. See buildPooled for the pooling and reference contracts.
-func runPooled(ctx context.Context, cfg Config, pool *sim.EventPool, ref reference) (metrics.Outcome, error) {
-	w, err := buildPooled(cfg, pool, ref)
+// event pool and crypto memo, releasing the events still pending when it
+// ends, cancelled or not. See buildPooled for the sharing and reference
+// contracts.
+func runPooled(ctx context.Context, cfg Config, pool *sim.EventPool, memo *pki.Memo, ref reference) (metrics.Outcome, error) {
+	w, err := buildPooled(cfg, pool, memo, ref)
 	if err != nil {
 		return metrics.Outcome{}, err
 	}
@@ -828,6 +856,9 @@ type SweepOptions struct {
 	// pool, when non-nil, is the event pool of a one-worker sweep instead
 	// of a fresh one; only this package's pool tests set it.
 	pool *sim.EventPool
+	// memo, when non-nil, is the sweep's crypto memo instead of a fresh
+	// one; only this package's memo tests set it.
+	memo *pki.Memo
 }
 
 // workerPool returns one sweep worker's event pool, which the worker's
@@ -907,11 +938,13 @@ func replicate(cfg Config, start, count int, mutate func(rep int, c *Config)) []
 // sweep is the one engine behind every config sweep: it runs cfgs across
 // the worker pool and returns keep of each outcome in replication order.
 // first is the global replication index of cfgs[0], so OnRep reports
-// global indexes. Worlds are built privately per replication, so any
+// global indexes. Worlds are built privately per replication and share
+// only the sweep's crypto memo, which returns what it would compute, so any
 // worker count yields identical results; when configs request intra-run
 // parallelism the two worker budgets are reconciled first (see
 // reconcileWorkers). keep runs on the worker goroutines.
 func sweep[T any](ctx context.Context, cfgs []Config, first int, opt SweepOptions, keep func(metrics.Outcome) T) ([]T, error) {
+	memo := sweepMemo(opt, cfgs...)
 	onRep := opt.OnRep
 	if onRep != nil && first > 0 {
 		onRep = func(rep int, err error) { opt.OnRep(first+rep, err) }
@@ -921,7 +954,7 @@ func sweep[T any](ctx context.Context, cfgs []Config, first int, opt SweepOption
 		SeedOf:  func(i int) int64 { return cfgs[i].Seed },
 		OnRep:   onRep,
 	}, opt.workerPool, func(ctx context.Context, i int, pool *sim.EventPool) (T, error) {
-		o, err := runPooled(ctx, cfgs[i], pool, opt.ref)
+		o, err := runPooled(ctx, cfgs[i], pool, memo, opt.ref)
 		if err != nil {
 			var zero T
 			return zero, err

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"blackdp/internal/scenario"
 )
 
 func acceptedJob(t *testing.T, line string) string {
@@ -258,5 +260,37 @@ func TestJobFinishedWhenTerminalLineArrives(t *testing.T) {
 		if v := job.view(false); v.Status != StatusDone {
 			t.Errorf("%s: status %q after its stream ended, want done", job.ID, v.Status)
 		}
+	}
+}
+
+// TestPanickingRunFailsAlone makes one run job's world panic while it is
+// built: that job fails with the panic value in its error line, and the
+// server keeps answering health checks and runs valid jobs afterwards.
+func TestPanickingRunFailsAlone(t *testing.T) {
+	defer func(b func(scenario.Config) (*scenario.World, error)) { buildWorld = b }(buildWorld)
+	buildWorld = func(scenario.Config) (*scenario.World, error) { panic("injected build failure") }
+	s := mustNew(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, _, lines := post(t, ts, runBody(21))
+	var last streamLine
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatalf("last line %q: %v", lines[len(lines)-1], err)
+	}
+	if last.Type != "error" || !strings.Contains(last.Error, "injected build failure") {
+		t.Fatalf("panicking run ended with %q, want an error line carrying the panic value", lines[len(lines)-1])
+	}
+	if st := s.lookup(acceptedJob(t, lines[0])).view(false).Status; st != StatusFailed {
+		t.Errorf("panicking run: status %q, want %q", st, StatusFailed)
+	}
+
+	buildWorld = scenario.Build
+	if code, body := get(t, ts.URL+"/v1/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after a panicking run: %d %s", code, body)
+	}
+	code, _, lines := post(t, ts, runBody(22))
+	if err := json.Unmarshal([]byte(lines[len(lines)-2]), &last); err != nil || code != http.StatusOK || last.Type != "result" {
+		t.Fatalf("valid run after a panicking one: status %d, stream %q", code, lines)
 	}
 }

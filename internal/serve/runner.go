@@ -24,10 +24,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
 
+	"blackdp/internal/exp"
 	"blackdp/internal/metrics"
 	"blackdp/internal/scenario"
 	"blackdp/internal/trace"
@@ -368,22 +370,7 @@ func (s *Server) finishStoredErr(run *storedRun, err error) {
 func (s *Server) execute(run *storedRun, start, count int, onRep func(int, error)) ([]metrics.Outcome, error) {
 	spec := run.spec
 	if spec.kind == "run" {
-		cfg := spec.cfg
-		cfg.Trace = spec.trace
-		world, err := scenario.Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		o, err := world.RunContext(run.ctx)
-		if err != nil {
-			return nil, err
-		}
-		onRep(0, nil)
-		if spec.trace {
-			snap := world.Env.Tracer.Snapshot()
-			run.log = &snap
-		}
-		return []metrics.Outcome{o}, nil
+		return executeRun(run, onRep)
 	}
 	if d := s.cfg.Distributor; d != nil {
 		outcomes, err := d.SweepRange(run.ctx, spec.cfg, start, count, onRep)
@@ -393,6 +380,37 @@ func (s *Server) execute(run *storedRun, start, count int, onRep func(int, error
 	}
 	return scenario.RunSweep(run.ctx, spec.cfg, start, count,
 		scenario.SweepOptions{Workers: s.pool(spec), OnRep: onRep}, nil)
+}
+
+// buildWorld builds a run job's world; tests replace it to make a run
+// panic.
+var buildWorld = scenario.Build
+
+// executeRun runs a "run" job's one world. A panic while building or
+// running it fails this job alone, with the panic value in its error, as a
+// sweep replication's does (exp.PanicError), instead of ending the process.
+func executeRun(run *storedRun, onRep func(int, error)) (outcomes []metrics.Outcome, err error) {
+	cfg := run.spec.cfg
+	cfg.Trace = run.spec.trace
+	defer func() {
+		if v := recover(); v != nil {
+			err = &exp.PanicError{Seed: cfg.Seed, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	world, err := buildWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	o, err := world.RunContext(run.ctx)
+	if err != nil {
+		return nil, err
+	}
+	onRep(0, nil)
+	if cfg.Trace {
+		snap := world.Env.Tracer.Snapshot()
+		run.log = &snap
+	}
+	return []metrics.Outcome{o}, nil
 }
 
 // specFromStored rebuilds the validated jobSpec of a recovered job.

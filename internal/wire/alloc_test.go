@@ -100,3 +100,43 @@ func TestAllocsEncodeRoundTrip(t *testing.T) {
 		t.Errorf("Size: %.1f allocs/op, budget 0", got)
 	}
 }
+
+// TestAllocsRERRScratch pins the router's scratch RERR: once its list has
+// grown, decoding into it again allocates nothing. A fresh record still
+// decodes an empty list as nil, so Decode round trips stay exact.
+func TestAllocsRERRScratch(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	p := &RERR{Reporter: 3, Unreachable: []UnreachableDest{{Node: 9, Seq: 4}, {Node: 11, Seq: 2}, {Node: 12, Seq: 7}}}
+	buf, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch RERR
+	got := testing.AllocsPerRun(200, func() {
+		if err := scratch.UnmarshalBinary(buf); err != nil {
+			panic(err)
+		}
+	})
+	if got > 0 {
+		t.Errorf("RERR.UnmarshalBinary into scratch: %.1f allocs/op, budget 0", got)
+	}
+	if !reflect.DeepEqual(&scratch, p) {
+		t.Fatalf("scratch decode = %+v, want %+v", scratch, *p)
+	}
+	empty, err := (&RERR{Reporter: 5}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scratch.UnmarshalBinary(empty); err != nil || scratch.Reporter != 5 || len(scratch.Unreachable) != 0 {
+		t.Fatalf("scratch decode of an empty list = %+v, %v", scratch, err)
+	}
+	pkt, err := Decode(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pkt.(*RERR).Unreachable != nil {
+		t.Errorf("Decode of an empty RERR list gave a non-nil slice")
+	}
+}

@@ -330,21 +330,24 @@ func (p *RERR) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // UnmarshalBinary decodes the full wire bytes (including the Kind byte),
-// replacing p. The Unreachable slice is allocated only when non-empty.
+// replacing p. A record decoded into before reuses its Unreachable
+// capacity; a fresh one decodes an empty list as nil.
 func (p *RERR) UnmarshalBinary(b []byte) error {
 	b, err := body(b, KindRERR)
 	if err != nil {
 		return err
 	}
 	r := reader{buf: b}
+	list := p.Unreachable[:0]
 	*p = RERR{Reporter: NodeID(r.u64())}
 	n := int(r.u16())
 	for i := 0; i < n && r.err == nil; i++ {
-		p.Unreachable = append(p.Unreachable, UnreachableDest{
+		list = append(list, UnreachableDest{
 			Node: NodeID(r.u64()),
 			Seq:  SeqNum(r.u32()),
 		})
 	}
+	p.Unreachable = list
 	return r.finish()
 }
 
