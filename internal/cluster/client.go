@@ -259,7 +259,7 @@ func (c *Client) crossBoundary() {
 	if dep, ok := c.mobile.DepartureTime(); ok && dep <= now+time.Second {
 		return // driving off the highway; stay deregistered
 	}
-	if c.mobile.OnHighwayAt(now) {
+	if _, on := c.mobile.Locate(now); on {
 		c.requestJoin()
 	}
 }

@@ -176,11 +176,8 @@ func (h *Highway) ClustersInRange(x float64, txRange float64) []int {
 type Locator interface {
 	// PositionAt returns the node position at virtual time t.
 	PositionAt(t time.Duration) Position
-	// OnHighwayAt reports whether the node is on the road (and therefore
-	// radio-active) at virtual time t.
-	OnHighwayAt(t time.Duration) bool
-	// Locate returns PositionAt(t) and OnHighwayAt(t) together, for
-	// callers that need both.
+	// Locate returns PositionAt(t) and whether the node is on the road (and
+	// therefore radio-active) at virtual time t.
 	Locate(t time.Duration) (Position, bool)
 }
 
@@ -195,11 +192,8 @@ var _ Locator = Static{}
 // PositionAt implements Locator.
 func (s Static) PositionAt(time.Duration) Position { return s.Pos }
 
-// OnHighwayAt implements Locator. A static node is always active; RSUs sit on
-// the roadside whether or not their coordinates fall on the road surface.
-func (s Static) OnHighwayAt(time.Duration) bool { return true }
-
-// Locate implements Locator.
+// Locate implements Locator. A static node is always active; RSUs sit on the
+// roadside whether or not their coordinates fall on the road surface.
 func (s Static) Locate(time.Duration) (Position, bool) { return s.Pos, true }
 
 // MotionAt implements Kinematic: a static node never moves.
@@ -273,7 +267,7 @@ func (m *Mobile) Axis() Axis { return m.axis }
 func (m *Mobile) TravelBounds() (lo, hi float64) { return m.lo, m.hi }
 
 // PositionAt implements Locator. Positions are clamped to the road ends; use
-// OnHighwayAt to detect departure.
+// Locate to detect departure.
 func (m *Mobile) PositionAt(t time.Duration) Position {
 	return m.clamped(m.rawAlong(t))
 }
@@ -298,11 +292,6 @@ func (m *Mobile) rawAlong(t time.Duration) float64 {
 		dt = 0 // history before the last re-base is not retained
 	}
 	return m.along + m.dir.Sign()*m.speed*dt.Seconds()
-}
-
-// OnHighwayAt implements Locator.
-func (m *Mobile) OnHighwayAt(t time.Duration) bool {
-	return !m.exited && m.onRoad(m.rawAlong(t))
 }
 
 // Locate implements Locator: one trajectory evaluation yields both answers.
@@ -370,7 +359,7 @@ func (m *Mobile) SetSpeed(now time.Duration, speed float64) error {
 }
 
 // Exit marks the vehicle as permanently departed at time now (it took an
-// off-ramp). Its position freezes; OnHighwayAt reports false afterwards.
+// off-ramp). Its position freezes; Locate reports it off the road afterwards.
 func (m *Mobile) Exit(now time.Duration) {
 	m.rebase(now)
 	m.speed = 0

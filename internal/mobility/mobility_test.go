@@ -148,13 +148,20 @@ func TestStaticLocator(t *testing.T) {
 	if s.PositionAt(0) != s.PositionAt(time.Hour) {
 		t.Error("static node moved")
 	}
-	if !s.OnHighwayAt(time.Hour) {
+	if !onHighway(s, time.Hour) {
 		t.Error("static node reported off-highway")
 	}
 }
 
-// TestLocateMatchesParts holds Locate to PositionAt and OnHighwayAt over a
-// trajectory that drives, re-bases, leaves the road's end and exits.
+// onHighway reports Locate's on-road flag alone.
+func onHighway(l Locator, t time.Duration) bool {
+	_, on := l.Locate(t)
+	return on
+}
+
+// TestLocateMatchesParts holds Locate to PositionAt and to the raw travel
+// coordinate's road bounds over a trajectory that drives, re-bases, leaves
+// the road's end and exits.
 func TestLocateMatchesParts(t *testing.T) {
 	h := tableIHighway(t)
 	s := Static{Pos: h.ClusterCenter(3), H: h}
@@ -167,10 +174,13 @@ func TestLocateMatchesParts(t *testing.T) {
 	exits, _ := NewMobileOnRoad(h, h.Roads()[0], Position{X: 5000, Y: 10}, Eastbound, 20, 0)
 	exits.Exit(50 * time.Second)
 	for _, m := range []*Mobile{east, west, exits} {
+		lo, hi := m.TravelBounds()
 		for at := time.Duration(0); at <= 200*time.Second; at += 250 * time.Millisecond {
 			p, on := m.Locate(at)
-			if p != m.PositionAt(at) || on != m.OnHighwayAt(at) {
-				t.Fatalf("Locate(%v) = (%v, %v), want (%v, %v)", at, p, on, m.PositionAt(at), m.OnHighwayAt(at))
+			raw := m.rawAlong(at)
+			want := !m.Exited() && raw >= lo && raw <= hi
+			if p != m.PositionAt(at) || on != want {
+				t.Fatalf("Locate(%v) = (%v, %v), want (%v, %v)", at, p, on, m.PositionAt(at), want)
 			}
 		}
 	}
@@ -194,10 +204,10 @@ func TestMobileKinematics(t *testing.T) {
 	if !ok || dep != 360*time.Second {
 		t.Errorf("DepartureTime = (%v, %v), want (360s, true)", dep, ok)
 	}
-	if m.OnHighwayAt(359*time.Second) != true {
+	if onHighway(m, 359*time.Second) != true {
 		t.Error("on-highway at 359s = false")
 	}
-	if m.OnHighwayAt(361 * time.Second) {
+	if onHighway(m, 361*time.Second) {
 		t.Error("still on-highway after departure")
 	}
 	// Position clamps at the end.
@@ -265,7 +275,7 @@ func TestMobileExit(t *testing.T) {
 	if !m.Exited() {
 		t.Error("Exited() = false after Exit")
 	}
-	if m.OnHighwayAt(51 * time.Second) {
+	if onHighway(m, 51*time.Second) {
 		t.Error("on-highway after Exit")
 	}
 	if p := m.PositionAt(time.Hour); math.Abs(p.X-6000) > 1e-9 {
@@ -375,10 +385,10 @@ func TestDepartureConsistentProperty(t *testing.T) {
 			return false // moving vehicles always depart eventually
 		}
 		eps := 10 * time.Millisecond
-		if dep > eps && !m.OnHighwayAt(dep-eps) {
+		if dep > eps && !onHighway(m, dep-eps) {
 			return false
 		}
-		return !m.OnHighwayAt(dep + eps)
+		return !onHighway(m, dep+eps)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

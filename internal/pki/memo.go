@@ -4,13 +4,15 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
-	"math/big"
 	"sync"
 )
 
-// memoCapacity bounds a Memo. The paper's 150-replication Figure 4 grid
-// puts about 3k entries between two worlds that run the same seed, so hits
-// survive eviction with room to spare.
+// memoCapacity bounds a Memo. A Table I world adds about 30 entries, and
+// the Figure 4 grid runs cluster by cluster, so at the paper's 150
+// replications one cluster step is about 4.5k entries: the memo holds a
+// world's twins in the three nearest clusters and has evicted those
+// further back. One 6-replication kind of the grid holds 1.6–1.9k entries
+// in all.
 const memoCapacity = 16384
 
 // Memo remembers the results of the two deterministic ECDSA operations,
@@ -71,16 +73,6 @@ func (m *Memo) Stats() MemoStats {
 	return s
 }
 
-// fill32 writes x big-endian into dst, reporting false when x does not fit
-// in 32 bytes.
-func fill32(dst []byte, x *big.Int) bool {
-	if x == nil || x.Sign() < 0 || x.BitLen() > 8*p256Coord {
-		return false
-	}
-	x.FillBytes(dst[:p256Coord])
-	return true
-}
-
 // sign returns the framed RFC 6979 signature over digest by priv.
 func (m *Memo) sign(priv *ecdsa.PrivateKey, digest *[sha256.Size]byte) ([]byte, error) {
 	var in [p256Coord + sha256.Size]byte
@@ -121,7 +113,7 @@ func (m *Memo) sign(priv *ecdsa.PrivateKey, digest *[sha256.Size]byte) ([]byte, 
 // whose ASN.1 body is asn1, is pub's signature over digest.
 func (m *Memo) verify(pub *ecdsa.PublicKey, digest *[sha256.Size]byte, sig, asn1 []byte) bool {
 	var in [2*p256Coord + sha256.Size + SignatureSize]byte
-	if m == nil || pub.Curve != elliptic.P256() || !fill32(in[:], pub.X) || !fill32(in[p256Coord:], pub.Y) {
+	if m == nil || pub.Curve != elliptic.P256() || !pointBytes(in[:2*p256Coord], pub) {
 		return ecdsa.VerifyASN1(pub, digest[:], asn1)
 	}
 	copy(in[2*p256Coord:], digest[:])

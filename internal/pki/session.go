@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
+	"math/big"
 	"sync"
 )
 
@@ -93,11 +94,16 @@ const p256Coord = 32
 // pointBytes writes the fixed-width affine point of pub into dst (64 bytes)
 // and reports whether the key is usable.
 func pointBytes(dst []byte, pub *ecdsa.PublicKey) bool {
-	if pub == nil || pub.X == nil || pub.Y == nil {
+	return pub != nil && fill32(dst[:p256Coord], pub.X) && fill32(dst[p256Coord:2*p256Coord], pub.Y)
+}
+
+// fill32 writes x big-endian into dst, reporting false when x is missing,
+// negative or wider than a P-256 coordinate.
+func fill32(dst []byte, x *big.Int) bool {
+	if x == nil || x.Sign() < 0 || x.BitLen() > 8*p256Coord {
 		return false
 	}
-	pub.X.FillBytes(dst[:p256Coord])
-	pub.Y.FillBytes(dst[p256Coord : 2*p256Coord])
+	x.FillBytes(dst[:p256Coord])
 	return true
 }
 

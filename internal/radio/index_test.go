@@ -15,16 +15,16 @@ import (
 // attached device with the exact boundary-inclusive unit-disk test — the
 // set the grid index must reproduce verbatim, in attach order.
 func bruteNeighbors(m *Medium, probe *Interface, now time.Duration) []wire.NodeID {
-	if !probe.active(now) {
+	src, active := probe.locate(now)
+	if !active {
 		return nil
 	}
-	src := probe.loc.PositionAt(now)
 	var out []wire.NodeID
 	for _, dev := range m.devices {
-		if dev == probe || !dev.active(now) {
+		if dev == probe {
 			continue
 		}
-		if src.DistanceTo(dev.loc.PositionAt(now)) <= m.txRange {
+		if pos, active := dev.locate(now); active && src.DistanceTo(pos) <= m.txRange {
 			out = append(out, dev.id)
 		}
 	}

@@ -385,11 +385,6 @@ func (i *Interface) Detach() {
 // a silenced device neither sends nor receives.
 func (i *Interface) SetSilenced(s bool) { i.silenced = s }
 
-// active reports whether the device is transmitting/receiving at time t.
-func (i *Interface) active(t time.Duration) bool {
-	return !i.detached && !i.silenced && i.loc.OnHighwayAt(t)
-}
-
 // locate returns the device's position at time t and whether it is active
 // then, evaluating its trajectory once.
 func (i *Interface) locate(t time.Duration) (mobility.Position, bool) {
@@ -545,7 +540,7 @@ func arrive(dev *Interface, tx *transmission) {
 	c := dev.shard
 	payload := tx.frame.Payload
 	c.stats.inFlight--
-	if dev.active(c.rt.Now()) {
+	if _, active := dev.locate(c.rt.Now()); active {
 		c.stats.delivered.count(payload, len(payload))
 		if c.digest != nil {
 			c.digestCopy(dev.id, payload)

@@ -87,7 +87,9 @@ func discoverEvidence(cfg Config, pool *sim.EventPool, memo *pki.Memo, ref refer
 func CompareDetectors(ctx context.Context, cfg Config, reps int, opt SweepOptions) ([]DetectorScore, error) {
 	cfg = cfg.withDefaults()
 	seedOf := func(rep int) int64 { return cfg.Seed + int64(rep)*104729 }
-	memo := sweepMemo(opt, cfg)
+	// Each replication builds two worlds of one seed (the discovery world
+	// and BlackDP's run), so an ECDSA comparison always has twins to share.
+	memo := sweepMemo(opt, []Config{cfg, cfg})
 	evidence, err := exp.MapScratch(ctx, reps, exp.Options{
 		Workers: opt.Workers,
 		SeedOf:  seedOf,

@@ -38,8 +38,10 @@ func TestCryptoMemoTransparent(t *testing.T) {
 		t.Errorf("memo never hit across the grid: %+v", s)
 	}
 
+	// A replication sweep's seeds are distinct, so it builds no memo of its
+	// own; hand it one to hold the shared path equal anyway.
 	mutate := func(rep int, c *Config) { c.Attack = []AttackKind{SingleBlackHole, CooperativeBlackHole}[rep%2] }
-	got, err := RunSweep(ctx, base, 0, 6, SweepOptions{Workers: 2}, mutate)
+	got, err := RunSweep(ctx, base, 0, 6, SweepOptions{Workers: 2, memo: pki.NewMemo()}, mutate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +68,31 @@ func TestCryptoMemoTransparent(t *testing.T) {
 	}
 	if s := memo.Stats(); s.SignHits == 0 || s.VerifyHits == 0 {
 		t.Errorf("memo never hit across one seed's worlds: %+v", s)
+	}
+}
+
+// TestSweepMemoNeedsSharedSeed holds that a sweep builds a memo only when
+// two of its ECDSA worlds share a seed: the Figure 4 grid does, a
+// replication sweep and the non-ECDSA schemes do not.
+func TestSweepMemoNeedsSharedSeed(t *testing.T) {
+	base := cryptoDiffConfig(1)
+	placeholder := base
+	placeholder.CryptoScheme = SchemePlaceholder
+	fig4 := append(replicate(base, 0, 3, nil), replicate(base, 0, 3, nil)...)
+	for _, tc := range []struct {
+		name string
+		opt  SweepOptions
+		cfgs []Config
+		want bool
+	}{
+		{"replication sweep", SweepOptions{}, replicate(base, 0, 6, nil), false},
+		{"figure 4 grid", SweepOptions{}, fig4, true},
+		{"placeholder twins", SweepOptions{}, []Config{placeholder, placeholder}, false},
+		{"direct crypto", SweepOptions{ref: reference{directCrypto: true}}, fig4, false},
+	} {
+		if got := sweepMemo(tc.opt, tc.cfgs) != nil; got != tc.want {
+			t.Errorf("%s: memo built = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

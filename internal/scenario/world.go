@@ -112,22 +112,31 @@ func ecdsaScheme(rng *sim.RNG, memo *pki.Memo) pki.Scheme {
 }
 
 // sweepMemo returns the crypto memo one sweep's worlds share: opt's own
-// memo when a test set one, else a fresh memo, or nil when opt selects
-// direct crypto or none of cfgs signs with ECDSA. Worlds that run the same
-// seed mint the same credentials and sign and verify many of the same
-// messages; the memo lives as long as the sweep, so the process holds no
-// crypto state between jobs.
-func sweepMemo(opt SweepOptions, cfgs ...Config) *pki.Memo {
+// memo when a test set one, else a fresh memo when two of cfgs sign with
+// ECDSA under the same seed, else nil. Worlds that share a seed mint the
+// same credentials and sign and verify many of the same messages (the
+// Figure 4 grid runs each replication seed in every attacker cluster).
+// Worlds with distinct seeds share almost nothing, so a sweep of them —
+// every replicate-based sweep — computes directly instead of paying a key
+// hash, a shared lock and up to a full memo's entries for few hits. The
+// memo lives as long as the sweep, so the process holds no crypto state
+// between jobs.
+func sweepMemo(opt SweepOptions, cfgs []Config) *pki.Memo {
 	if opt.ref.directCrypto {
 		return nil
 	}
 	if opt.memo != nil {
 		return opt.memo
 	}
+	seeds := make(map[int64]bool, len(cfgs))
 	for _, c := range cfgs {
-		if c.withDefaults().CryptoScheme == SchemeECDSA {
+		if c = c.withDefaults(); c.CryptoScheme != SchemeECDSA {
+			continue
+		}
+		if seeds[c.Seed] {
 			return pki.NewMemo()
 		}
+		seeds[c.Seed] = true
 	}
 	return nil
 }
@@ -944,7 +953,7 @@ func replicate(cfg Config, start, count int, mutate func(rep int, c *Config)) []
 // parallelism the two worker budgets are reconciled first (see
 // reconcileWorkers). keep runs on the worker goroutines.
 func sweep[T any](ctx context.Context, cfgs []Config, first int, opt SweepOptions, keep func(metrics.Outcome) T) ([]T, error) {
-	memo := sweepMemo(opt, cfgs...)
+	memo := sweepMemo(opt, cfgs)
 	onRep := opt.OnRep
 	if onRep != nil && first > 0 {
 		onRep = func(rep int, err error) { opt.OnRep(first+rep, err) }
