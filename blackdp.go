@@ -178,8 +178,8 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // conservative parallel simulation on up to n goroutines. Sharded results
 // are deterministic and independent of the exact worker count, but form
 // their own mode, distinct from the serial stream. Any crypto scheme shards
-// cleanly: verification caches are per-agent and signing randomness is
-// drawn from per-shard streams.
+// cleanly: the ECDSA memo is mutex-guarded and returns what it would
+// compute, and signing randomness is drawn from per-shard streams.
 // In sweeps the two worker budgets are reconciled so sweep workers times
 // intra-run workers stays within GOMAXPROCS — intra-run shrinks first,
 // never below 2, and the mode is never silently changed.

@@ -446,7 +446,7 @@ func crypto(p params) ([]*report.Table, error) {
 		}
 	}
 	t.Note("detection is scheme-independent (the differential wall pins it); the rows differ")
-	t.Note("only in wall clock: the verification cache elides repeat ECDSA checks, and the")
+	t.Note("only in wall clock: each world's ECDSA memo elides repeat checks, and the")
 	t.Note("session-token scheme amortises one ECDSA signature across a pseudonym epoch.")
 	return []*report.Table{t}, nil
 }

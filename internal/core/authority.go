@@ -24,7 +24,6 @@ type AuthorityAgent struct {
 	served       []wire.ClusterID // clusters whose heads report here
 	peers        []wire.NodeID    // other TA nodes on the backbone
 	certValidity time.Duration
-	verifier     *pki.Verifier // verification cache for relayed envelopes
 
 	stats AuthorityStats
 }
@@ -70,7 +69,6 @@ func NewAuthorityAgent(env Env, id wire.AuthorityID, hop int, served []wire.Clus
 		cred:         cred,
 		served:       append([]wire.ClusterID(nil), served...),
 		certValidity: certValidity,
-		verifier:     env.NewVerifier(),
 	}
 	ep, err := env.Backbone.Attach(cred.NodeID(), hop, a.handleBackbone)
 	if err != nil {
@@ -132,7 +130,7 @@ func (a *AuthorityAgent) handleBackbone(from wire.NodeID, payload []byte) {
 	case *wire.Secure:
 		// Heads relay vehicles' sealed renewal requests verbatim so the TA
 		// can authenticate the presenter's certificate itself.
-		inner, cert, err := a.verifier.Open(p, a.env.Sched.Now())
+		inner, cert, err := pki.Open(p, a.env.Trust, a.env.Sched.Now(), a.env.Scheme)
 		if err != nil {
 			return
 		}

@@ -48,11 +48,6 @@ type Env struct {
 	// nil in serial runs, where Medium.Attach uses the implicit serial
 	// context; sharded world builds set it per agent alongside Sched.
 	Port *radio.Shard
-
-	// NoVerifyCache disables the per-agent verification cache so every
-	// envelope pays the full Open cost — the reference path the crypto
-	// differential wall compares against.
-	NoVerifyCache bool
 }
 
 func (e *Env) check() {
@@ -70,14 +65,6 @@ func (e *Env) record(ev trace.Event) {
 	ev.At = e.Sched.Now()
 	e.Tally.record(ev)
 	e.Tracer.Record(ev)
-}
-
-// NewVerifier builds the agent's verification front end: per-agent cached
-// verification over the Env's scheme ("verify once per node"), or the
-// uncached reference path when NoVerifyCache is set. Each agent owns its
-// Verifier, so sharded runs share no verification state across shards.
-func (e *Env) NewVerifier() *pki.Verifier {
-	return pki.NewVerifier(e.Trust, e.Scheme, pki.VerifierOptions{Disabled: e.NoVerifyCache})
 }
 
 // AttachRadio attaches a radio interface on the agent's home shard: the

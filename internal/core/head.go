@@ -127,8 +127,6 @@ type HeadAgent struct {
 	memb    *cluster.Head
 	ep      *radio.BackboneEndpoint
 
-	verifier *pki.Verifier // per-head verification cache
-
 	cases           map[wire.NodeID]*detectionCase
 	resolved        map[wire.NodeID]*resolvedCase
 	pendingRenewals map[wire.NodeID]bool
@@ -152,7 +150,6 @@ func NewHeadAgent(env Env, cfg HeadConfig, cred *pki.Credential, c wire.ClusterI
 		cred:            cred,
 		cluster:         c,
 		pos:             env.Highway.ClusterCenter(int(c)),
-		verifier:        env.NewVerifier(),
 		cases:           make(map[wire.NodeID]*detectionCase),
 		resolved:        make(map[wire.NodeID]*resolvedCase),
 		pendingRenewals: make(map[wire.NodeID]bool),
@@ -362,7 +359,7 @@ func (h *HeadAgent) handleDetectReqRadio(p *wire.DetectReq, env *wire.Secure) {
 		return
 	}
 	h.afterVerification(func() {
-		_, cert, err := h.verifier.Open(env, h.env.Sched.Now())
+		_, cert, err := pki.Open(env, h.env.Trust, h.env.Sched.Now(), h.env.Scheme)
 		if err != nil || cert.Node != p.Reporter {
 			h.stats.AuthFailures++
 			return
@@ -407,7 +404,7 @@ func (h *HeadAgent) relayRenewal(env *wire.Secure, f radio.Frame) {
 		return
 	}
 	h.afterVerification(func() {
-		inner, cert, err := h.verifier.Open(env, h.env.Sched.Now())
+		inner, cert, err := pki.Open(env, h.env.Trust, h.env.Sched.Now(), h.env.Scheme)
 		if err != nil {
 			h.stats.AuthFailures++
 			return
@@ -625,7 +622,7 @@ func (h *HeadAgent) handleProbeReply(c *detectionCase, f radio.Frame) {
 		return
 	}
 	if sec, ok := pkt.(*wire.Secure); ok {
-		inner, cert, err := h.verifier.Open(sec, h.env.Sched.Now())
+		inner, cert, err := pki.Open(sec, h.env.Trust, h.env.Sched.Now(), h.env.Scheme)
 		if err == nil && cert.Node == c.suspect {
 			// An authenticated reply pins the exact certificate to revoke.
 			c.serial = cert.Serial

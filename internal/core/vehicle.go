@@ -176,9 +176,7 @@ type VehicleAgent struct {
 	router *aodv.Router
 	client *cluster.Client
 
-	verifier    *pki.Verifier  // per-vehicle verification cache
-	openScratch []*wire.Secure // batch-verify staging, reused per discovery
-	joinScratch wire.JoinReq   // decode target for overheard join requests
+	joinScratch wire.JoinReq // decode target for overheard join requests
 
 	verifications map[wire.NodeID]*verification // by destination
 	reports       map[wire.NodeID]*verification // by suspect
@@ -203,7 +201,6 @@ func NewVehicleAgent(env Env, cfg VehicleConfig, cred *pki.Credential, mobile *m
 		cfg:           cfg.withDefaults(),
 		cred:          cred,
 		mobile:        mobile,
-		verifier:      env.NewVerifier(),
 		verifications: make(map[wire.NodeID]*verification),
 		reports:       make(map[wire.NodeID]*verification),
 	}
@@ -441,19 +438,7 @@ func (v *VehicleAgent) evaluate(ver *verification, res aodv.DiscoverResult) {
 // bestAuthenticated filters candidates through the paper's authentication
 // rules and returns the freshest survivor.
 func (v *VehicleAgent) bestAuthenticated(ver *verification, cands []aodv.Candidate) *aodv.Candidate {
-	// Stage the envelopes that survive the cheap pre-filters and verify
-	// them as one batch through the per-vehicle cache; relayed copies of
-	// the same reply then cost one signature verification, not one each.
-	v.openScratch = v.openScratch[:0]
-	for i := range cands {
-		c := &cands[i]
-		if ver.excluded[c.RREP.Issuer] || v.client.IsBlacklisted(c.RREP.Issuer) {
-			v.openScratch = append(v.openScratch, nil)
-			continue
-		}
-		v.openScratch = append(v.openScratch, c.Envelope)
-	}
-	opened := v.verifier.OpenBatch(v.openScratch, v.env.Sched.Now())
+	now := v.env.Sched.Now()
 	var best *aodv.Candidate
 	for i := range cands {
 		c := &cands[i]
@@ -466,7 +451,7 @@ func (v *VehicleAgent) bestAuthenticated(ver *verification, cands []aodv.Candida
 			v.stats.AuthViolations++
 			continue
 		}
-		inner, cert, err := opened[i].Packet, opened[i].Cert, opened[i].Err
+		inner, cert, err := pki.Open(c.Envelope, v.env.Trust, now, v.env.Scheme)
 		if err != nil {
 			v.stats.AuthViolations++
 			continue
@@ -531,7 +516,7 @@ func (v *VehicleAgent) handleProbe(h *wire.Hello, env *wire.Secure, from wire.No
 		// We are the probed destination: authenticate the prober, then
 		// answer with our own signed Hello.
 		if env != nil {
-			if _, cert, err := v.verifier.Open(env, now); err != nil || cert.Node != h.Origin {
+			if _, cert, err := pki.Open(env, v.env.Trust, now, v.env.Scheme); err != nil || cert.Node != h.Origin {
 				v.stats.AuthViolations++
 				return
 			}
@@ -557,7 +542,7 @@ func (v *VehicleAgent) handleProbe(h *wire.Hello, env *wire.Secure, from wire.No
 func (v *VehicleAgent) resolveProbeReply(ver *verification, h *wire.Hello, env *wire.Secure) {
 	now := v.env.Sched.Now()
 	if env != nil {
-		if _, cert, err := v.verifier.Open(env, now); err == nil && cert.Node == ver.dest && h.Origin == ver.dest {
+		if _, cert, err := pki.Open(env, v.env.Trust, now, v.env.Scheme); err == nil && cert.Node == ver.dest && h.Origin == ver.dest {
 			// Genuine destination: the intermediate's route is real.
 			v.finish(ver, EstablishResult{Status: StatusVerified, Via: ver.suspect.RREP.Issuer})
 			return
@@ -715,7 +700,7 @@ func (v *VehicleAgent) handleDetectResp(p *wire.DetectResp, env *wire.Secure) {
 		v.stats.AuthViolations++
 		return
 	}
-	if _, cert, err := v.verifier.Open(env, v.env.Sched.Now()); err != nil || !v.env.Dir.IsHead(cert.Node) {
+	if _, cert, err := pki.Open(env, v.env.Trust, v.env.Sched.Now(), v.env.Scheme); err != nil || !v.env.Dir.IsHead(cert.Node) {
 		v.stats.AuthViolations++
 		return
 	}
@@ -778,7 +763,7 @@ func (v *VehicleAgent) handleRenewalResp(p *wire.RenewalResp, env *wire.Secure) 
 		v.stats.AuthViolations++
 		return
 	}
-	if _, cert, err := v.verifier.Open(env, v.env.Sched.Now()); err != nil || !v.env.Dir.IsHead(cert.Node) {
+	if _, cert, err := pki.Open(env, v.env.Trust, v.env.Sched.Now(), v.env.Scheme); err != nil || !v.env.Dir.IsHead(cert.Node) {
 		v.stats.AuthViolations++
 		return
 	}

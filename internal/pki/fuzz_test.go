@@ -42,19 +42,19 @@ func wireFuzzCorpus(f *testing.F) [][]byte {
 	return out
 }
 
-// FuzzOpenSecure feeds arbitrary envelope bytes through every verification
-// path — uncached Open, a cold cached Verifier, a Verifier warmed on honest
-// traffic, and the session-token scheme — and requires them to agree: same
-// accept/reject verdict, same error class, same decoded packet. No input may
-// panic, and no input may be accepted by a cached path that the reference
-// path rejects (the laundering property, fuzzed).
+// FuzzOpenSecure feeds arbitrary envelope bytes through Open under ECDSA
+// with no memo, under ECDSA through a memo warmed on honest traffic, and
+// under the session-token scheme. The two ECDSA paths must agree: same
+// accept/reject verdict, same error class, same decoded packet. No input
+// may panic, and no input may be accepted through the memo that direct
+// verification rejects (the laundering property, fuzzed).
 func FuzzOpenSecure(f *testing.F) {
 	ecdsaScheme := ECDSA{}
-	fx := newVerifierFixture(f, ecdsaScheme, 2)
+	fx := newOpenFixture(f, ecdsaScheme, 2)
 	honest := fx.seal(f, fx.creds[0], 1)
 
 	sessionScheme := NewSessionToken()
-	sfx := newVerifierFixture(f, sessionScheme, 2)
+	sfx := newOpenFixture(f, sessionScheme, 2)
 	sHonest := sfx.seal(f, sfx.creds[0], 1)
 
 	// Seeds: honest envelopes under both schemes, targeted mutations, and
@@ -76,16 +76,14 @@ func FuzzOpenSecure(f *testing.F) {
 		f.Add(b)
 	}
 
-	warm := NewVerifier(fx.trust, ecdsaScheme, VerifierOptions{})
-	if _, _, err := warm.Open(honest, 0); err != nil {
+	warm := ECDSA{Memo: NewMemo()}
+	if _, _, err := Open(honest, fx.trust, 0, warm); err != nil {
 		f.Fatal(err)
 	}
-	sessionWarm := NewVerifier(sfx.trust, sessionScheme, VerifierOptions{})
-	if _, _, err := sessionWarm.Open(sHonest, 0); err != nil {
+	if _, _, err := Open(sHonest, sfx.trust, 0, sessionScheme); err != nil {
 		f.Fatal(err)
 	}
 
-	classes := []error{ErrBadSignature, ErrBadCertificate, ErrCertExpired, ErrUnknownAuthority}
 	now := 30 * time.Minute
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -97,29 +95,19 @@ func FuzzOpenSecure(f *testing.F) {
 		if !ok {
 			return
 		}
-		check := func(label string, trust *TrustStore, scheme Scheme, vs ...*Verifier) {
-			wantPkt, _, wantErr := Open(sec, trust, now, scheme)
-			for _, v := range vs {
-				gotPkt, _, gotErr := v.Open(sec, now)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: verdict diverged: cached err %v, reference err %v", label, gotErr, wantErr)
-				}
-				if wantErr != nil {
-					for _, class := range classes {
-						if errors.Is(wantErr, class) != errors.Is(gotErr, class) {
-							t.Fatalf("%s: error class diverged: cached %v, reference %v", label, gotErr, wantErr)
-						}
-					}
-					continue
-				}
-				if !reflect.DeepEqual(gotPkt, wantPkt) {
-					t.Fatalf("%s: packet diverged: cached %+v, reference %+v", label, gotPkt, wantPkt)
-				}
+		wantPkt, _, wantErr := Open(sec, fx.trust, now, ecdsaScheme)
+		gotPkt, _, gotErr := Open(sec, fx.trust, now, warm)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("verdict diverged: memo err %v, direct err %v", gotErr, wantErr)
+		}
+		for _, class := range openErrClasses {
+			if errors.Is(wantErr, class) != errors.Is(gotErr, class) {
+				t.Fatalf("error class diverged: memo %v, direct %v", gotErr, wantErr)
 			}
 		}
-		cold := NewVerifier(fx.trust, ecdsaScheme, VerifierOptions{})
-		check("ecdsa", fx.trust, ecdsaScheme, cold, warm)
-		sessionCold := NewVerifier(sfx.trust, sessionScheme, VerifierOptions{})
-		check("session", sfx.trust, sessionScheme, sessionCold, sessionWarm)
+		if !reflect.DeepEqual(gotPkt, wantPkt) {
+			t.Fatalf("packet diverged: memo %+v, direct %+v", gotPkt, wantPkt)
+		}
+		_, _, _ = Open(sec, sfx.trust, now, sessionScheme) // must not panic
 	})
 }

@@ -89,10 +89,6 @@ func (s ECDSA) Verify(pub *ecdsa.PublicKey, msg, sig []byte) bool {
 	return s.Memo.verify(pub, &digest, sig, asn1)
 }
 
-// ExpensiveVerify marks ECDSA verification as costly enough that a
-// Verifier's content-addressed envelope cache pays for itself.
-func (ECDSA) ExpensiveVerify() bool { return true }
-
 // Insecure is the ablation scheme: the "signature" is the SHA-256 digest of
 // the message and the key's public point, checked by recomputation. It has
 // the same wire size as ECDSA but near-zero CPU cost and no security; it

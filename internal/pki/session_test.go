@@ -12,7 +12,7 @@ import (
 // certificate plus per-packet token — under the session scheme.
 func TestSessionTokenRoundTrip(t *testing.T) {
 	scheme := NewSessionToken()
-	f := newVerifierFixture(t, scheme, 1)
+	f := newOpenFixture(t, scheme, 1)
 	sec := f.seal(t, f.creds[0], 5)
 	pkt, cert, err := Open(sec, f.trust, 0, scheme)
 	if err != nil {
@@ -30,7 +30,7 @@ func TestSessionTokenRoundTrip(t *testing.T) {
 // happens once per epoch per side, no matter how many packets flow.
 func TestSessionTokenAmortization(t *testing.T) {
 	scheme := NewSessionToken()
-	f := newVerifierFixture(t, scheme, 1)
+	f := newOpenFixture(t, scheme, 1)
 	const packets = 50
 	for i := 0; i < packets; i++ {
 		sec := f.seal(t, f.creds[0], uint32(i))
@@ -60,7 +60,7 @@ func TestSessionTokenAmortization(t *testing.T) {
 // receivers the epoch was never announced to.
 func TestSessionTokenRejections(t *testing.T) {
 	scheme := NewSessionToken()
-	f := newVerifierFixture(t, scheme, 2)
+	f := newOpenFixture(t, scheme, 2)
 	sec := f.seal(t, f.creds[0], 9)
 	if _, _, err := Open(sec, f.trust, 0, scheme); err != nil {
 		t.Fatalf("honest open: %v", err)
@@ -127,7 +127,7 @@ func TestSessionTokenRejections(t *testing.T) {
 		// in the session table must reject every packet: the session key
 		// is only trusted once its ECDSA anchor verifies.
 		corrupt := NewSessionToken()
-		g := newVerifierFixture(t, corrupt, 1)
+		g := newOpenFixture(t, corrupt, 1)
 		csec := g.seal(t, g.creds[0], 1)
 		fp, ok := sessionFingerprint(&keyOf(t, g.creds[0]).PublicKey)
 		if !ok {
@@ -176,19 +176,5 @@ func TestSessionTokenWireShape(t *testing.T) {
 	}
 	if !scheme.Verify(&key.PublicKey, []byte("payload"), sig) {
 		t.Fatal("round trip failed")
-	}
-}
-
-// TestSessionTokenCheapVerify documents that the verifier's envelope cache
-// stays off for session tokens: the MAC check is as cheap as the cache
-// lookup would be, so only the certificate cache engages.
-func TestSessionTokenCheapVerify(t *testing.T) {
-	scheme := NewSessionToken()
-	v := NewVerifier(NewTrustStore(), scheme, VerifierOptions{})
-	if v.cacheEnvelopes {
-		t.Fatal("envelope cache engaged for session tokens")
-	}
-	if ev := NewVerifier(NewTrustStore(), ECDSA{}, VerifierOptions{}); !ev.cacheEnvelopes {
-		t.Fatal("envelope cache not engaged for ECDSA")
 	}
 }

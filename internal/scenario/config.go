@@ -127,8 +127,8 @@ type Config struct {
 	// draw radio RNG from per-shard streams (and, under real crypto,
 	// per-shard signing streams), so they form their own mode distinct
 	// from the serial stream. Sharded mode excludes Trace — Validate
-	// enforces it; any crypto scheme is allowed, since verification state
-	// is per-agent and signing randomness is per-shard.
+	// enforces it; any crypto scheme is allowed, since the ECDSA memo is
+	// mutex-guarded and signing randomness is per-shard.
 	RunWorkers int
 }
 

@@ -38,8 +38,8 @@ func TestCryptoMemoTransparent(t *testing.T) {
 		t.Errorf("memo never hit across the grid: %+v", s)
 	}
 
-	// A replication sweep's seeds are distinct, so it builds no memo of its
-	// own; hand it one to hold the shared path equal anyway.
+	// A replication sweep's seeds are distinct, so it shares no memo (each
+	// world keeps its own); hand it one to hold the shared path equal too.
 	mutate := func(rep int, c *Config) { c.Attack = []AttackKind{SingleBlackHole, CooperativeBlackHole}[rep%2] }
 	got, err := RunSweep(ctx, base, 0, 6, SweepOptions{Workers: 2, memo: pki.NewMemo()}, mutate)
 	if err != nil {
@@ -54,7 +54,8 @@ func TestCryptoMemoTransparent(t *testing.T) {
 	}
 
 	// Frames: one seed's worlds across attacker clusters and both
-	// executors, built back to back on one memo, against builds with none.
+	// executors, built back to back on one memo, against builds with none
+	// at all.
 	memo = pki.NewMemo()
 	for c := 1; c <= 4; c++ {
 		for _, workers := range []int{0, 2} {
@@ -96,14 +97,43 @@ func TestSweepMemoNeedsSharedSeed(t *testing.T) {
 	}
 }
 
-// memoFrameDigest is frameDigest for a world built on memo.
+// memoFrameDigest is frameDigest for a world built on memo; a nil memo
+// computes every signature and verification.
 func memoFrameDigest(t *testing.T, cfg Config, memo *pki.Memo) string {
 	t.Helper()
-	w, err := buildPooled(cfg, nil, memo, reference{})
+	w, err := buildPooled(cfg, nil, memo, reference{directCrypto: memo == nil})
 	if err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
 	w.Env.Medium.DigestFrames()
 	w.Run()
 	return fmt.Sprintf("%x", w.Env.Medium.FrameDigest())
+}
+
+// TestBuildOwnsECDSAMemo holds that a world no sweep hands a memo verifies
+// through its own: the Table I world's agents verify some certificates more
+// than once, and the repeats hit. The direct-crypto reference gets no memo.
+func TestBuildOwnsECDSAMemo(t *testing.T) {
+	w, err := Build(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Sched.Release()
+	memo := w.Env.Scheme.(pki.ECDSA).Memo
+	if memo == nil {
+		t.Fatal("a plain Build of an ECDSA world has no memo")
+	}
+	w.Run()
+	if s := memo.Stats(); s.VerifyHits == 0 {
+		t.Errorf("the world's memo never hit: %+v", s)
+	}
+
+	direct, err := buildPooled(DefaultConfig(), nil, nil, reference{directCrypto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Sched.Release()
+	if memo := direct.Env.Scheme.(pki.ECDSA).Memo; memo != nil {
+		t.Error("the direct-crypto reference world has a memo")
+	}
 }

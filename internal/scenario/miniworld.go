@@ -37,7 +37,7 @@ func newMiniWorld(seed int64) (*miniWorld, error) {
 		Sched:    sched,
 		RNG:      rng.Split("core"),
 		Trust:    pki.NewTrustStore(),
-		Scheme:   ecdsaScheme(rng, nil),
+		Scheme:   ecdsaScheme(rng, nil, reference{}),
 		Dir:      cluster.NewDirectory(),
 		Highway:  highway,
 		Medium:   radio.NewMedium(sched, rng.Split("radio")),

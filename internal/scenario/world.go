@@ -102,12 +102,17 @@ func Build(cfg Config) (*World, error) {
 }
 
 // ecdsaScheme spends rng's "crypto" split and returns the ECDSA scheme over
-// memo (nil computes every signature and verification). Signatures are
-// deterministic (RFC 6979) and draw nothing, but every later split of rng
-// depends on this draw, so it stays: dropping it would change every seed's
-// run.
-func ecdsaScheme(rng *sim.RNG, memo *pki.Memo) pki.Scheme {
+// memo. A world that no sweep hands a memo gets its own, which catches the
+// certificates its agents verify again and again; ref.directCrypto keeps
+// the memo nil, so every signature and verification is computed.
+// Signatures are deterministic (RFC 6979) and draw nothing, but every later
+// split of rng depends on this draw, so it stays: dropping it would change
+// every seed's run.
+func ecdsaScheme(rng *sim.RNG, memo *pki.Memo, ref reference) pki.Scheme {
 	rng.Split("crypto")
+	if memo == nil && !ref.directCrypto {
+		memo = pki.NewMemo()
+	}
 	return pki.ECDSA{Memo: memo}
 }
 
@@ -116,11 +121,11 @@ func ecdsaScheme(rng *sim.RNG, memo *pki.Memo) pki.Scheme {
 // ECDSA under the same seed, else nil. Worlds that share a seed mint the
 // same credentials and sign and verify many of the same messages (the
 // Figure 4 grid runs each replication seed in every attacker cluster).
-// Worlds with distinct seeds share almost nothing, so a sweep of them —
-// every replicate-based sweep — computes directly instead of paying a key
-// hash, a shared lock and up to a full memo's entries for few hits. The
-// memo lives as long as the sweep, so the process holds no crypto state
-// between jobs.
+// Worlds with distinct seeds share almost nothing, so in a sweep of them —
+// every replicate-based sweep — each world keeps its own small memo (see
+// ecdsaScheme) instead of sharing a lock and up to a full memo's entries
+// for few hits. The memo lives as long as the sweep, so the process holds
+// no crypto state between jobs.
 func sweepMemo(opt SweepOptions, cfgs []Config) *pki.Memo {
 	if opt.ref.directCrypto {
 		return nil
@@ -150,11 +155,8 @@ type reference struct {
 	// linearScan resolves radio neighbours by the O(N) scan instead of the
 	// grid-hash spatial index.
 	linearScan bool
-	// noVerifyCache pays the full Open cost on every reception instead of
-	// consulting the per-agent verification cache.
-	noVerifyCache bool
-	// directCrypto gives a sweep's worlds no shared crypto memo, so every
-	// signature and verification is computed.
+	// directCrypto gives a world no crypto memo, neither a sweep's shared
+	// one nor its own, so every signature and verification is computed.
 	directCrypto bool
 }
 
@@ -178,8 +180,8 @@ func buildTopology(cfg Config) (mobility.Topology, error) {
 // crypto memo for an ECDSA world, and the reference paths ref selects.
 // Sweep workers pass their per-worker pool so consecutive replications
 // reuse one warmed free list, and the sweep's memo; a nil pool gives the
-// scheduler a private pool and a nil memo computes all crypto, which is
-// exactly Build. Pooling and the memo must stay invisible to outcomes — the
+// scheduler a private pool and a nil memo gives an ECDSA world its own,
+// which is exactly Build. Pooling and the memo must stay invisible to outcomes — the
 // differential and golden-hash tests in this package enforce that. A build
 // that fails releases what it scheduled; a caller done with the world it
 // returns calls w.Sched.Release.
@@ -215,7 +217,7 @@ func buildPooled(cfg Config, pool *sim.EventPool, memo *pki.Memo, ref reference)
 	var scheme pki.Scheme = pki.Insecure{}
 	switch cfg.CryptoScheme {
 	case SchemeECDSA:
-		scheme = ecdsaScheme(rng, memo)
+		scheme = ecdsaScheme(rng, memo, ref)
 	case SchemeSession:
 		// One shared instance models the epoch key-agreement channel; it
 		// is mutex-guarded, and its anchor signatures are deterministic, so
@@ -277,8 +279,6 @@ func buildPooled(cfg Config, pool *sim.EventPool, memo *pki.Memo, ref reference)
 		Backbone: radio.NewBackbone(sched, cfg.BackboneLatency),
 		Tracer:   tracer,
 		Tally:    core.NewTally(),
-
-		NoVerifyCache: ref.noVerifyCache,
 	}
 	if shard != nil {
 		env.Port = ports[0]
