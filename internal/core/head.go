@@ -385,8 +385,8 @@ func (h *HeadAgent) handleBackbone(from wire.NodeID, payload []byte) {
 		// A verdict for one of my members, decided elsewhere.
 		h.deliverVerdict(p, reporterRef{node: p.Reporter, cluster: h.cluster})
 	case *wire.RevocationNotice:
+		// The sender counted this notice as an isolation packet.
 		h.addRevoked(p.Revoked)
-		h.env.record(trace.Event{Kind: trace.IsolationPackets, Node: h.NodeID(), Suspect: p.Revoked.Node, Count: 1})
 	case *wire.RenewalResp:
 		if !h.pendingRenewals[p.Requester] {
 			return

@@ -21,16 +21,18 @@ import (
 // and the fog ablation. They were recorded before these worlds shared one
 // placement routine and one builder, and any drift means a build step moved
 // an RNG draw or a vehicle — a behaviour change, never a baseline to
-// re-record.
+// re-record. The one deliberate re-record since is a counting fix: the
+// isolation packets of a case, which the placement and Figure 5 digests
+// hash, once counted each backbone revocation notice twice.
 var placementGolden = map[string]string{
-	"highway":     "24fed0020fb3a87d305c5664da3eab7440ddddcfdb266129bc5d20e04ddd9cf8",
-	"grid":        "8935410abb8c3ff3fa6c881d69abcb17332e95751b4be90e6ddca736463ebd7c",
-	"multi":       "54be96216ff0141df016cee5c73709b6201a42f911086fabb6018b0aad034c48",
-	"interchange": "59bc87ff187af7aa29b25cca9608e04531a7efce3be3444aae7d6401d346e1c8",
+	"highway":     "3a0d57a5a9822a534459e7a7634cc67e42ecde0075b08820c7f8fca3d02e5e93",
+	"grid":        "617fccf39f176d82294148de33f0f1387da0b81cfeb52ee22a78ec9981c8647e",
+	"multi":       "6f706665869faa95841ea6b0e9e4ae5e2c62b2137622e4ba5f5187c1e32361ad",
+	"interchange": "8d28c7521e2deb03d163f6df7378febca19e5f8bb93d62bd7909548a15816365",
 }
 
 const (
-	fig5GoldenDigest      = "a4e6b9dafa8d4e3461749aa3ecf5d770f5451fad1ac6f2825076182402698e33"
+	fig5GoldenDigest      = "a3d543bdff90a486e14658dc5074b73a56459ad5288c236ba7105f4c6c8fefcd"
 	connectorGoldenDigest = "e535ea138c4b71acc755d3b0c3630a3cee057929ba9dd452062db7fa2ba9776e"
 	fogGoldenDigest       = "f314dec507c68a2e4bbe866adce199dbaff39f281038efccc6e6ccc2c7195430"
 )

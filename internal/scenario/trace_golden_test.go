@@ -19,7 +19,7 @@ const traceGoldenDigest = "b7d83c8a41b52f2adfe45e64c421c8c07454ae7bb6be0bab42759
 
 // traceFullDigest pins the whole dump over traceCorpus, tally-only kinds
 // included: the text the serve trace endpoint returns.
-const traceFullDigest = "edd02d5b16bc845a231f3e1b43b1fa94147d5c9165e294837327aad7f59239cc"
+const traceFullDigest = "b7d91d6afede181e27b814803f6bd2a574ef6b1e1d0baac883cb61b631e2d9e6"
 
 // traceRun is one traced replication of the pinned corpus.
 type traceRun struct {
