@@ -23,7 +23,13 @@ type CaseTally struct {
 	RespBackbone  int // verdict relayed between heads (backbone)
 	RespRadio     int // verdict delivered to a reporter (radio)
 
-	IsolationPackets int // revocation requests/notices and blacklist broadcasts
+	// IsolationPackets counts the frames that isolating the suspect and its
+	// exposed teammate sent, each once, at its sender: the isolating head's
+	// blacklist broadcast, its revocation notices to adjacent heads and its
+	// revocation request, and the TA's revocation notices. The blacklist
+	// that other heads re-broadcast on a notice, and the one a head sends a
+	// vehicle that joins later, are cluster upkeep and not counted.
+	IsolationPackets int
 
 	Verdict    wire.Verdict
 	Teammate   wire.NodeID
@@ -96,7 +102,8 @@ func (t *Tally) TotalDetectionPackets() int {
 // record counts one protocol step in its case. Steps that cost detection
 // or isolation packets, and the verdict, are counted; the rest are ignored.
 // Isolation traffic is charged only to a case that already exists: the
-// notices about a convicted teammate's revocation are not a case of their own.
+// notices about a convicted teammate's revocation are not a case of their
+// own but go to the case that convicted it (see isolationCase).
 func (t *Tally) record(ev trace.Event) {
 	if t == nil {
 		return
@@ -119,12 +126,28 @@ func (t *Tally) record(ev trace.Event) {
 	case trace.VerdictDelivered:
 		t.Case(ev.Suspect).RespRadio++
 	case trace.IsolationPackets:
-		if c, ok := t.cases[ev.Suspect]; ok {
+		if c := t.isolationCase(ev.Suspect); c != nil {
 			c.IsolationPackets += int(ev.Count)
 		}
 	case trace.CaseResolved:
 		t.Case(ev.Suspect).resolve(ev.Verdict, ev.Peer, ev.At)
 	}
+}
+
+// isolationCase returns the case that isolation traffic about node belongs
+// to: node's own case, else the first case that convicted node as its
+// teammate. A TA names only the node it revokes, so its notices about a
+// teammate reach the case this way; a head names the case itself.
+func (t *Tally) isolationCase(node wire.NodeID) *CaseTally {
+	if c, ok := t.cases[node]; ok {
+		return c
+	}
+	for _, id := range t.order {
+		if c := t.cases[id]; c.Teammate == node && node != 0 {
+			return c
+		}
+	}
+	return nil
 }
 
 func (c *CaseTally) resolve(v wire.Verdict, teammate wire.NodeID, at time.Duration) {

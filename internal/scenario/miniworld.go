@@ -22,6 +22,7 @@ type miniWorld struct {
 	sched *sim.Scheduler
 	rng   *sim.RNG // the root stream, past its core, crypto and radio splits
 	ta    *core.AuthorityAgent
+	heads []*core.HeadAgent // in start order
 }
 
 func newMiniWorld(seed int64) (*miniWorld, error) {
@@ -66,6 +67,7 @@ func (m *miniWorld) head(c wire.ClusterID, cfg core.HeadConfig) (*core.HeadAgent
 		return nil, err
 	}
 	h.Start()
+	m.heads = append(m.heads, h)
 	return h, nil
 }
 

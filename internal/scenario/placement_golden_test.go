@@ -21,18 +21,19 @@ import (
 // and the fog ablation. They were recorded before these worlds shared one
 // placement routine and one builder, and any drift means a build step moved
 // an RNG draw or a vehicle — a behaviour change, never a baseline to
-// re-record. The one deliberate re-record since is a counting fix: the
+// re-record. The one deliberate re-record since is a counting fix to the
 // isolation packets of a case, which the placement and Figure 5 digests
-// hash, once counted each backbone revocation notice twice.
+// hash: each backbone revocation notice had counted twice, and the TA's
+// notices about an exposed teammate not at all.
 var placementGolden = map[string]string{
-	"highway":     "3a0d57a5a9822a534459e7a7634cc67e42ecde0075b08820c7f8fca3d02e5e93",
-	"grid":        "617fccf39f176d82294148de33f0f1387da0b81cfeb52ee22a78ec9981c8647e",
-	"multi":       "6f706665869faa95841ea6b0e9e4ae5e2c62b2137622e4ba5f5187c1e32361ad",
-	"interchange": "8d28c7521e2deb03d163f6df7378febca19e5f8bb93d62bd7909548a15816365",
+	"highway":     "26e9a76c68868e1332cb60d53c712227061e39d466d7d613cb141b428bc2f4c0",
+	"grid":        "7aac4a7a128f9a4972be5efb7e0159add268f717cd8755c3e10546d3c1f04f52",
+	"multi":       "b47c56c70cd8039581bb297a1e99f781b81e88ee176a3bef1937e391ad2832cf",
+	"interchange": "e32c091b7a509bb5b8923dcb11402d0d2f43ffc0b0dd0ea80104e4e36f6f0943",
 }
 
 const (
-	fig5GoldenDigest      = "a3d543bdff90a486e14658dc5074b73a56459ad5288c236ba7105f4c6c8fefcd"
+	fig5GoldenDigest      = "f5f73a581d82fc5d4d92072f9e73c0d8013b7c64c91498dd049865dece298c66"
 	connectorGoldenDigest = "e535ea138c4b71acc755d3b0c3630a3cee057929ba9dd452062db7fa2ba9776e"
 	fogGoldenDigest       = "f314dec507c68a2e4bbe866adce199dbaff39f281038efccc6e6ccc2c7195430"
 )
