@@ -56,7 +56,7 @@ func BenchmarkDistMerge(b *testing.B) {
 	const count = 8
 	outs := make([]metrics.Outcome, count)
 	for i := range outs {
-		outs[i] = metrics.Outcome{Seed: int64(i), AttackerPresent: true, Detected: true, DetectionPackets: 12, IsolationPackets: 4}
+		outs[i] = metrics.Outcome{Seed: scenario.ReplicationSeed(1, i), AttackerPresent: true, Detected: true, DetectionPackets: 12, IsolationPackets: 4}
 	}
 	payload, err := json.Marshal(struct {
 		Outcomes []metrics.Outcome `json:"outcomes"`
@@ -69,7 +69,7 @@ func BenchmarkDistMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decoded, err := decodeChunk(payload, count)
+		decoded, err := decodeChunk(payload, 1, 0, count)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -211,7 +211,8 @@ type chunk struct {
 // them into the local results slice.
 type sweepState struct {
 	mu        sync.Mutex
-	base      int // global index of results[0]
+	seed      int64 // the swept config's seed
+	base      int   // global index of results[0]
 	results   []metrics.Outcome
 	reported  []bool // per-rep onRep dedup across chunk retries and cache hits
 	onRep     func(rep int, err error)
@@ -320,6 +321,7 @@ func (c *Coordinator) SweepRange(ctx context.Context, cfg scenario.Config, start
 		nchunks++
 	}
 	st := &sweepState{
+		seed:      cfg.Seed,
 		base:      start,
 		results:   make([]metrics.Outcome, count),
 		reported:  make([]bool, count),
@@ -409,9 +411,15 @@ func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []
 		if entry, leader = c.cache.Begin(key); leader {
 			break
 		}
-		// Payloads enter the cache only after decoding cleanly.
+		// Payloads enter the cache only after decoding cleanly under the
+		// same key, so a payload that fails here is a fault: fail the sweep.
 		if payload, err := entry.Wait(sctx); err == nil {
-			outs, _ := decodeChunk(payload, ck.count)
+			outs, err := decodeChunk(payload, st.seed, ck.start, ck.count)
+			if err != nil {
+				st.fail(ck.start, fmt.Errorf("dist: cached chunk [%d,%d): %w", ck.start, ck.start+ck.count, err))
+				cancel()
+				return
+			}
 			c.cacheShared.Add(1)
 			st.finish(ck, outs)
 			return
@@ -460,7 +468,7 @@ func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []
 		})
 	if err == nil {
 		var outs []metrics.Outcome
-		if outs, err = decodeChunk(res.Payload, ck.count); err == nil {
+		if outs, err = decodeChunk(res.Payload, st.seed, ck.start, ck.count); err == nil {
 			c.cache.Complete(entry, res.Payload, nil)
 			c.remoteReps.Add(uint64(ck.count))
 			st.finish(ck, outs)
@@ -525,8 +533,11 @@ func (c *Coordinator) processChunk(sctx context.Context, w *workerNode, canon []
 	pending <- ck
 }
 
-// decodeChunk parses a chunk job's result payload and checks its shape.
-func decodeChunk(payload []byte, count int) ([]metrics.Outcome, error) {
+// decodeChunk parses the result payload of chunk [start, start+count) of a
+// sweep over a config with the given seed, and checks that it holds
+// exactly those replications: count outcomes, each with the seed its
+// global replication index gets.
+func decodeChunk(payload []byte, seed int64, start, count int) ([]metrics.Outcome, error) {
 	var cp struct {
 		Outcomes []metrics.Outcome `json:"outcomes"`
 	}
@@ -535,6 +546,11 @@ func decodeChunk(payload []byte, count int) ([]metrics.Outcome, error) {
 	}
 	if len(cp.Outcomes) != count {
 		return nil, fmt.Errorf("dist: chunk payload has %d outcomes, want %d", len(cp.Outcomes), count)
+	}
+	for i, o := range cp.Outcomes {
+		if want := scenario.ReplicationSeed(seed, start+i); o.Seed != want {
+			return nil, fmt.Errorf("dist: chunk payload outcome %d has seed %d, want %d (replication %d)", i, o.Seed, want, start+i)
+		}
 	}
 	return cp.Outcomes, nil
 }

@@ -5,8 +5,9 @@
 // config) submitted through serve/client, so the workers' result cache,
 // admission, 429/503 envelopes, drain, health and metrics are the serve
 // layer's own. Replication seeds are a pure function of the global index
-// (scenario.RunSweep), which makes a chunk's outcomes byte-identical
-// to the same replications of a single-node sweep.
+// (scenario.ReplicationSeed), which makes a chunk's outcomes byte-identical
+// to the same replications of a single-node sweep; the coordinator checks
+// every returned outcome's seed against its index before merging it.
 //
 // The coordinator keeps the fleet invisible in the results: chunks merge in
 // replication order, a failed chunk is retried with backoff and reassigned

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"blackdp/internal/metrics"
 	"blackdp/internal/scenario"
 	"blackdp/internal/serve"
 	"blackdp/serve/client"
@@ -104,7 +106,7 @@ func TestWorkerExecutesChunkAndCachesIt(t *testing.T) {
 	// The worker runs global replications [2,5): byte-for-byte what a local
 	// range run produces, and the progress lines carry global indexes.
 	res, lines := submitChunk(t, ts.URL, fastCfg(1), 2, 3)
-	outs, err := decodeChunk(res.Payload, 3)
+	outs, err := decodeChunk(res.Payload, fastCfg(1).Seed, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +278,76 @@ func TestCoordinatorSurfacesWorkerEnvelope(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "chunk_slots_full") {
 		t.Errorf("error text hides the envelope code: %v", err)
+	}
+}
+
+// TestCoordinatorRejectsShiftedChunk fronts a worker with a stub that runs
+// every chunk one replication late, so each payload has the right count but
+// the wrong seeds. The coordinator must refuse every such chunk and fail
+// the sweep, naming the seed mismatch, instead of merging outcomes under
+// the wrong replication indexes.
+func TestCoordinatorRejectsShiftedChunk(t *testing.T) {
+	w := mustServe(t, serve.Config{Workers: 4})
+	stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			var req client.Request
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(rw, err.Error(), http.StatusBadRequest)
+				return
+			}
+			req.Start++
+			body, err := json.Marshal(req)
+			if err != nil {
+				http.Error(rw, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			r.ContentLength = int64(len(body))
+		}
+		w.Handler().ServeHTTP(rw, r)
+	}))
+	t.Cleanup(stub.Close)
+
+	coord := New(Config{Workers: []string{stub.URL}, ChunkReps: 4, Retries: 1, HealthInterval: 50 * time.Millisecond})
+	coord.Start() // the health loop revives the worker for the retry
+	t.Cleanup(coord.Stop)
+	outs, err := coord.SweepRange(context.Background(), fastCfg(3), 0, 4, nil)
+	if err == nil {
+		t.Fatalf("sweep merged a shifted chunk: %+v", outs)
+	}
+	if !strings.Contains(err.Error(), "seed") {
+		t.Errorf("sweep error does not name the seed mismatch: %v", err)
+	}
+}
+
+// TestCoordinatorRejectsShiftedCachedChunk plants a shifted payload in the
+// chunk cache under a sweep's first chunk key. The sweep joins that entry
+// instead of dispatching, and must fail rather than merge it.
+func TestCoordinatorRejectsShiftedCachedChunk(t *testing.T) {
+	f := newFleet(t, 1, Config{ChunkReps: 4})
+	cfg := fastCfg(3)
+	fp, err := scenario.Fingerprint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp struct {
+		Outcomes []metrics.Outcome `json:"outcomes"`
+	}
+	for i := range 4 {
+		cp.Outcomes = append(cp.Outcomes, metrics.Outcome{Seed: scenario.ReplicationSeed(cfg.Seed, i+1)})
+	}
+	payload, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, leader := f.coord.cache.Begin(fmt.Sprintf("chunk/0+4/%s", fp))
+	if !leader {
+		t.Fatal("a fresh coordinator's cache already held the chunk")
+	}
+	f.coord.cache.Complete(entry, payload, nil)
+
+	if _, err := f.coord.SweepRange(context.Background(), cfg, 0, 8, nil); err == nil || !strings.Contains(err.Error(), "seed") {
+		t.Fatalf("sweep over a shifted cached chunk: err = %v, want a seed mismatch", err)
 	}
 }
 

@@ -924,8 +924,14 @@ func reconcileWorkers(sweepWorkers int, cfgs []Config) int {
 	return w
 }
 
+// ReplicationSeed is the seed of global replication rep of a sweep whose
+// config has seed base. It is the one definition of a replication's seed:
+// sweeps derive their worlds from it, and the fleet coordinator checks the
+// outcomes a worker returns against it.
+func ReplicationSeed(base int64, rep int) int64 { return base + int64(rep)*7919 }
+
 // replicate derives the configs of global replications [start, start+count)
-// of a sweep over cfg. A replication's seed is a pure function of cfg.Seed
+// of a sweep over cfg. A replication's seed is ReplicationSeed of cfg.Seed
 // and its global index; mutate, when non-nil, then adjusts its config. The
 // mutate hooks run serially in replication order on the caller's goroutine,
 // before any replication does, so they may touch caller state without
@@ -935,7 +941,7 @@ func replicate(cfg Config, start, count int, mutate func(rep int, c *Config)) []
 	for i := range cfgs {
 		rep := start + i
 		c := cfg
-		c.Seed = cfg.Seed + int64(rep)*7919
+		c.Seed = ReplicationSeed(cfg.Seed, rep)
 		if mutate != nil {
 			mutate(rep, &c)
 		}
