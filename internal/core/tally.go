@@ -143,7 +143,7 @@ func (t *Tally) isolationCase(node wire.NodeID) *CaseTally {
 		return c
 	}
 	for _, id := range t.order {
-		if c := t.cases[id]; c.Teammate == node && node != 0 {
+		if c := t.cases[id]; c.Teammate == node {
 			return c
 		}
 	}

@@ -7,8 +7,9 @@ import (
 	"sync"
 )
 
-// memoCapacity bounds a Memo. A Table I world adds about 30 entries, and
-// the Figure 4 grid runs cluster by cluster, so at the paper's 150
+// memoCapacity bounds a Memo. A Table I world's own memo holds about 41
+// entries. In the Figure 4 grid's shared memo a world adds about 30 new
+// ones, and the grid runs cluster by cluster, so at the paper's 150
 // replications one cluster step is about 4.5k entries: the memo holds a
 // world's twins in the three nearest clusters and has evicted those
 // further back. One 6-replication kind of the grid holds 1.6–1.9k entries
@@ -16,9 +17,11 @@ import (
 const memoCapacity = 16384
 
 // Memo remembers the results of the two deterministic ECDSA operations,
-// RFC 6979 signing and verification, so that worlds which mint the same
-// credentials (the replications of one sweep that share a seed) sign and
-// verify each distinct message once. Both operations are pure functions of
+// RFC 6979 signing and verification, so that each distinct message is
+// signed and verified once: across the worlds of a sweep that share a seed
+// and mint the same credentials, or within one world whose agents verify
+// the same certificates again and again. It is the only crypto cache;
+// agents call Open directly. Both operations are pure functions of
 // their inputs, so a hit returns exactly what the computation would: the
 // memo changes CPU time, never a byte or a verdict.
 //

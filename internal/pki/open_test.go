@@ -79,20 +79,17 @@ func assertSameOpen(t *testing.T, sec *wire.Secure, now time.Duration, trust *Tr
 // cold memo, and again after every envelope has been seen once (a warm
 // memo must not change a single verdict).
 func TestVerifierMatchesOpen(t *testing.T) {
+	session := NewSessionToken()
 	for _, tc := range []struct {
 		name        string
 		scheme, ref Scheme
 	}{
 		{"ecdsa", ECDSA{Memo: NewMemo()}, ECDSA{}},
 		{"insecure", Insecure{}, Insecure{}},
-		{"session", nil, nil}, // the fixture's own instance
+		{"session", session, session},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scheme, ref := tc.scheme, tc.ref
-			if scheme == nil {
-				scheme = NewSessionToken()
-				ref = scheme
-			}
 			f := newOpenFixture(t, ref, 2)
 			valid := f.seal(t, f.creds[0], 10)
 			other := f.seal(t, f.creds[1], 11)
